@@ -15,6 +15,7 @@ from .errors import (
     InfeasibleParameters,
     InvalidCoefficient,
     InvalidProfile,
+    InvalidState,
     ModeOutOfRange,
     NonBinaryTarget,
     OutOfRange,
@@ -83,6 +84,7 @@ __all__ = [
     "InputQubit",
     "InvalidCoefficient",
     "InvalidProfile",
+    "InvalidState",
     "MeasurementOutcome",
     "ModeOutOfRange",
     "NonBinaryTarget",

@@ -21,11 +21,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 
-from .errors import AncillaError
+from .errors import AncillaError, InvalidState
 from .fock import SparseState, fidelity
 from .pipeline import (
     PhaseMethod,
@@ -89,23 +90,38 @@ def _load_profile(source: str, n: int) -> AmplitudeProfile:
     return profile
 
 
-def _method(name: str) -> PhaseMethod:
-    return PhaseMethod(name)
+def _load_state(path: str) -> SparseState:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise InvalidState(f"{path} is not a JSON state file: {exc}") from exc
+    return SparseState.from_json_dict(data)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_qubit(text: str) -> InputQubit:
-    parts = [float(v) for v in text.split(",")]
+    usage = "--input wants 'a,b' (real amplitudes) or 'a_re,a_im,b_re,b_im'"
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise AncillaError(f"{usage}, got {text!r}") from None
     if len(parts) == 2:
         return InputQubit.of(complex(parts[0]), complex(parts[1]))
     if len(parts) == 4:
         return InputQubit.of(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
-    raise AncillaError(
-        "--input wants 'a,b' (real amplitudes) or 'a_re,a_im,b_re,b_im'"
-    )
+    raise AncillaError(usage)
 
 
-def _state_json(state: SparseState) -> str:
-    return json.dumps(state.to_json_dict(), indent=2) + "\n"
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -127,10 +143,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
         state = build_single_register(args.n, profile)
         oracle = direct_oracle_single(args.n, profile)
     else:
-        state = build_entangled_pair(args.n, profile, _method(args.method))
+        state = build_entangled_pair(args.n, profile, PhaseMethod(args.method))
         oracle = direct_oracle_pair(args.n, profile)
     fid = fidelity(state, oracle)
-    _write_text(_resolve(args.output), _state_json(state))
+    _write_text(_resolve(args.output), _json_text(state.to_json_dict()))
     print(
         f"n={args.n} registers={args.registers} method={args.method} "
         f"terms={len(state)} fidelity={_fmt(fid)}",
@@ -140,10 +156,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.state_a, "r", encoding="utf-8") as fh:
-        a = SparseState.from_json_dict(json.load(fh))
-    with open(args.state_b, "r", encoding="utf-8") as fh:
-        b = SparseState.from_json_dict(json.load(fh))
+    a, b = _load_state(args.state_a), _load_state(args.state_b)
     fid = fidelity(a.normalized(), b.normalized())
     print(_fmt(fid))
     return 0 if fid >= 1.0 - args.tolerance else 1
@@ -171,25 +184,21 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
             ["outcome_counts", "k", "probability", "classification", "fidelity"], rows
         )
     else:
-        text = (
-            json.dumps(
-                {
-                    "n": args.n,
-                    "failure_probability": failure_probability(outcomes),
-                    "outcomes": [
-                        {
-                            "counts": list(o.counts),
-                            "k": o.k,
-                            "probability": o.probability,
-                            "classification": o.classification.value,
-                            "fidelity": o.fidelity,
-                        }
-                        for o in outcomes
-                    ],
-                },
-                indent=2,
-            )
-            + "\n"
+        text = _json_text(
+            {
+                "n": args.n,
+                "failure_probability": failure_probability(outcomes),
+                "outcomes": [
+                    {
+                        "counts": list(o.counts),
+                        "k": o.k,
+                        "probability": o.probability,
+                        "classification": o.classification.value,
+                        "fidelity": o.fidelity,
+                    }
+                    for o in outcomes
+                ],
+            }
         )
     _write_text(_resolve(args.output), text)
     print(f"failure_probability={_fmt(failure_probability(outcomes))}", file=sys.stderr)
@@ -211,45 +220,18 @@ def _cmd_czgate(args: argparse.Namespace) -> int:
         "10": (InputQubit.one(), InputQubit.zero()),
         "11": (InputQubit.one(), InputQubit.one()),
     }
+    header = ["input", "success_probability", "failure_probability", "min_fidelity"]
     rows = []
-    worst = 1.0
     for label, (qa, qb) in basis.items():
         result = cz_via_double_teleportation(qa, qb, ancilla, args.n)
         fid = result.min_fidelity if result.min_fidelity is not None else 0.0
-        worst = min(worst, fid)
-        rows.append(
-            [
-                label,
-                _fmt(result.success_probability),
-                _fmt(result.failure_probability),
-                _fmt(fid),
-            ]
-        )
+        rows.append([label, result.success_probability, result.failure_probability, fid])
     if args.format == "csv":
-        text = _csv_text(
-            ["input", "success_probability", "failure_probability", "min_fidelity"],
-            rows,
-        )
+        text = _csv_text(header, [[r[0]] + [_fmt(v) for v in r[1:]] for r in rows])
     else:
-        text = (
-            json.dumps(
-                {
-                    "n": args.n,
-                    "rows": [
-                        {
-                            "input": r[0],
-                            "success_probability": float(r[1]),
-                            "failure_probability": float(r[2]),
-                            "min_fidelity": float(r[3]),
-                        }
-                        for r in rows
-                    ],
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+        text = _json_text({"n": args.n, "rows": [dict(zip(header, r)) for r in rows]})
     _write_text(_resolve(args.output), text)
+    worst = min(r[3] for r in rows)
     return 0 if worst >= 1.0 - args.tolerance else 1
 
 
@@ -263,13 +245,9 @@ def _cmd_dots(args: argparse.Namespace) -> int:
     if args.schedule_out:
         _write_text(_resolve(args.schedule_out), schedule.to_jsonl())
     if args.state_out:
-        _write_text(_resolve(args.state_out), _state_json(photonic))
-    report = {
-        "n": args.n,
-        "pulses": len(schedule.pulses),
-        "fidelity": fid,
-    }
-    _write_text(_resolve(args.output), json.dumps(report, indent=2) + "\n")
+        _write_text(_resolve(args.state_out), _json_text(photonic.to_json_dict()))
+    report = {"n": args.n, "pulses": len(schedule.pulses), "fidelity": fid}
+    _write_text(_resolve(args.output), _json_text(report))
     return 0 if fid >= 1.0 - args.tolerance else 1
 
 
@@ -277,7 +255,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
     methods = (
         [PhaseMethod.PAIRWISE_GATES, PhaseMethod.PARITY_ANCILLA]
         if args.method == "both"
-        else [_method(args.method)]
+        else [PhaseMethod(args.method)]
     )
     rows = []
     for method in methods:
@@ -310,13 +288,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
     if args.format == "csv":
         text = _csv_text(header, rows)
     else:
-        text = (
-            json.dumps(
-                [dict(zip(header, row)) for row in rows],
-                indent=2,
-            )
-            + "\n"
-        )
+        text = _json_text([dict(zip(header, row)) for row in rows])
     _write_text(_resolve(args.output), text)
     return 0
 
@@ -340,8 +312,7 @@ def _add_common(sub: argparse.ArgumentParser, method: bool = True) -> None:
             choices=["pairwise", "parity", "oracle"],
             help="entangling phase method",
         )
-    sub.add_argument("--tolerance", type=float, default=1e-10)
-    sub.add_argument("--seed", type=int, default=0, help="reserved; kept for reproducible configs")
+    sub.add_argument("--tolerance", type=_finite_float, default=1e-10)
     sub.add_argument("--format", default="csv", choices=["json", "csv"])
     sub.add_argument("--output", default=None, help="output file (stdout when omitted)")
 
@@ -362,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="fidelity between two state files")
     p.add_argument("state_a")
     p.add_argument("state_b")
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-10)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("teleport", help="exhaustive teleport outcome table")
@@ -376,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dots", help="dot-array preparation end to end")
     _add_common(p, method=False)
-    p.add_argument("--intra-coefficient", type=float, default=0.0)
+    p.add_argument("--intra-coefficient", type=_finite_float, default=0.0)
     p.add_argument("--schedule-out", default=None, help="write the pulse program (JSON lines)")
     p.add_argument("--state-out", default=None, help="write the emitted photonic state")
     p.set_defaults(func=_cmd_dots)
@@ -399,10 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AncillaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AncillaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -202,7 +202,7 @@ def rabi(state: SparseState, dot_i: int, dot_j: int, theta: float) -> SparseStat
         else:
             add(occ, a * c)
             add(swapped, -a * s)
-    return SparseState(state.modes, terms, state.tolerance)
+    return state._like(terms)
 
 
 def load_from_reservoir(state: SparseState, dot: int) -> SparseState:
@@ -228,7 +228,7 @@ def load_from_reservoir(state: SparseState, dot: int) -> SparseState:
             new[dot] = 1
             occ = tuple(new)
         terms[occ] = terms.get(occ, 0j) + a
-    return SparseState(state.modes, terms, state.tolerance)
+    return state._like(terms)
 
 
 def _x_side_counts(occ: Occupation, n: int) -> tuple[int, int]:
@@ -370,19 +370,9 @@ def _apply_rabi_pulse(state: SparseState, pulse: RabiPulse) -> SparseState:
     gate = pulse.only_if
     if not 0 <= gate < state.modes:
         raise DotOutOfRange(f"condition dot {gate} not in 0..{state.modes - 1}")
-    on = {occ: a for occ, a in state.terms.items() if occ[gate] >= 1}
-    off = {occ: a for occ, a in state.terms.items() if occ[gate] == 0}
-    merged = dict(off)
-    if on:
-        part = rabi(
-            SparseState(state.modes, on, state.tolerance),
-            pulse.src,
-            pulse.dst,
-            pulse.theta,
-        )
-        for occ, a in part.terms.items():
-            merged[occ] = merged.get(occ, 0j) + a
-    return SparseState(state.modes, merged, state.tolerance)
+    return state.apply_controlled(
+        gate, lambda part: rabi(part, pulse.src, pulse.dst, pulse.theta)
+    )
 
 
 def emit_photons(state: SparseState, layout: RegisterLayout) -> SparseState:

@@ -5,6 +5,11 @@ class AncillaError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidState(AncillaError, ValueError):
+    """State data that is malformed: a negative photon count, a non-finite
+    amplitude, or a state file that does not follow the JSON state schema."""
+
+
 class ZeroState(AncillaError):
     """Normalization requested for a state with no amplitude above tolerance."""
 

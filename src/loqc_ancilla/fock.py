@@ -6,6 +6,10 @@ mutated and every method returns a fresh state.  Amplitudes with modulus
 below the state's pruning tolerance are dropped after each operation, which
 keeps the exact-cancellation junk of double precision out of the term set.
 
+Keys and amplitudes are validated where data enters (the constructor,
+``basis``, ``from_json_dict``); operations derive new states through the
+trusted ``_like``, which only prunes and refuses non-finite amplitudes.
+
 Global phase is deliberately never normalized away; state comparisons go
 through :func:`fidelity`, which is phase-insensitive.
 """
@@ -19,6 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import (
     DimensionMismatch,
     InvalidCoefficient,
+    InvalidState,
     ModeOutOfRange,
     ZeroState,
 )
@@ -62,10 +67,10 @@ class SparseState:
                         f"{self.modes} modes"
                     )
                 if any(c < 0 for c in occ):
-                    raise ValueError(f"negative photon count in {occ}")
+                    raise InvalidState(f"negative photon count in {occ}")
                 amp = complex(amp)
                 if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                    raise ValueError(f"non-finite amplitude {amp} at {occ}")
+                    raise InvalidState(f"non-finite amplitude {amp} at {occ}")
                 if abs(amp) >= self.tolerance:
                     self.terms[occ] = self.terms.get(occ, 0j) + amp
 
@@ -83,8 +88,18 @@ class SparseState:
     def vacuum(cls, modes: int, tolerance: float = DEFAULT_TOLERANCE) -> "SparseState":
         return cls.basis((0,) * modes, tolerance)
 
-    def _like(self, terms: Mapping[Occupation, complex]) -> "SparseState":
-        return SparseState(self.modes, terms, self.tolerance)
+    def _like(self, terms: Mapping[Occupation, complex], modes: int | None = None) -> "SparseState":
+        """Trusted constructor: keys are taken as valid for ``modes`` (default:
+        this state's) and amplitudes are only pruned.  A NaN fails the prune's
+        comparison and would vanish silently, hence the finiteness check;
+        ``+ 0j`` maps -0.0 to +0.0 as the public constructor's sum does."""
+        if not math.isfinite(sum(map(abs, terms.values()))):
+            raise InvalidState("an operation produced a non-finite amplitude")
+        out = object.__new__(SparseState)
+        out.modes = self.modes if modes is None else modes
+        out.tolerance = tol = self.tolerance
+        out.terms = {occ: a + 0j for occ, a in terms.items() if abs(a) >= tol}
+        return out
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -244,6 +259,26 @@ class SparseState:
                 out[full] = out.get(full, 0j) + base * coeff * math.sqrt(norm_out)
         return self._like(out)
 
+    def apply_controlled(
+        self, mode: int, on: Callable, off: Callable | None = None
+    ) -> "SparseState":
+        """Apply ``on`` to the terms where ``mode`` is occupied and ``off`` (the
+        identity when None) to the rest, then add the two results; a branch
+        with no terms is skipped and the occupied one is added first."""
+        self._check_mode(mode)
+        occupied: dict[Occupation, complex] = {}
+        empty: dict[Occupation, complex] = {}
+        for occ, a in self.terms.items():
+            (occupied if occ[mode] else empty)[occ] = a
+        merged: dict[Occupation, complex] = {}
+        if occupied:
+            merged.update(on(self._like(occupied)).terms)
+        if empty:
+            rest = self._like(empty)
+            for occ, a in (rest if off is None else off(rest)).terms.items():
+                merged[occ] = merged.get(occ, 0j) + a
+        return self._like(merged)
+
     # ------------------------------------------------------------------
     # measurement
     # ------------------------------------------------------------------
@@ -277,11 +312,7 @@ class SparseState:
             if prob <= self.tolerance**2:
                 continue
             scale = 1.0 / math.sqrt(prob)
-            residual = SparseState(
-                len(keep),
-                {k: a * scale for k, a in bucket.items()},
-                self.tolerance,
-            )
+            residual = self._like({k: a * scale for k, a in bucket.items()}, len(keep))
             results.append(MeasurementOutcome(outcome, prob, residual))
         return results
 
@@ -295,16 +326,13 @@ class SparseState:
         for occ1, a1 in self.terms.items():
             for occ2, a2 in other.terms.items():
                 terms[occ1 + occ2] = a1 * a2
-        return SparseState(self.modes + other.modes, terms, self.tolerance)
+        return self._like(terms, self.modes + other.modes)
 
     def extend(self, extra_modes: int) -> "SparseState":
         """Append ``extra_modes`` vacuum modes."""
         pad = (0,) * extra_modes
-        return SparseState(
-            self.modes + extra_modes,
-            {occ + pad: a for occ, a in self.terms.items()},
-            self.tolerance,
-        )
+        terms = {occ + pad: a for occ, a in self.terms.items()}
+        return self._like(terms, self.modes + extra_modes)
 
     def drop_modes(self, modes: Iterable[int]) -> "SparseState":
         """Remove the listed modes from every key.
@@ -318,7 +346,7 @@ class SparseState:
         for occ, a in self.terms.items():
             key = tuple(occ[m] for m in keep)
             terms[key] = terms.get(key, 0j) + a
-        return SparseState(len(keep), terms, self.tolerance)
+        return self._like(terms, len(keep))
 
     def permute_modes(self, perm: Sequence[int]) -> "SparseState":
         """Relabel modes: new mode i holds old mode perm[i]'s count."""
@@ -344,10 +372,16 @@ class SparseState:
 
     @classmethod
     def from_json_dict(cls, data: Mapping, tolerance: float = DEFAULT_TOLERANCE) -> "SparseState":
-        terms = {
-            tuple(t["occ"]): complex(t["re"], t["im"]) for t in data["terms"]
-        }
-        return cls(int(data["modes"]), terms, tolerance)
+        """Parse the JSON state schema; malformed data raises InvalidState."""
+        try:
+            modes = int(data["modes"])
+            terms = {
+                tuple(int(c) for c in t["occ"]): complex(t["re"], t["im"])
+                for t in data["terms"]
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidState(f"malformed state data: {exc!r}") from exc
+        return cls(modes, terms, tolerance)
 
 
 @dataclass(frozen=True)
@@ -375,21 +409,17 @@ def fidelity(a: SparseState, b: SparseState) -> float:
     return min(1.0, abs(overlap) ** 2)
 
 
-_QUARTER_TURNS = {
-    0.0: 1.0 + 0j,
-    math.pi: -1.0 + 0j,
-    -math.pi: -1.0 + 0j,
-    math.pi / 2: 1j,
-    -math.pi / 2: -1j,
-}
+_QUARTER_TURNS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 def _cis(phi: float) -> complex:
-    # Exact values at the quarter turns keep sign gates and the canonical
-    # fixups free of 1e-16 imaginary junk.
-    exact = _QUARTER_TURNS.get(phi)
-    if exact is not None:
-        return exact
+    # Exact values at every integer multiple of pi/2 keep sign gates, the
+    # canonical fixups and pi * count phases free of 1e-16 junk.  A float
+    # whose quotient by pi/2 rounds to an integer lies within an ulp of that
+    # multiple, so the lookup is as accurate as cos/sin of the float itself.
+    quarters = phi / (math.pi / 2)
+    if quarters.is_integer():
+        return _QUARTER_TURNS[int(quarters) % 4]
     return complex(math.cos(phi), math.sin(phi))
 
 

@@ -12,7 +12,7 @@ produce superpositions with literal real weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ModeOutOfRange, NonBinaryTarget, OutOfRange
 from .fock import Occupation, SparseState
@@ -97,31 +97,16 @@ def conditional_transfer(
     """
     if control is None:
         return _fixup(transfer_gadget(state, src, dst, setting), src, dst)
-
-    state._check_mode(control)
     if control in (src, dst):
         raise ModeOutOfRange("control mode must differ from source and destination")
-    on = {occ: a for occ, a in state.terms.items() if occ[control] >= 1}
-    off = {occ: a for occ, a in state.terms.items() if occ[control] == 0}
-    merged: dict[Occupation, complex] = {}
-    if on:
-        part = transfer_gadget(
-            SparseState(state.modes, on, state.tolerance),
-            src,
-            dst,
-            TransferSetting(t=setting.t, r=setting.r, phi=0.0),
-        )
-        merged.update(part.terms)
-    if off:
-        part = transfer_gadget(
-            SparseState(state.modes, off, state.tolerance),
-            src,
-            dst,
-            TransferSetting(t=setting.t, r=setting.r, phi=PHASE_OFF),
-        )
-        for occ, a in part.terms.items():
-            merged[occ] = merged.get(occ, 0j) + a
-    return _fixup(SparseState(state.modes, merged, state.tolerance), src, dst)
+    enabled = replace(setting, phi=0.0)
+    inhibited = replace(setting, phi=PHASE_OFF)
+    out = state.apply_controlled(
+        control,
+        lambda part: transfer_gadget(part, src, dst, enabled),
+        lambda part: transfer_gadget(part, src, dst, inhibited),
+    )
+    return _fixup(out, src, dst)
 
 
 def controlled_sign(
@@ -142,47 +127,38 @@ def controlled_sign(
     return state.apply_basis_phase(phase)
 
 
-def cnot_logical(state: SparseState, control_mode: int, target_mode: int) -> SparseState:
-    """Flip the target's occupancy (0 <-> 1) on terms with the control occupied.
+def _flip(state: SparseState, controls: tuple[int, ...], target_mode: int) -> SparseState:
+    """Flip the target's occupancy (0 <-> 1) on terms with every control occupied.
 
     Logical-level gate on a single-rail qubit mode; raises if any term
     holds more than one photon in the target.
     """
-    state._check_mode(control_mode)
-    state._check_mode(target_mode)
-    if control_mode == target_mode:
-        raise ModeOutOfRange("control and target must differ")
+    modes = controls + (target_mode,)
+    for m in modes:
+        state._check_mode(m)
+    if len(set(modes)) != len(modes):
+        raise ModeOutOfRange("controls and target must be distinct modes")
     terms: dict[Occupation, complex] = {}
     for occ, a in state.terms.items():
         if occ[target_mode] > 1:
             raise NonBinaryTarget(
                 f"target mode {target_mode} holds {occ[target_mode]} photons"
             )
-        if occ[control_mode] >= 1:
+        if all(occ[m] for m in controls):
             new = list(occ)
             new[target_mode] = 1 - new[target_mode]
             occ = tuple(new)
         terms[occ] = terms.get(occ, 0j) + a
-    return SparseState(state.modes, terms, state.tolerance)
+    return state._like(terms)
+
+
+def cnot_logical(state: SparseState, control_mode: int, target_mode: int) -> SparseState:
+    """Flip the target's occupancy (0 <-> 1) on terms with the control occupied."""
+    return _flip(state, (control_mode,), target_mode)
 
 
 def toffoli_logical(
     state: SparseState, control_a: int, control_b: int, target_mode: int
 ) -> SparseState:
     """Two-control occupancy flip of a logical qubit mode."""
-    for m in (control_a, control_b, target_mode):
-        state._check_mode(m)
-    if len({control_a, control_b, target_mode}) != 3:
-        raise ModeOutOfRange("controls and target must be three distinct modes")
-    terms: dict[Occupation, complex] = {}
-    for occ, a in state.terms.items():
-        if occ[target_mode] > 1:
-            raise NonBinaryTarget(
-                f"target mode {target_mode} holds {occ[target_mode]} photons"
-            )
-        if occ[control_a] >= 1 and occ[control_b] >= 1:
-            new = list(occ)
-            new[target_mode] = 1 - new[target_mode]
-            occ = tuple(new)
-        terms[occ] = terms.get(occ, 0j) + a
-    return SparseState(state.modes, terms, state.tolerance)
+    return _flip(state, (control_a, control_b), target_mode)

@@ -57,8 +57,12 @@ class AmplitudeProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AmplitudeProfile":
-        f = tuple(float(v) for v in data["f"])
-        n = int(data["n"])
+        """Parse ``{"n": ..., "f": [...]}``; malformed data raises InvalidProfile."""
+        try:
+            f = tuple(float(v) for v in data["f"])
+            n = int(data["n"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidProfile(f"malformed profile data: {exc!r}") from exc
         if len(f) != n + 1:
             raise InvalidProfile(f"profile file: n={n} but {len(f)} values")
         return cls(n, f)
@@ -66,7 +70,11 @@ class AmplitudeProfile:
     @classmethod
     def load(cls, path: str) -> "AmplitudeProfile":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                raise InvalidProfile(f"{path} is not a JSON profile: {exc}") from exc
+        return cls.from_json_dict(data)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "f": list(self.f)}

@@ -37,14 +37,16 @@ class InputQubit:
 
     def __post_init__(self):
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails the comparison
             raise OutOfRange(f"|alpha|^2 + |beta|^2 = {norm}, expected 1")
 
     @classmethod
     def of(cls, alpha: complex, beta: complex) -> "InputQubit":
         norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        if norm == 0.0:
-            raise OutOfRange("qubit amplitudes cannot both be zero")
+        if not 0.0 < norm < math.inf:  # NaN fails both comparisons
+            raise OutOfRange(
+                f"qubit amplitudes must be finite and not both zero, got {alpha}, {beta}"
+            )
         return cls(alpha / norm, beta / norm)
 
     @classmethod

@@ -108,7 +108,7 @@ def test_build_is_byte_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
         code, _, _ = run_cli(
-            ["build", "--n", "2", "--method", "pairwise", "--seed", "5", "--output", str(path)],
+            ["build", "--n", "2", "--method", "pairwise", "--output", str(path)],
             capsys,
         )
         assert code == 0
@@ -195,10 +195,64 @@ def test_teleport_complex_input(capsys):
     assert code == 0
 
 
-def test_teleport_bad_input_is_usage_error(capsys):
-    code, _, err = run_cli(["teleport", "--n", "1", "--input", "1,2,3"], capsys)
+def one_mode_state(occ, re):
+    return json.dumps({"modes": 1, "terms": [{"occ": [occ], "re": re, "im": 0.0}]})
+
+
+@pytest.mark.parametrize(
+    "argv, bad_file",
+    [
+        (["teleport", "--n", "1", "--input", "1,2,3"], None),
+        (["teleport", "--n", "1", "--input", "a,b"], None),
+        (["teleport", "--n", "1", "--input", "1,nan"], None),
+        (["teleport", "--n", "1", "--input", "inf,0"], None),
+        (["verify", "{bad}", "{good}"], '{"modes": 1}'),
+        (["verify", "{bad}", "{good}"], "not json"),
+        (["verify", "{good}", "{bad}"], one_mode_state(1, "x")),
+        (["verify", "{bad}", "{good}"], one_mode_state(-1, 1.0)),
+        (["verify", "{bad}", "{good}"], one_mode_state(1, float("nan"))),
+        (["verify", "{bad}", "{good}"], '[1, 2]'),
+        (["build", "--n", "1", "--profile", "{bad}"], "not json"),
+        (["build", "--n", "1", "--profile", "{bad}"], '{"n": 1}'),
+        (["build", "--n", "1", "--profile", "{bad}"], '{"n": 1, "f": ["x", 1]}'),
+        (["dots", "--n", "1", "--intra-coefficient", "nan"], None),
+        (["czgate", "--n", "1", "--tolerance", "nan"], None),
+        (["build", "--n", "1", "--tolerance", "nan"], None),
+        (["verify", "{good}", "{good}", "--tolerance", "inf"], None),
+    ],
+    ids=[
+        "teleport-three-values",
+        "teleport-not-numbers",
+        "teleport-nan",
+        "teleport-inf",
+        "verify-no-terms",
+        "verify-not-json",
+        "verify-string-amplitude",
+        "verify-negative-count",
+        "verify-nan-amplitude",
+        "verify-not-an-object",
+        "profile-not-json",
+        "profile-no-f",
+        "profile-string-value",
+        "dots-nan-intra-coefficient",
+        "czgate-nan-tolerance",
+        "build-nan-tolerance",
+        "verify-inf-tolerance",
+    ],
+)
+def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):
+    # Bad input exits 2 with an error line, never 1 (fidelity shortfall) or
+    # a traceback; argparse rejects bad option values with SystemExit(2).
+    (tmp_path / "good.json").write_text(one_mode_state(1, 1.0))
+    if bad_file is not None:
+        (tmp_path / "bad.json").write_text(bad_file)
+    argv = [a.format(good=tmp_path / "good.json", bad=tmp_path / "bad.json") for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     assert code == 2
-    assert "error:" in err
+    assert "error:" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +338,18 @@ def test_build_oracle_method(tmp_path, capsys):
     assert code == 0
     fid = float(re.search(r"fidelity=([0-9.eE+-]+)", err).group(1))
     assert fid >= 1 - 1e-10
+
+
+def test_build_oracle_method_amplitudes_are_exactly_real(tmp_path, capsys):
+    # The oracle phase is pi * j * j'; multiples of pi must not leave junk.
+    out_file = tmp_path / "o.json"
+    code, _, _ = run_cli(
+        ["build", "--n", "3", "--method", "oracle", "--output", str(out_file)], capsys
+    )
+    assert code == 0
+    terms = json.loads(out_file.read_text())["terms"]
+    assert len(terms) == 16
+    assert all(t["im"] == 0.0 for t in terms)
 
 
 def test_module_entry_point():

@@ -105,6 +105,16 @@ def test_phase_two_photons_quarter_turn():
     assert got.amplitude((2, 0)) == pytest.approx(want[(2, 0)], abs=1e-12)
 
 
+def test_phase_integer_quarter_turns_are_exact():
+    # pi on two photons is a full turn: exactly 1, no 1e-16 imaginary part.
+    two = SparseState.basis((2,))
+    assert two.apply_phase(0, math.pi).amplitude((2,)) == 1.0 + 0j
+    assert SparseState.basis((3,)).apply_phase(0, math.pi / 2).amplitude((3,)) == -1j
+    assert SparseState.basis((5,)).apply_phase(0, -math.pi).amplitude((5,)) == -1.0 + 0j
+    # Other angles keep cos/sin of the unreduced angle.
+    assert two.apply_phase(0, 0.3).amplitude((2,)) == complex(math.cos(0.6), math.sin(0.6))
+
+
 def test_phase_mode_out_of_range():
     with pytest.raises(ModeOutOfRange):
         SparseState.basis((1,)).apply_phase(1, 0.1)

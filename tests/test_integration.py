@@ -1,5 +1,6 @@
 """Whole-system chains: states built by one route consumed by another."""
 
+import math
 import random
 
 import pytest
@@ -8,14 +9,17 @@ from loqc_ancilla import (
     AmplitudeProfile,
     Classification,
     InputQubit,
+    InvalidState,
     PhaseMethod,
+    SparseState,
     build_entangled_pair,
     build_single_register,
     cz_via_double_teleportation,
+    direct_oracle_single,
     failure_probability,
     teleport,
 )
-from loqc_ancilla.dots import prepare_pair
+from loqc_ancilla.dots import interaction_phase, prepare_pair, rabi
 from conftest import random_qubit
 
 
@@ -53,3 +57,30 @@ def test_cz_through_dot_prepared_pair():
         assert result.failure_probability == pytest.approx(
             1 - (n / (n + 1)) ** 2, abs=1e-10
         )
+
+
+def test_trusted_operations_refuse_nan_and_keep_valid_keys():
+    # Internal operations skip key validation but must still refuse a NaN
+    # instead of pruning it away into an emptied state.
+    with pytest.raises(InvalidState):
+        SparseState.basis((1, 0)).apply_phase(0, math.nan)
+    with pytest.raises(InvalidState):
+        rabi(SparseState.basis((1, 0)), 0, 1, math.nan)
+    with pytest.raises(InvalidState):
+        interaction_phase(SparseState.basis((1, 0, 1, 0)), math.pi, math.nan)
+
+    n = 3
+    profile = AmplitudeProfile.constant(n)
+    states = [
+        build_entangled_pair(n, profile, PhaseMethod.PAIRWISE_GATES),
+        build_entangled_pair(n, profile, PhaseMethod.PARITY_ANCILLA),
+        prepare_pair(n, profile, intra_coefficient=0.3)[0],
+    ]
+    outcomes = teleport(InputQubit.plus(), direct_oracle_single(n, profile), n)
+    states += [o.output_state for o in outcomes if o.output_state is not None]
+    assert len(states) > 3
+    for state in states:
+        for occ, amp in state.terms.items():
+            assert type(occ) is tuple and len(occ) == state.modes
+            assert all(type(c) is int and c >= 0 for c in occ)
+            assert type(amp) is complex
