@@ -274,8 +274,8 @@ class SparseState:
         if occupied:
             merged.update(on(self._like(occupied)).terms)
         if empty:
-            rest = self._like(empty)
-            for occ, a in (rest if off is None else off(rest)).terms.items():
+            rest = empty if off is None else off(self._like(empty)).terms
+            for occ, a in rest.items():
                 merged[occ] = merged.get(occ, 0j) + a
         return self._like(merged)
 
@@ -379,7 +379,7 @@ class SparseState:
                 tuple(int(c) for c in t["occ"]): complex(t["re"], t["im"])
                 for t in data["terms"]
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidState(f"malformed state data: {exc!r}") from exc
         return cls(modes, terms, tolerance)
 

@@ -61,7 +61,7 @@ class AmplitudeProfile:
         try:
             f = tuple(float(v) for v in data["f"])
             n = int(data["n"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidProfile(f"malformed profile data: {exc!r}") from exc
         if len(f) != n + 1:
             raise InvalidProfile(f"profile file: n={n} but {len(f)} values")

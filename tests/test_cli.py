@@ -211,10 +211,12 @@ def one_mode_state(occ, re):
         (["verify", "{good}", "{bad}"], one_mode_state(1, "x")),
         (["verify", "{bad}", "{good}"], one_mode_state(-1, 1.0)),
         (["verify", "{bad}", "{good}"], one_mode_state(1, float("nan"))),
+        (["verify", "{bad}", "{good}"], one_mode_state(float("inf"), 1.0)),
         (["verify", "{bad}", "{good}"], '[1, 2]'),
         (["build", "--n", "1", "--profile", "{bad}"], "not json"),
         (["build", "--n", "1", "--profile", "{bad}"], '{"n": 1}'),
         (["build", "--n", "1", "--profile", "{bad}"], '{"n": 1, "f": ["x", 1]}'),
+        (["build", "--n", "1", "--profile", "{bad}"], '{"n": 1e400, "f": [1, 1]}'),
         (["dots", "--n", "1", "--intra-coefficient", "nan"], None),
         (["czgate", "--n", "1", "--tolerance", "nan"], None),
         (["build", "--n", "1", "--tolerance", "nan"], None),
@@ -230,10 +232,12 @@ def one_mode_state(occ, re):
         "verify-string-amplitude",
         "verify-negative-count",
         "verify-nan-amplitude",
+        "verify-infinite-count",
         "verify-not-an-object",
         "profile-not-json",
         "profile-no-f",
         "profile-string-value",
+        "profile-infinite-n",
         "dots-nan-intra-coefficient",
         "czgate-nan-tolerance",
         "build-nan-tolerance",
