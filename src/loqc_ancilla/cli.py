@@ -107,6 +107,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite, non-negative fidelity tolerance."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _parse_qubit(text: str) -> InputQubit:
     usage = "--input wants 'a,b' (real amplitudes) or 'a_re,a_im,b_re,b_im'"
     try:
@@ -312,7 +320,7 @@ def _add_common(sub: argparse.ArgumentParser, method: bool = True) -> None:
             choices=["pairwise", "parity", "oracle"],
             help="entangling phase method",
         )
-    sub.add_argument("--tolerance", type=_finite_float, default=1e-10)
+    sub.add_argument("--tolerance", type=_tolerance, default=1e-10)
     sub.add_argument("--format", default="csv", choices=["json", "csv"])
     sub.add_argument("--output", default=None, help="output file (stdout when omitted)")
 
@@ -333,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="fidelity between two state files")
     p.add_argument("state_a")
     p.add_argument("state_b")
-    p.add_argument("--tolerance", type=_finite_float, default=1e-10)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-10)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("teleport", help="exhaustive teleport outcome table")

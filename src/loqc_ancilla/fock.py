@@ -17,6 +17,7 @@ through :func:`fidelity`, which is phase-insensitive.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -69,9 +70,13 @@ class SparseState:
                 if any(c < 0 for c in occ):
                     raise InvalidState(f"negative photon count in {occ}")
                 amp = complex(amp)
-                if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                    raise InvalidState(f"non-finite amplitude {amp} at {occ}")
-                if abs(amp) >= self.tolerance:
+                try:
+                    size = abs(amp)  # inf or nan when a part is
+                except OverflowError:  # finite parts, modulus past the float range
+                    size = math.inf
+                if not math.isfinite(size):
+                    raise InvalidState(f"amplitude {amp} at {occ} has no finite modulus")
+                if size >= self.tolerance:
                     self.terms[occ] = self.terms.get(occ, 0j) + amp
 
     # ------------------------------------------------------------------
@@ -109,13 +114,22 @@ class SparseState:
         return self.terms.get(tuple(occ), 0j)
 
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.terms.values())
+        """Sum of |amplitude|^2; inf when it exceeds the float range."""
+        try:
+            return sum(abs(a) ** 2 for a in self.terms.values())
+        except OverflowError:
+            return math.inf
 
     def normalized(self) -> "SparseState":
         """Rescale to unit 2-norm.  Relative and global phases untouched."""
         n2 = self.norm_squared()
         if n2 <= self.tolerance**2:
             raise ZeroState("cannot normalize a state with no amplitude")
+        if n2 == math.inf:
+            # Divide by the largest component first; only states this large
+            # take the detour, so ordinary ones normalize bit for bit as before.
+            peak = max(max(abs(a.real), abs(a.imag)) for a in self.terms.values())
+            return self._like({occ: a / peak for occ, a in self.terms.items()}).normalized()
         scale = 1.0 / math.sqrt(n2)
         return self._like({occ: a * scale for occ, a in self.terms.items()})
 
@@ -215,48 +229,34 @@ class SparseState:
         mlist = [int(m) for m in modes]
         for m in mlist:
             self._check_mode(m)
-        if len(set(mlist)) != len(mlist):
+        mset = set(mlist)
+        if len(mset) != len(mlist):
             raise ModeOutOfRange("transform modes must be distinct")
         n_sub = len(mlist)
         if len(matrix) != n_sub or any(len(row) != n_sub for row in matrix):
             raise DimensionMismatch("matrix shape must match the mode list")
 
+        rest_modes = [m for m in range(self.modes) if m not in mset]
+        sub_of, rest_of = _picker(mlist), _picker(rest_modes)
+        # Output keys are rebuilt from rest + sub-occupation by one picker.
+        slot = {m: i for i, m in enumerate(rest_modes + mlist)}
+        place = _picker([slot[m] for m in range(self.modes)])
+
+        # Terms that share a sub-occupation share its expansion, so each
+        # distinct pattern is folded once per call.
+        expansions: dict[Occupation, tuple[float, list]] = {}
         out: dict[Occupation, complex] = {}
         for occ, a in self.terms.items():
-            sub = [occ[m] for m in mlist]
-            total = sum(sub)
-            if total == 0:
-                out[occ] = out.get(occ, 0j) + a
-                continue
-            # Fold photons in one at a time: poly maps sub-occupations of
-            # the transformed modes to expansion coefficients.
-            poly: dict[Occupation, complex] = {(0,) * n_sub: 1.0 + 0j}
-            norm_in = 1.0
-            for l, count in enumerate(sub):
-                norm_in *= math.factorial(count)
-                row = matrix[l]
-                for _ in range(count):
-                    nxt: dict[Occupation, complex] = {}
-                    for key, coeff in poly.items():
-                        for m in range(n_sub):
-                            cm = row[m]
-                            if cm == 0:
-                                continue
-                            new = list(key)
-                            new[m] += 1
-                            k2 = tuple(new)
-                            nxt[k2] = nxt.get(k2, 0j) + coeff * cm
-                    poly = nxt
-            base = a / math.sqrt(norm_in)
-            for key, coeff in poly.items():
-                norm_out = 1.0
-                for c in key:
-                    norm_out *= math.factorial(c)
-                new = list(occ)
-                for m, c in zip(mlist, key):
-                    new[m] = c
-                full = tuple(new)
-                out[full] = out.get(full, 0j) + base * coeff * math.sqrt(norm_out)
+            sub = sub_of(occ)
+            expansion = expansions.get(sub)
+            if expansion is None:
+                expansion = expansions[sub] = _expand(sub, matrix)
+            root_in, products = expansion
+            rest = rest_of(occ)
+            base = a / root_in
+            for key, coeff, root_out in products:
+                full = place(rest + key)
+                out[full] = out.get(full, 0j) + base * coeff * root_out
         return self._like(out)
 
     def apply_controlled(
@@ -297,12 +297,15 @@ class SparseState:
         if len(mset) != len(mlist):
             raise ModeOutOfRange("measurement modes must be distinct")
         keep = [m for m in range(self.modes) if m not in mset]
+        outcome_of, residual_of = _picker(mlist), _picker(keep)
 
         grouped: dict[Occupation, dict[Occupation, complex]] = {}
         for occ, a in self.terms.items():
-            outcome = tuple(occ[m] for m in mlist)
-            residual_key = tuple(occ[m] for m in keep)
-            bucket = grouped.setdefault(outcome, {})
+            outcome = outcome_of(occ)
+            bucket = grouped.get(outcome)
+            if bucket is None:
+                bucket = grouped[outcome] = {}
+            residual_key = residual_of(occ)
             bucket[residual_key] = bucket.get(residual_key, 0j) + a
 
         results: list[MeasurementOutcome] = []
@@ -342,9 +345,10 @@ class SparseState:
         """
         mset = set(modes)
         keep = [m for m in range(self.modes) if m not in mset]
+        pick = _picker(keep)
         terms: dict[Occupation, complex] = {}
         for occ, a in self.terms.items():
-            key = tuple(occ[m] for m in keep)
+            key = pick(occ)
             terms[key] = terms.get(key, 0j) + a
         return self._like(terms, len(keep))
 
@@ -352,10 +356,8 @@ class SparseState:
         """Relabel modes: new mode i holds old mode perm[i]'s count."""
         if sorted(perm) != list(range(self.modes)):
             raise ModeOutOfRange("perm must be a permutation of all modes")
-        terms = {
-            tuple(occ[p] for p in perm): a for occ, a in self.terms.items()
-        }
-        return self._like(terms)
+        pick = _picker(perm)
+        return self._like({pick(occ): a for occ, a in self.terms.items()})
 
     # ------------------------------------------------------------------
     # serialization (the JSON state schema used by the CLI)
@@ -374,13 +376,23 @@ class SparseState:
     def from_json_dict(cls, data: Mapping, tolerance: float = DEFAULT_TOLERANCE) -> "SparseState":
         """Parse the JSON state schema; malformed data raises InvalidState."""
         try:
-            modes = int(data["modes"])
-            terms = {
-                tuple(int(c) for c in t["occ"]): complex(t["re"], t["im"])
+            raw_modes = data["modes"]
+            modes = int(raw_modes)
+            rows = [
+                (t["occ"], tuple(int(c) for c in t["occ"]), complex(t["re"], t["im"]))
                 for t in data["terms"]
-            }
+            ]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidState(f"malformed state data: {exc!r}") from exc
+        if modes != raw_modes:
+            raise InvalidState(f"mode count {raw_modes!r} is not an integer")
+        terms: dict[Occupation, complex] = {}
+        for raw, occ, amp in rows:
+            if occ != tuple(raw):
+                raise InvalidState(f"photon counts {raw} are not all integers")
+            if occ in terms:
+                raise InvalidState(f"occupation {list(occ)} is listed twice")
+            terms[occ] = amp
         return cls(modes, terms, tolerance)
 
 
@@ -407,6 +419,56 @@ def fidelity(a: SparseState, b: SparseState) -> float:
         if other is not None:
             overlap += amp.conjugate() * other
     return min(1.0, abs(overlap) ** 2)
+
+
+def _picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """Function returning the entries at ``indices`` of a sequence as a tuple.
+
+    ``operator.itemgetter`` returns a bare entry for one index and needs at
+    least one, so those two cases are spelled out."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
+def _expand(
+    sub: Occupation, matrix: Sequence[Sequence[complex]]
+) -> tuple[float, list[tuple[Occupation, complex, float]]]:
+    """Expansion of one sub-occupation under a linear mode transform.
+
+    Returns sqrt(prod sub!) and (output sub-occupation, coefficient,
+    sqrt(prod out!)) per output key; the amplitude of a term with this
+    sub-occupation then contributes a / root_in * coeff * root_out.
+    """
+    # Fold photons in one at a time: poly maps sub-occupations of the
+    # transformed modes, coded as integers in base total+1 (mode m is digit
+    # m), to expansion coefficients.
+    radix = sum(sub) + 1
+    poly: dict[int, complex] = {0: 1.0 + 0j}
+    norm_in = 1.0
+    for l, count in enumerate(sub):
+        norm_in *= math.factorial(count)
+        row = [(radix**m, cm) for m, cm in enumerate(matrix[l]) if cm != 0]
+        for _ in range(count):
+            nxt: dict[int, complex] = {}
+            for code, coeff in poly.items():
+                for step, cm in row:
+                    key = code + step
+                    nxt[key] = nxt.get(key, 0j) + coeff * cm
+            poly = nxt
+    products = []
+    for code, coeff in poly.items():
+        key = []
+        norm_out = 1.0
+        for _ in sub:
+            code, c = divmod(code, radix)
+            key.append(c)
+            norm_out *= math.factorial(c)
+        products.append((tuple(key), coeff, math.sqrt(norm_out)))
+    return math.sqrt(norm_in), products
 
 
 _QUARTER_TURNS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)

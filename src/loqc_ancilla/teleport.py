@@ -42,7 +42,13 @@ class InputQubit:
 
     @classmethod
     def of(cls, alpha: complex, beta: complex) -> "InputQubit":
-        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        try:
+            norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        except OverflowError:
+            # Divide by the largest component first; only inputs this large
+            # take the detour, so ordinary ones normalize bit for bit as before.
+            peak = max(abs(alpha.real), abs(alpha.imag), abs(beta.real), abs(beta.imag))
+            return cls.of(alpha / peak, beta / peak)
         if not 0.0 < norm < math.inf:  # NaN fails both comparisons
             raise OutOfRange(
                 f"qubit amplitudes must be finite and not both zero, got {alpha}, {beta}"
@@ -164,13 +170,14 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
     state = qubit.state().tensor(ancilla)
     state = apply_qft(state, list(range(n + 1)))
     table = feedforward_table(n)
+    ideal = {k: _ideal_residual(qubit, n, k) for k in range(1, n + 1)}
 
     outcomes: list[TeleportOutcome] = []
     for mo in state.measure(range(n + 1)):
         k = sum(mo.counts)
         if 1 <= k <= n:
             corrected = mo.residual.apply_phase(k - 1, table.phases.get(mo.counts, 0.0))
-            fid = fidelity(corrected, _ideal_residual(qubit, n, k))
+            fid = fidelity(corrected, ideal[k])
             outcomes.append(
                 TeleportOutcome(
                     mo.counts, k, mo.probability, Classification.SUCCESS, k, corrected, fid
@@ -261,6 +268,11 @@ def cz_via_double_teleportation(
     full = apply_qft(full, side1)
     full = apply_qft(full, side2)
     table = feedforward_table(n)
+    ideal = {
+        (k, kp): _ideal_cz_residual(q, qp, n, k, kp)
+        for k in range(1, n + 1)
+        for kp in range(1, n + 1)
+    }
 
     total_success = 0.0
     branches: list[CzBranch] = []
@@ -276,7 +288,7 @@ def cz_via_double_teleportation(
         phi1 = table.phases.get(c1, 0.0) + math.pi * (kp % 2)
         phi2 = table.phases.get(c2, 0.0) + math.pi * (k % 2)
         corrected = mo.residual.apply_phase(k - 1, phi1).apply_phase(n + kp - 1, phi2)
-        fid = fidelity(corrected, _ideal_cz_residual(q, qp, n, k, kp))
+        fid = fidelity(corrected, ideal[k, kp])
         total_success += mo.probability
         branches.append(CzBranch(mo.counts, k, kp, mo.probability, fid))
         if best is None or mo.probability > best[0]:

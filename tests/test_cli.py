@@ -199,6 +199,10 @@ def one_mode_state(occ, re):
     return json.dumps({"modes": 1, "terms": [{"occ": [occ], "re": re, "im": 0.0}]})
 
 
+ONE_PHOTON = {"occ": [1], "re": 1.0, "im": 0.0}
+HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
+
+
 @pytest.mark.parametrize(
     "argv, bad_file",
     [
@@ -221,6 +225,11 @@ def one_mode_state(occ, re):
         (["czgate", "--n", "1", "--tolerance", "nan"], None),
         (["build", "--n", "1", "--tolerance", "nan"], None),
         (["verify", "{good}", "{good}", "--tolerance", "inf"], None),
+        (["verify", "{bad}", "{good}"], json.dumps({"modes": 1, "terms": [ONE_PHOTON] * 2})),
+        (["verify", "{bad}", "{good}"], one_mode_state(1.7, 1.0)),
+        (["verify", "{bad}", "{good}"], json.dumps({"modes": 1, "terms": [HUGE_PHOTON]})),
+        (["build", "--n", "1", "--tolerance", "-1"], None),
+        (["verify", "{good}", "{good}", "--tolerance=-1e-10"], None),
     ],
     ids=[
         "teleport-three-values",
@@ -242,6 +251,11 @@ def one_mode_state(occ, re):
         "czgate-nan-tolerance",
         "build-nan-tolerance",
         "verify-inf-tolerance",
+        "verify-duplicate-occupation",
+        "verify-fractional-count",
+        "verify-modulus-overflow",
+        "build-negative-tolerance",
+        "verify-negative-tolerance",
     ],
 )
 def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):
@@ -257,6 +271,26 @@ def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_teleport_input_whose_squares_overflow(capsys):
+    # 1e200 squared overflows a float; the input is rescaled before it is
+    # normalized, so it teleports exactly like the input 1,1.
+    code, big, _ = run_cli(["teleport", "--n", "2", "--input", "1e200,1e200"], capsys)
+    assert code == 0
+    code, small, _ = run_cli(["teleport", "--n", "2", "--input", "1,1"], capsys)
+    assert big == small
+
+
+def test_verify_state_whose_squares_overflow(tmp_path, capsys):
+    # Valid amplitudes near 1e300 overflow the norm's squares; the state is
+    # still normalized and compared.
+    big = {"modes": 1, "terms": [{"occ": [1], "re": 1e300, "im": 1e300}]}
+    (tmp_path / "big.json").write_text(json.dumps(big))
+    (tmp_path / "one.json").write_text(one_mode_state(1, 1.0))
+    code, out, _ = run_cli(["verify", str(tmp_path / "big.json"), str(tmp_path / "one.json")], capsys)
+    assert code == 0
+    assert float(out) == pytest.approx(1.0, abs=1e-12)
 
 
 # ----------------------------------------------------------------------

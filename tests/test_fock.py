@@ -1,5 +1,6 @@
 """Core sparse-state machinery: unitaries, measurement, serialization."""
 
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from loqc_ancilla import (
     DimensionMismatch,
     InvalidCoefficient,
+    InvalidState,
     ModeOutOfRange,
     RegisterLayout,
     SparseState,
@@ -58,6 +60,22 @@ def test_normalize_preserves_phases():
     s = SparseState(1, {(0,): 3j, (1,): -3.0}).normalized()
     assert s.amplitude((0,)) == pytest.approx(1j * INV_SQRT2)
     assert s.amplitude((1,)) == pytest.approx(-INV_SQRT2)
+
+
+def test_normalize_amplitudes_whose_squares_overflow():
+    # |a|^2 overflows a float here; the norm is inf and normalizing rescales
+    # by the largest component first.
+    s = SparseState(2, {(1, 0): 1e300 + 1e300j, (0, 1): -1e300})
+    assert s.norm_squared() == math.inf
+    out = s.normalized()
+    assert out.amplitude((1, 0)) == pytest.approx((1 + 1j) / math.sqrt(3.0), abs=1e-15)
+    assert out.amplitude((0, 1)) == pytest.approx(-1 / math.sqrt(3.0), abs=1e-15)
+    assert out.norm_squared() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_amplitude_with_overflowing_modulus_rejected():
+    with pytest.raises(InvalidState):
+        SparseState(1, {(1,): complex(1.7e308, 1.7e308)})
 
 
 def test_normalize_zero_state_raises():
@@ -236,6 +254,82 @@ def test_linear_transform_shape_checks():
         s.apply_linear_transform([0, 0], [[1, 0], [0, 1]])
 
 
+def reference_transform(state, modes, matrix):
+    """Per-basis-term expansion through the permanent formula
+
+        <p| U |n> = Perm(U[rows of n, cols of p]) / sqrt(prod n! prod p!)
+
+    where row l of the submatrix repeats n_l times and column m repeats p_m
+    times; the permanent is summed over every permutation."""
+    out = {}
+    for occ, a in state.terms.items():
+        sub = [occ[m] for m in modes]
+        rows = [l for l, c in enumerate(sub) for _ in range(c)]
+        total = len(rows)
+        for p in itertools.product(range(total + 1), repeat=len(modes)):
+            if sum(p) != total:
+                continue
+            cols = [m for m, c in enumerate(p) for _ in range(c)]
+            perm = sum(
+                math.prod(matrix[rows[i]][cols[j]] for i, j in enumerate(sigma))
+                for sigma in itertools.permutations(range(total))
+            )
+            norm = math.prod(map(math.factorial, sub)) * math.prod(map(math.factorial, p))
+            key = list(occ)
+            for m, c in zip(modes, p):
+                key[m] = c
+            key = tuple(key)
+            out[key] = out.get(key, 0j) + a * perm / math.sqrt(norm)
+    return out
+
+
+def assert_matches_reference(state, modes, matrix):
+    got = state.apply_linear_transform(modes, matrix).terms
+    want = {k: v for k, v in reference_transform(state, modes, matrix).items() if abs(v) >= 1e-12}
+    assert set(got) == set(want)
+    for key, amp in want.items():
+        assert got[key] == pytest.approx(amp, abs=1e-12)
+
+
+def random_matrix(rng, size):
+    return [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(size)] for _ in range(size)]
+
+
+def test_linear_transform_terms_sharing_sub_occupations():
+    # Six terms, only three distinct patterns on the transformed modes.
+    rng = random.Random(7)
+    s = SparseState(
+        4,
+        {
+            (1, 1, 0, 0): 0.3,
+            (1, 1, 2, 1): -0.2j,
+            (1, 1, 0, 3): 0.5 + 0.1j,
+            (2, 0, 1, 0): 0.4,
+            (2, 0, 0, 1): -0.1,
+            (0, 0, 1, 1): 0.6j,
+        },
+    )
+    assert_matches_reference(s, [0, 1], random_matrix(rng, 2))
+
+
+def test_linear_transform_unordered_noncontiguous_modes():
+    rng = random.Random(8)
+    s = random_state(rng, 5, 4, n_terms=8)
+    assert_matches_reference(s, [3, 0, 2], random_matrix(rng, 3))
+
+
+def test_linear_transform_single_mode():
+    rng = random.Random(9)
+    s = random_state(rng, 3, 4, n_terms=6)
+    assert_matches_reference(s, [1], random_matrix(rng, 1))
+
+
+def test_linear_transform_every_mode():
+    rng = random.Random(10)
+    s = random_state(rng, 3, 3, n_terms=6)
+    assert_matches_reference(s, [2, 0, 1], random_matrix(rng, 3))
+
+
 # ----------------------------------------------------------------------
 # measurement
 # ----------------------------------------------------------------------
@@ -293,6 +387,38 @@ def test_measure_probabilities_sum_to_one_random():
             assert o.residual.modes == modes - len(picked)
 
 
+def reference_measure(state, modes):
+    """Outcome -> (probability, residual terms), grouped term by term."""
+    keep = [m for m in range(state.modes) if m not in modes]
+    grouped = {}
+    for occ, a in state.terms.items():
+        outcome = tuple(occ[m] for m in modes)
+        residual = tuple(occ[m] for m in keep)
+        grouped.setdefault(outcome, {})[residual] = a
+    result = {}
+    for outcome, bucket in grouped.items():
+        prob = sum(abs(a) ** 2 for a in bucket.values())
+        result[outcome] = (prob, {k: a / math.sqrt(prob) for k, a in bucket.items()})
+    return result
+
+
+@pytest.mark.parametrize("modes", [[2, 0], [1], [0, 1, 2], [2, 1, 0]], ids=str)
+def test_measure_matches_reference(modes):
+    rng = random.Random(11)
+    s = random_state(rng, 3, 3, n_terms=8)
+    outcomes = s.measure(modes)
+    want = reference_measure(s, modes)
+    assert [o.counts for o in outcomes] == sorted(want)
+    for o in outcomes:
+        prob, residual = want[o.counts]
+        assert type(o.counts) is tuple and len(o.counts) == len(modes)
+        assert o.probability == pytest.approx(prob, abs=1e-12)
+        assert o.residual.modes == 3 - len(modes)
+        assert set(o.residual.terms) == set(residual)
+        for key, amp in residual.items():
+            assert o.residual.terms[key] == pytest.approx(amp, abs=1e-12)
+
+
 # ----------------------------------------------------------------------
 # diagonal basis phases
 # ----------------------------------------------------------------------
@@ -348,6 +474,14 @@ def test_permute_modes():
     assert out.amplitude((0, 1, 2)) == pytest.approx(1.0)
     with pytest.raises(ModeOutOfRange):
         s.permute_modes([0, 0, 1])
+
+
+def test_drop_and_permute_down_to_one_or_no_modes():
+    s = SparseState(3, {(1, 0, 2): 0.6, (1, 1, 2): 0.8})
+    assert s.drop_modes([0, 2]).terms == {(0,): 0.6 + 0j, (1,): 0.8 + 0j}
+    assert s.drop_modes([0, 1, 2]).terms == {(): 1.4 + 0j}
+    one = SparseState(1, {(2,): 1.0})
+    assert one.permute_modes([0]).terms == {(2,): 1.0 + 0j}
 
 
 def test_json_round_trip_sorted():

@@ -41,6 +41,17 @@ def test_qubit_normalization_enforced():
         InputQubit.of(0.0, 0.0)
 
 
+def test_qubit_normalization_of_amplitudes_whose_squares_overflow():
+    # Only inputs whose squared moduli overflow are rescaled first.
+    assert InputQubit.of(1e200, 1e200) == InputQubit.of(1.0, 1.0)
+    q = InputQubit.of(3e200, 4e200j)
+    assert q.alpha == pytest.approx(0.6, abs=1e-15)
+    assert q.beta == pytest.approx(0.8j, abs=1e-15)
+    q = InputQubit.of(complex(1.7e308, 1.7e308), 0.0)
+    assert q.alpha == pytest.approx((1 + 1j) / math.sqrt(2.0), abs=1e-15)
+    assert q.beta == 0
+
+
 # ----------------------------------------------------------------------
 # Fourier mixing
 # ----------------------------------------------------------------------
