@@ -7,11 +7,13 @@ the measured total k.  Totals k = 0 and k = n+1 project the qubit onto a
 basis state and are classified as failures; every other k succeeds after an
 outcome-dependent phase correction.
 
-The correction table is built once per n: for every outcome the phase that
-realigns the output with a reference qubit is solved numerically, checked to
-be sufficient (a pure phase must do the whole job), and frozen.  Outcomes
-where a pure phase is *not* sufficient are recorded and surfaced, never
-silently reclassified; for the register shapes produced here none occur.
+The correction is known in closed form (the KLM feedforward).  With total k,
+input 1 occupies Fourier inputs {0..k-1} and input 0 occupies {1..k}: a
+cyclic shift by one mode, which multiplies each output photon in mode m by
+w^m, w = exp(2 pi i/(n+1)).  So the two output amplitudes differ by the
+factor w^r f(k)/f(k-1), with r = sum_m m*c_m mod (n+1).  The phase
+2 pi r/(n+1) is the correction; for the constant profile the weight ratio is
+1, so that pure phase restores the qubit exactly.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ import cmath
 import enum
 import functools
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import OutOfRange, ShapeMismatch
 from .fock import Occupation, SparseState, fidelity
-from .pipeline import direct_oracle_single
-from .profiles import AmplitudeProfile
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,18 @@ class InputQubit:
     @classmethod
     def of(cls, alpha: complex, beta: complex) -> "InputQubit":
         try:
-            norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+            norm2 = abs(alpha) ** 2 + abs(beta) ** 2
         except OverflowError:
-            # Divide by the largest component first; only inputs this large
-            # take the detour, so ordinary ones normalize bit for bit as before.
+            norm2 = math.inf
+        if not sys.float_info.min <= norm2 < math.inf:  # NaN fails too
+            # Squares that overflow or sink into subnormals: divide by the
+            # largest component first.  Only such inputs take the detour, so
+            # ordinary ones normalize bit for bit as before.
             peak = max(abs(alpha.real), abs(alpha.imag), abs(beta.real), abs(beta.imag))
-            return cls.of(alpha / peak, beta / peak)
+            if 0.0 < peak < math.inf:
+                alpha, beta = alpha / peak, beta / peak
+                norm2 = abs(alpha) ** 2 + abs(beta) ** 2
+        norm = math.sqrt(norm2)
         if not 0.0 < norm < math.inf:  # NaN fails both comparisons
             raise OutOfRange(
                 f"qubit amplitudes must be finite and not both zero, got {alpha}, {beta}"
@@ -120,45 +128,21 @@ def _ideal_residual(qubit: InputQubit, n: int, k: int) -> SparseState:
     return SparseState(n, {zero: qubit.alpha, one: qubit.beta})
 
 
-@dataclass(frozen=True)
-class FeedforwardTable:
-    """Per-outcome phase corrections, frozen from a reference run."""
-
-    n: int
-    phases: dict[Occupation, float]
-    non_phase_outcomes: frozenset[Occupation]
-
-
 @functools.lru_cache(maxsize=None)
-def feedforward_table(n: int) -> FeedforwardTable:
-    """Solve the output phase for every success outcome at this n.
+def feedforward_table(n: int) -> tuple[float, ...]:
+    """Phase correction 2 pi r/(n+1) for each Fourier residue r in 0..n.
 
-    Uses the constant profile and an unbiased reference qubit; the solved
-    phases depend only on the Fourier overlaps of the outcome patterns, so
-    the same table applies to any profile.
+    A success outcome with counts c on the n+1 Fourier modes is corrected
+    by the entry at ``_fourier_residue(c)``.  The table does not depend on
+    the input qubit or the profile; it leaves out the sign of f(k)/f(k-1),
+    so it is exact for profiles whose weights share one sign.
     """
-    ancilla = direct_oracle_single(n, AmplitudeProfile.constant(n))
-    reference = InputQubit.plus()
-    state = reference.state().tensor(ancilla)
-    state = apply_qft(state, list(range(n + 1)))
+    return tuple(2 * math.pi * r / (n + 1) for r in range(n + 1))
 
-    phases: dict[Occupation, float] = {}
-    flagged: set[Occupation] = set()
-    for mo in state.measure(range(n + 1)):
-        k = sum(mo.counts)
-        if not 1 <= k <= n:
-            continue
-        zero, one = _output_patterns(n, k)
-        c0 = mo.residual.amplitude(zero)
-        c1 = mo.residual.amplitude(one)
-        if abs(c0) < 1e-14 or abs(c1) < 1e-14:
-            phases[mo.counts] = 0.0
-            flagged.add(mo.counts)
-            continue
-        if abs(abs(c0) - abs(c1)) > 1e-10:
-            flagged.add(mo.counts)
-        phases[mo.counts] = cmath.phase(c0) - cmath.phase(c1)
-    return FeedforwardTable(n, phases, frozenset(flagged))
+
+def _fourier_residue(counts: Occupation) -> int:
+    """sum_m m * c_m modulo the number of Fourier modes."""
+    return sum(map(operator.mul, range(len(counts)), counts)) % len(counts)
 
 
 def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOutcome]:
@@ -176,7 +160,7 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
     for mo in state.measure(range(n + 1)):
         k = sum(mo.counts)
         if 1 <= k <= n:
-            corrected = mo.residual.apply_phase(k - 1, table.phases.get(mo.counts, 0.0))
+            corrected = mo.residual.apply_phase(k - 1, table[_fourier_residue(mo.counts)])
             fid = fidelity(corrected, ideal[k])
             outcomes.append(
                 TeleportOutcome(
@@ -228,15 +212,8 @@ class CzGateResult:
 def _ideal_cz_residual(
     q: InputQubit, qp: InputQubit, n: int, k: int, kp: int
 ) -> SparseState:
-    y0, y1 = _output_patterns(n, k)
-    yp0, yp1 = _output_patterns(n, kp)
-    amp = {0: (q.alpha, qp.alpha), 1: (q.beta, qp.beta)}
-    terms: dict[Occupation, complex] = {}
-    for a, ya in ((0, y0), (1, y1)):
-        for b, yb in ((0, yp0), (1, yp1)):
-            sign = -1.0 if a == 1 and b == 1 else 1.0
-            terms[ya + yb] = amp[a][0] * amp[b][1] * sign
-    return SparseState(2 * n, terms)
+    ideal = _ideal_residual(q, n, k).tensor(_ideal_residual(qp, n, kp))
+    return ideal.apply_basis_phase(lambda occ: math.pi * occ[k - 1] * occ[n + kp - 1])
 
 
 def cz_via_double_teleportation(
@@ -285,8 +262,8 @@ def cz_via_double_teleportation(
             continue
         # Cross corrections are signs, so reduce them mod 2 and keep the
         # pi phase exact.
-        phi1 = table.phases.get(c1, 0.0) + math.pi * (kp % 2)
-        phi2 = table.phases.get(c2, 0.0) + math.pi * (k % 2)
+        phi1 = table[_fourier_residue(c1)] + math.pi * (kp % 2)
+        phi2 = table[_fourier_residue(c2)] + math.pi * (k % 2)
         corrected = mo.residual.apply_phase(k - 1, phi1).apply_phase(n + kp - 1, phi2)
         fid = fidelity(corrected, ideal[k, kp])
         total_success += mo.probability

@@ -3,14 +3,26 @@
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import loqc_ancilla
 from loqc_ancilla.cli import main
 from loqc_ancilla.dots import PulseSchedule
+
+# Child interpreters import the same package as this process, whether it is
+# installed or found through pytest's ``pythonpath`` setting.
+_SOURCE_ROOT = os.path.dirname(os.path.dirname(loqc_ancilla.__file__))
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (_SOURCE_ROOT, os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 
 def run_cli(argv, capsys):
@@ -282,6 +294,16 @@ def test_teleport_input_whose_squares_overflow(capsys):
     assert big == small
 
 
+@pytest.mark.parametrize("tiny", ["1e-200,1e-200", "1e-160,1e-160"])
+def test_teleport_input_whose_squares_underflow(tiny, capsys):
+    # The squares vanish (1e-200) or turn subnormal (1e-160); the input is
+    # rescaled before it is normalized, so it teleports exactly like 1,1.
+    code, small, _ = run_cli(["teleport", "--n", "2", "--input", tiny], capsys)
+    assert code == 0
+    code, one, _ = run_cli(["teleport", "--n", "2", "--input", "1,1"], capsys)
+    assert small == one
+
+
 def test_verify_state_whose_squares_overflow(tmp_path, capsys):
     # Valid amplitudes near 1e300 overflow the norm's squares; the state is
     # still normalized and compared.
@@ -352,6 +374,7 @@ def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "loqc_ancilla.cli", "teleport"],
         capture_output=True,
+        env=CHILD_ENV,
         text=True,
     )
     assert proc.returncode == 2
@@ -361,6 +384,7 @@ def test_console_help():
     proc = subprocess.run(
         [sys.executable, "-m", "loqc_ancilla.cli", "--help"],
         capture_output=True,
+        env=CHILD_ENV,
         text=True,
     )
     assert proc.returncode == 0
@@ -394,6 +418,7 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "loqc_ancilla", "resources", "--n", "1", "--method", "parity"],
         capture_output=True,
+        env=CHILD_ENV,
         text=True,
     )
     assert proc.returncode == 0

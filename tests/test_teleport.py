@@ -1,5 +1,6 @@
 """Teleportation outcome enumeration and the double-teleport sign gate."""
 
+import cmath
 import math
 import random
 
@@ -50,6 +51,15 @@ def test_qubit_normalization_of_amplitudes_whose_squares_overflow():
     q = InputQubit.of(complex(1.7e308, 1.7e308), 0.0)
     assert q.alpha == pytest.approx((1 + 1j) / math.sqrt(2.0), abs=1e-15)
     assert q.beta == 0
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 5e-324])
+def test_qubit_normalization_of_amplitudes_whose_squares_underflow(scale):
+    # Squares that vanish or turn subnormal take the same rescaling detour.
+    assert InputQubit.of(scale, scale) == InputQubit.of(1.0, 1.0)
+    q = InputQubit.of(3 * scale, 4j * scale)
+    assert q.alpha == pytest.approx(0.6, abs=1e-15)
+    assert q.beta == pytest.approx(0.8j, abs=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -165,11 +175,28 @@ def test_teleport_output_lives_in_selected_register():
             assert diff == [o.k - 1]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_feedforward_pure_phase_suffices(n):
+    # Oracle: teleport |+> through the constant-profile register and read the
+    # two output amplitudes of every success outcome.  Equal moduli mean a
+    # pure phase suffices; that phase is arg c0 - arg c1.
+    ancilla = direct_oracle_single(n, AmplitudeProfile.constant(n))
+    state = apply_qft(InputQubit.plus().state().tensor(ancilla), list(range(n + 1)))
     table = feedforward_table(n)
-    assert table.non_phase_outcomes == frozenset()
-    assert table.phases  # at least one success outcome exists
+    successes = 0
+    for mo in state.measure(range(n + 1)):
+        k = sum(mo.counts)
+        if not 1 <= k <= n:
+            continue
+        rest = (1,) * (n - k)
+        c0 = mo.residual.amplitude((0,) * k + rest)
+        c1 = mo.residual.amplitude((0,) * (k - 1) + (1,) + rest)
+        assert abs(c0) == pytest.approx(abs(c1), abs=1e-10)
+        residue = sum(m * c for m, c in enumerate(mo.counts)) % (n + 1)
+        gap = (table[residue] - (cmath.phase(c0) - cmath.phase(c1))) % (2 * math.pi)
+        assert min(gap, 2 * math.pi - gap) <= 1e-12
+        successes += 1
+    assert successes  # at least one success outcome exists
 
 
 # ----------------------------------------------------------------------
