@@ -166,18 +166,22 @@ def _check_binary(state: SparseState) -> None:
             raise BlockadeViolation(f"double occupancy in term {occ}")
 
 
-def rabi(state: SparseState, dot_i: int, dot_j: int, theta: float) -> SparseState:
+def rabi(
+    state: SparseState, dot_i: int, dot_j: int, theta: float, only_if: int | None = None
+) -> SparseState:
     """Two-level mixing of dots (i, j) with blockade.
 
     On the single-electron subspace the pulse acts as the rotation
     | i occupied >  ->  cos(theta) |i> + sin(theta) |j>
     | j occupied >  -> -sin(theta) |i> + cos(theta) |j>
     (phase convention fixed so transfers in the i -> j direction come out
-    real non-negative); doubly occupied and empty pairs are untouched.
+    real non-negative); doubly occupied and empty pairs are untouched, and
+    so is every term whose ``only_if`` dot (when given) is empty.
     """
     if dot_i == dot_j:
         raise DotOutOfRange("Rabi coupling needs two distinct dots")
-    for d in (dot_i, dot_j):
+    checked = (dot_i, dot_j) if only_if is None else (dot_i, dot_j, only_if)
+    for d in checked:
         if not 0 <= d < state.modes:
             raise DotOutOfRange(f"dot {d} not in 0..{state.modes - 1}")
     c, s = math.cos(theta), math.sin(theta)
@@ -186,10 +190,14 @@ def rabi(state: SparseState, dot_i: int, dot_j: int, theta: float) -> SparseStat
     def add(key: Occupation, amp: complex) -> None:
         terms[key] = terms.get(key, 0j) + amp
 
+    skipped: list[tuple[Occupation, complex]] = []
     for occ, a in state.terms.items():
         ci, cj = occ[dot_i], occ[dot_j]
         if ci > 1 or cj > 1:
             raise BlockadeViolation(f"double occupancy in term {occ}")
+        if only_if is not None and not occ[only_if]:
+            skipped.append((occ, a))
+            continue
         if ci + cj != 1:
             add(occ, a)
             continue
@@ -202,6 +210,10 @@ def rabi(state: SparseState, dot_i: int, dot_j: int, theta: float) -> SparseStat
         else:
             add(occ, a * c)
             add(swapped, -a * s)
+    # Skipped terms go in after the pulse's outputs: the term order fixes the
+    # rounding of later overlap sums, such as the dots report's fidelity.
+    for occ, a in skipped:
+        add(occ, a)
     return state._like(terms)
 
 
@@ -349,7 +361,7 @@ def execute(schedule: PulseSchedule, state: SparseState | None = None) -> Sparse
         elif isinstance(pulse, LoadFromReservoir):
             state = load_from_reservoir(state, pulse.dot)
         elif isinstance(pulse, RabiPulse):
-            state = _apply_rabi_pulse(state, pulse)
+            state = rabi(state, pulse.src, pulse.dst, pulse.theta, pulse.only_if)
         elif isinstance(pulse, InteractionPhase):
             state = interaction_phase(
                 state, pulse.coupling_angle, pulse.intra_coefficient, n=schedule.n
@@ -362,17 +374,6 @@ def execute(schedule: PulseSchedule, state: SparseState | None = None) -> Sparse
             raise ValueError(f"unknown pulse {pulse!r}")
         _check_binary(state)
     return state
-
-
-def _apply_rabi_pulse(state: SparseState, pulse: RabiPulse) -> SparseState:
-    if pulse.only_if is None:
-        return rabi(state, pulse.src, pulse.dst, pulse.theta)
-    gate = pulse.only_if
-    if not 0 <= gate < state.modes:
-        raise DotOutOfRange(f"condition dot {gate} not in 0..{state.modes - 1}")
-    return state.apply_controlled(
-        gate, lambda part: rabi(part, pulse.src, pulse.dst, pulse.theta)
-    )
 
 
 def emit_photons(state: SparseState, layout: RegisterLayout) -> SparseState:

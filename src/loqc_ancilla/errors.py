@@ -23,7 +23,7 @@ class ModeOutOfRange(AncillaError):
 
 
 class InvalidCoefficient(AncillaError):
-    """A beamsplitter transmission outside [0, 1]."""
+    """A beamsplitter transmission outside [0, 1], or an infinite phase."""
 
 
 class OutOfRange(AncillaError):

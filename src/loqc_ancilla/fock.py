@@ -174,47 +174,14 @@ class SparseState:
             a'(m1) = T a(m1) + iR a(m2)
             a'(m2) = T a(m2) + iR a(m1)
 
-        with R = sqrt(1 - T^2), both real.  Multi-photon terms expand
-        binomially with the factorial normalization of Fock amplitudes,
-        so photon number on {m1, m2} and the total norm are conserved
-        exactly (up to float roundoff).
+        with R = sqrt(1 - T^2), both real: the 2 x 2 case of
+        :meth:`apply_linear_transform`, so photon number on {m1, m2} and the
+        total norm are conserved exactly (up to float roundoff).
         """
-        self._check_mode(m1)
-        self._check_mode(m2)
-        if m1 == m2:
-            raise ModeOutOfRange("beamsplitter needs two distinct modes")
         if not 0.0 <= t <= 1.0:
             raise InvalidCoefficient(f"transmission {t} outside [0, 1]")
-        r = math.sqrt(max(0.0, 1.0 - t * t))
-        ir = 1j * r
-        out: dict[Occupation, complex] = {}
-        for occ, a in self.terms.items():
-            n1, n2 = occ[m1], occ[m2]
-            if n1 == 0 and n2 == 0:
-                out[occ] = out.get(occ, 0j) + a
-                continue
-            base = a / math.sqrt(math.factorial(n1) * math.factorial(n2))
-            total = n1 + n2
-            # (T a1 + iR a2)^n1 (iR a1 + T a2)^n2, collected by the power
-            # k+l of a1 in the product.
-            for k in range(n1 + 1):
-                c1 = math.comb(n1, k) * (t**k) * (ir ** (n1 - k))
-                for l in range(n2 + 1):
-                    c2 = math.comb(n2, l) * (ir**l) * (t ** (n2 - l))
-                    p1 = k + l
-                    p2 = total - p1
-                    coeff = (
-                        base
-                        * c1
-                        * c2
-                        * math.sqrt(math.factorial(p1) * math.factorial(p2))
-                    )
-                    new = list(occ)
-                    new[m1] = p1
-                    new[m2] = p2
-                    key = tuple(new)
-                    out[key] = out.get(key, 0j) + coeff
-        return self._like(out)
+        ir = 1j * math.sqrt(max(0.0, 1.0 - t * t))
+        return self.apply_linear_transform((m1, m2), ((t, ir), (ir, t)))
 
     def apply_linear_transform(
         self, modes: Sequence[int], matrix: Sequence[Sequence[complex]]
@@ -258,26 +225,6 @@ class SparseState:
                 full = place(rest + key)
                 out[full] = out.get(full, 0j) + base * coeff * root_out
         return self._like(out)
-
-    def apply_controlled(
-        self, mode: int, on: Callable, off: Callable | None = None
-    ) -> "SparseState":
-        """Apply ``on`` to the terms where ``mode`` is occupied and ``off`` (the
-        identity when None) to the rest, then add the two results; a branch
-        with no terms is skipped and the occupied one is added first."""
-        self._check_mode(mode)
-        occupied: dict[Occupation, complex] = {}
-        empty: dict[Occupation, complex] = {}
-        for occ, a in self.terms.items():
-            (occupied if occ[mode] else empty)[occ] = a
-        merged: dict[Occupation, complex] = {}
-        if occupied:
-            merged.update(on(self._like(occupied)).terms)
-        if empty:
-            rest = empty if off is None else off(self._like(empty)).terms
-            for occ, a in rest.items():
-                merged[occ] = merged.get(occ, 0j) + a
-        return self._like(merged)
 
     # ------------------------------------------------------------------
     # measurement
@@ -482,7 +429,10 @@ def _cis(phi: float) -> complex:
     quarters = phi / (math.pi / 2)
     if quarters.is_integer():
         return _QUARTER_TURNS[int(quarters) % 4]
-    return complex(math.cos(phi), math.sin(phi))
+    try:
+        return complex(math.cos(phi), math.sin(phi))
+    except ValueError:  # cos/sin of an infinite phase
+        raise InvalidCoefficient(f"phase {phi} is not finite") from None
 
 
 class RegisterLayout:

@@ -7,12 +7,17 @@ amplitude 2iRT and stays with amplitude -(1-2T^2).  A deterministic phase
 fixup after the gadget turns both branch amplitudes real non-negative
 (+sqrt(1-P) stay, +sqrt(P) go), which is what lets the register builders
 produce superpositions with literal real weights.
+
+Both beamsplitters are the 2 x 2 case of the one linear-transform kernel.
+A gated transfer is the same gadget with its internal phase chosen per term
+by a controlled sign: 0 where the control mode is occupied, pi where it is
+empty.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ModeOutOfRange, NonBinaryTarget, OutOfRange
 from .fock import Occupation, SparseState
@@ -88,25 +93,21 @@ def conditional_transfer(
 ) -> SparseState:
     """Gadget plus canonical fixup, optionally gated by a control mode.
 
-    With ``control`` set, terms whose control mode is occupied get the full
-    phi = 0 transfer while the rest see the phi = pi (inhibited) branch --
-    the state-vector realization of steering the internal phase with a
-    controlled sign gate.  After the fixup the inhibited branch is exactly
-    the identity on src, so single-photon transfers leave real non-negative
-    amplitudes: +sqrt(1-P) stay and +sqrt(P) go.
+    With ``control`` set, a controlled sign steers the internal phase: it is
+    0 (transfer) on terms whose control mode is occupied and pi (inhibited)
+    on the rest, one diagonal phase between the two beamsplitters.  After
+    the fixup the inhibited terms see exactly the identity on src, so
+    single-photon transfers leave real non-negative amplitudes: +sqrt(1-P)
+    stay and +sqrt(P) go.
     """
     if control is None:
         return _fixup(transfer_gadget(state, src, dst, setting), src, dst)
+    state._check_mode(control)
     if control in (src, dst):
         raise ModeOutOfRange("control mode must differ from source and destination")
-    enabled = replace(setting, phi=0.0)
-    inhibited = replace(setting, phi=PHASE_OFF)
-    out = state.apply_controlled(
-        control,
-        lambda part: transfer_gadget(part, src, dst, enabled),
-        lambda part: transfer_gadget(part, src, dst, inhibited),
-    )
-    return _fixup(out, src, dst)
+    out = state.apply_beamsplitter(src, dst, setting.t)
+    out = out.apply_basis_phase(lambda occ: 0.0 if occ[control] else PHASE_OFF * occ[src])
+    return _fixup(out.apply_beamsplitter(src, dst, setting.t), src, dst)
 
 
 def controlled_sign(

@@ -11,9 +11,10 @@ The correction is known in closed form (the KLM feedforward).  With total k,
 input 1 occupies Fourier inputs {0..k-1} and input 0 occupies {1..k}: a
 cyclic shift by one mode, which multiplies each output photon in mode m by
 w^m, w = exp(2 pi i/(n+1)).  So the two output amplitudes differ by the
-factor w^r f(k)/f(k-1), with r = sum_m m*c_m mod (n+1).  The phase
-2 pi r/(n+1) is the correction; for the constant profile the weight ratio is
-1, so that pure phase restores the qubit exactly.
+factor w^r f(k)/f(k-1), with r = sum_m m*c_m mod (n+1).  The correction is
+the phase 2 pi r/(n+1), plus pi where f(k) and f(k-1) have opposite signs
+(read off the ancilla's own amplitudes); for the constant profile the weight
+ratio is 1, so that phase restores the qubit exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 from .errors import OutOfRange, ShapeMismatch
 from .fock import Occupation, SparseState, fidelity
+from .pipeline import pair_pattern, single_register_pattern
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,9 @@ def apply_qft(state: SparseState, modes: list[int]) -> SparseState:
 
 
 def _output_patterns(n: int, k: int) -> tuple[Occupation, Occupation]:
-    """y-register patterns carrying the teleported 0/1 at slot k (1-based)."""
-    base = [0] * (k - 1) + [0] + [1] * (n - k)
-    zero = tuple(base)
-    base[k - 1] = 1
-    one = tuple(base)
-    return zero, one
+    """y-register patterns carrying the teleported 0/1 at slot k (1-based):
+    the y halves of the register patterns of weights k and k-1."""
+    return single_register_pattern(n, k)[n:], single_register_pattern(n, k - 1)[n:]
 
 
 def _ideal_residual(qubit: InputQubit, n: int, k: int) -> SparseState:
@@ -134,8 +133,8 @@ def feedforward_table(n: int) -> tuple[float, ...]:
 
     A success outcome with counts c on the n+1 Fourier modes is corrected
     by the entry at ``_fourier_residue(c)``.  The table does not depend on
-    the input qubit or the profile; it leaves out the sign of f(k)/f(k-1),
-    so it is exact for profiles whose weights share one sign.
+    the input qubit or the profile; the sign of f(k)/f(k-1) is added per
+    call from the ancilla's amplitudes (see ``_sign_flips``).
     """
     return tuple(2 * math.pi * r / (n + 1) for r in range(n + 1))
 
@@ -143,6 +142,12 @@ def feedforward_table(n: int) -> tuple[float, ...]:
 def _fourier_residue(counts: Occupation) -> int:
     """sum_m m * c_m modulo the number of Fourier modes."""
     return sum(map(operator.mul, range(len(counts)), counts)) % len(counts)
+
+
+def _sign_flips(weights: list[complex]) -> list[int]:
+    """1 at each total k in 1..n where weights k and k-1 have opposite signs,
+    else 0 (also at k = 0); a pi phase per flip completes the correction."""
+    return [0] + [int((w * v.conjugate()).real < 0) for v, w in zip(weights, weights[1:])]
 
 
 def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOutcome]:
@@ -154,13 +159,15 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
     state = qubit.state().tensor(ancilla)
     state = apply_qft(state, list(range(n + 1)))
     table = feedforward_table(n)
+    flips = _sign_flips([ancilla.amplitude(single_register_pattern(n, j)) for j in range(n + 1)])
     ideal = {k: _ideal_residual(qubit, n, k) for k in range(1, n + 1)}
 
     outcomes: list[TeleportOutcome] = []
     for mo in state.measure(range(n + 1)):
         k = sum(mo.counts)
         if 1 <= k <= n:
-            corrected = mo.residual.apply_phase(k - 1, table[_fourier_residue(mo.counts)])
+            phi = table[_fourier_residue(mo.counts)] + math.pi * flips[k]
+            corrected = mo.residual.apply_phase(k - 1, phi)
             fid = fidelity(corrected, ideal[k])
             outcomes.append(
                 TeleportOutcome(
@@ -230,21 +237,20 @@ def cz_via_double_teleportation(
         raise ShapeMismatch(
             f"pair ancilla has {ancilla_pair.modes} modes, expected {4 * n} for n={n}"
         )
-    # Assemble [q, x, y, q', x', y'] from q (x) q' (x) [x, y, x', y'].
+    # Modes [q, q', x, y, x', y']: each side mixes its qubit with its x
+    # register, and the measurement leaves the residual on [y, y'].
     full = q.state().tensor(qp.state()).tensor(ancilla_pair)
-    perm = (
-        [0]
-        + list(range(2, 2 + 2 * n))
-        + [1]
-        + list(range(2 + 2 * n, 2 + 4 * n))
-    )
-    full = full.permute_modes(perm)
-
-    side1 = list(range(0, n + 1))
-    side2 = [2 * n + 1 + i for i in range(n + 1)]
+    side1 = [0] + list(range(2, n + 2))
+    side2 = [1] + list(range(2 * n + 2, 3 * n + 2))
     full = apply_qft(full, side1)
     full = apply_qft(full, side2)
     table = feedforward_table(n)
+    # Both sides share the profile; read its signs off the row j' whose
+    # diagonal amplitude f(j')^2 is largest, undoing the (-1)^(j j') factor.
+    row = max(range(n + 1), key=lambda j: abs(ancilla_pair.amplitude(pair_pattern(n, j, j))))
+    flips = _sign_flips(
+        [ancilla_pair.amplitude(pair_pattern(n, j, row)) * (-1) ** (j * row) for j in range(n + 1)]
+    )
     ideal = {
         (k, kp): _ideal_cz_residual(q, qp, n, k, kp)
         for k in range(1, n + 1)
@@ -260,10 +266,10 @@ def cz_via_double_teleportation(
         k, kp = sum(c1), sum(c2)
         if not (1 <= k <= n and 1 <= kp <= n):
             continue
-        # Cross corrections are signs, so reduce them mod 2 and keep the
-        # pi phase exact.
-        phi1 = table[_fourier_residue(c1)] + math.pi * (kp % 2)
-        phi2 = table[_fourier_residue(c2)] + math.pi * (k % 2)
+        # Cross corrections and profile signs are signs, so reduce them mod
+        # 2 and keep the pi phase exact.
+        phi1 = table[_fourier_residue(c1)] + math.pi * ((kp + flips[k]) % 2)
+        phi2 = table[_fourier_residue(c2)] + math.pi * ((k + flips[kp]) % 2)
         corrected = mo.residual.apply_phase(k - 1, phi1).apply_phase(n + kp - 1, phi2)
         fid = fidelity(corrected, ideal[k, kp])
         total_success += mo.probability

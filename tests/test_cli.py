@@ -242,6 +242,8 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         (["verify", "{bad}", "{good}"], json.dumps({"modes": 1, "terms": [HUGE_PHOTON]})),
         (["build", "--n", "1", "--tolerance", "-1"], None),
         (["verify", "{good}", "{good}", "--tolerance=-1e-10"], None),
+        (["dots", "--n", "3", "--intra-coefficient", "1e308"], None),
+        (["dots", "--n", "2", "--intra-coefficient", "1.7e308"], None),
     ],
     ids=[
         "teleport-three-values",
@@ -268,6 +270,8 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         "verify-modulus-overflow",
         "build-negative-tolerance",
         "verify-negative-tolerance",
+        "dots-infinite-phase-n3",
+        "dots-infinite-phase-n2",
     ],
 )
 def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):
@@ -283,6 +287,19 @@ def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_teleport_through_alternating_sign_profile(tmp_path, capsys):
+    # f(k)/f(k-1) < 0 at every k: the feedforward must add the pi.
+    profile = tmp_path / "alternating.json"
+    profile.write_text('{"n": 2, "f": [1, -1, 1]}')
+    code, out, _ = run_cli(
+        ["teleport", "--n", "2", "--input", "1,1", "--profile", str(profile)], capsys
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    fidelities = [float(r[4]) for r in rows if r[3] == "success"]
+    assert fidelities and min(fidelities) >= 1 - 1e-12
 
 
 def test_teleport_input_whose_squares_overflow(capsys):

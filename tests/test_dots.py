@@ -156,6 +156,30 @@ def test_gated_pulse_is_noop_without_marker():
     assert out.amplitude((0, 1)) == 1.0
 
 
+def test_gated_pulse_acts_only_on_marked_terms():
+    # Marked (dot 0 occupied) and unmarked terms in one superposition: the
+    # result is the ungated pulse on the marked term plus the untouched rest.
+    marked, unmarked = (1, 0, 1, 0), (0, 0, 1, 1)
+    a, b = 0.6, 0.8j
+    state = SparseState(4, {marked: a, unmarked: b})
+    pulse = RabiPulse(2, 1, 0.7, only_if=0)
+    out = execute(PulseSchedule(2, 1, (pulse,)), state)
+    pulsed = rabi(SparseState.basis(marked), 2, 1, 0.7)
+    reference = {occ: a * amp for occ, amp in pulsed.terms.items()}
+    reference[unmarked] = b
+    assert len(reference) == 3
+    assert set(out.terms) == set(reference)
+    for occ, amp in reference.items():
+        assert out.amplitude(occ) == pytest.approx(amp, abs=1e-15)
+
+
+@pytest.mark.parametrize("only_if", [-1, 4, 5])
+def test_gated_pulse_condition_dot_out_of_range(only_if):
+    schedule = PulseSchedule(2, 1, (RabiPulse(2, 1, 0.7, only_if=only_if),))
+    with pytest.raises(DotOutOfRange):
+        execute(schedule, SparseState.basis((1, 0, 1, 0)))
+
+
 # ----------------------------------------------------------------------
 # execution semantics
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from loqc_ancilla import (
     ZeroState,
     fidelity,
 )
+from loqc_ancilla.teleport import qft_matrix
 from conftest import (
     assert_dense_unitary,
     beamsplitter_matrix,
@@ -244,6 +245,31 @@ def test_linear_transform_agrees_with_beamsplitter():
         via_matrix = s.apply_linear_transform([1, 2], beamsplitter_matrix(t))
         assert fidelity(direct, via_matrix) >= 1 - 1e-12
         assert direct.norm_squared() == pytest.approx(via_matrix.norm_squared(), abs=1e-12)
+
+
+@pytest.mark.parametrize("size", range(2, 8))
+def test_fourier_multiport_suppression_law(size):
+    # Tichy et al., PRL 104, 220405 (2010): one photon in each input of an
+    # N-mode Fourier multiport reaches only outputs with sum_m m*c_m = 0
+    # mod N.  Tolerance 0 keeps every output, suppressed ones included.
+    state = SparseState.basis((1,) * size, tolerance=0.0)
+    out = state.apply_linear_transform(range(size), qft_matrix(size))
+    assert len(out) == math.comb(2 * size - 1, size)
+    allowed = 0.0
+    for occ, amp in out.terms.items():
+        if sum(m * c for m, c in enumerate(occ)) % size:
+            assert abs(amp) < 1e-12
+        else:
+            allowed += abs(amp) ** 2
+    assert allowed == pytest.approx(1.0, abs=1e-12)
+
+
+def test_infinite_phase_is_refused():
+    one = SparseState.basis((1,))
+    with pytest.raises(InvalidCoefficient):
+        one.apply_phase(0, math.inf)
+    with pytest.raises(InvalidCoefficient):
+        one.apply_basis_phase(lambda occ: -math.inf)
 
 
 def test_linear_transform_shape_checks():

@@ -206,6 +206,14 @@ def test_toffoli_truth_table():
     assert toffoli_logical(SparseState.basis((1, 1, 1)), 0, 1, 2).amplitude((1, 1, 0)) == 1.0
 
 
+@pytest.mark.parametrize("control", [-1, 3])
+def test_conditional_transfer_control_out_of_range(control):
+    # A negative control would otherwise index from the end of the key.
+    s = SparseState.basis((1, 1, 0))
+    with pytest.raises(ModeOutOfRange):
+        conditional_transfer(s, 1, 2, transmission_for_probability(0.5), control=control)
+
+
 def test_conditional_transfer_control_must_be_distinct():
     s = SparseState.basis((1, 1, 0))
     setting = transmission_for_probability(0.5)

@@ -273,6 +273,54 @@ def test_cz_random_product_inputs(n):
         assert fidelity(result.output_qubits, ideal) >= 1 - 1e-10
 
 
+# Profiles whose weights change sign between neighbouring totals k-1, k.
+SIGNED_PROFILES = [[1, -1, 1], [1, 2, -1, 1], [0.5, -1, 0.3, -0.2, 0.9]]
+
+
+def moduli_twin(values):
+    """The signed profile and the profile of its moduli."""
+    return (
+        AmplitudeProfile.from_values(values),
+        AmplitudeProfile.from_values([abs(v) for v in values]),
+    )
+
+
+@pytest.mark.parametrize("values", SIGNED_PROFILES)
+def test_signed_profile_teleports_like_its_moduli(values):
+    # The feedforward adds pi where f(k) f(k-1) < 0, so a signed profile
+    # teleports every outcome with the fidelity of its |f| profile.
+    n = len(values) - 1
+    signed, moduli = moduli_twin(values)
+    rng = random.Random(40 + n)
+    for _ in range(4):
+        q = random_qubit(rng)
+        got = teleport(q, direct_oracle_single(n, signed), n)
+        want = teleport(q, direct_oracle_single(n, moduli), n)
+        assert [o.counts for o in got] == [o.counts for o in want]
+        for a, b in zip(got, want):
+            assert a.probability == pytest.approx(b.probability, abs=1e-12)
+            if b.fidelity is None:
+                assert a.fidelity is None
+            else:
+                assert abs(a.fidelity - b.fidelity) <= 1e-12
+
+
+@pytest.mark.parametrize("values", [[1, -1, 1], [1, 2, -1, 1], [0.5, -1, 0.3, -0.2]])
+def test_signed_profile_cz_like_its_moduli(values):
+    n = len(values) - 1
+    signed, moduli = moduli_twin(values)
+    rng = random.Random(50 + n)
+    pairs = [(InputQubit.plus(), InputQubit.plus())]
+    pairs += [(random_qubit(rng), random_qubit(rng)) for _ in range(3)]
+    for qa, qb in pairs:
+        got = cz_via_double_teleportation(qa, qb, direct_oracle_pair(n, signed), n)
+        want = cz_via_double_teleportation(qa, qb, direct_oracle_pair(n, moduli), n)
+        assert [b.counts for b in got.branches] == [b.counts for b in want.branches]
+        for a, b in zip(got.branches, want.branches):
+            assert a.probability == pytest.approx(b.probability, abs=1e-12)
+            assert abs(a.fidelity - b.fidelity) <= 1e-12
+
+
 def test_success_plus_failure_is_one():
     ancilla = direct_oracle_single(2, AmplitudeProfile.constant(2))
     outcomes = teleport(InputQubit.plus(), ancilla, 2)
