@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatch,
     ZeroState,
 )
-from .fock import MeasurementOutcome, RegisterLayout, SparseState, fidelity
+from .fock import MeasurementOutcome, SparseState, fidelity
 from .gates import (
     TransferSetting,
     cnot_logical,
@@ -33,16 +33,12 @@ from .gates import (
     transmission_for_probability,
 )
 from .pipeline import (
-    GateTally,
     PhaseMethod,
     apply_entangling_phase,
     build_entangled_pair,
     build_single_register,
     direct_oracle_pair,
     direct_oracle_single,
-    inject_singles,
-    pair_layout,
-    single_layout,
 )
 from .profiles import AmplitudeProfile, TransferSchedule, schedule_from_profile
 from .resources import (
@@ -79,7 +75,6 @@ __all__ = [
     "DotOutOfRange",
     "FailureScaling",
     "GateCountReport",
-    "GateTally",
     "InfeasibleParameters",
     "InputQubit",
     "InvalidCoefficient",
@@ -90,7 +85,6 @@ __all__ = [
     "NonBinaryTarget",
     "OutOfRange",
     "PhaseMethod",
-    "RegisterLayout",
     "ShapeMismatch",
     "SparseState",
     "TeleportOutcome",
@@ -112,10 +106,7 @@ __all__ = [
     "failure_scaling",
     "fidelity",
     "gate_counts",
-    "inject_singles",
-    "pair_layout",
     "schedule_from_profile",
-    "single_layout",
     "success_probability",
     "teleport",
     "toffoli_logical",

@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import BlockadeViolation, DotOutOfRange, ShapeMismatch
-from .fock import Occupation, RegisterLayout, SparseState
+from .errors import BlockadeViolation, DotOutOfRange, InvalidCoefficient, ShapeMismatch
+from .fock import Occupation, SparseState
 from .profiles import AmplitudeProfile, schedule_from_profile
 
 
@@ -250,33 +250,34 @@ def _x_side_counts(occ: Occupation, n: int) -> tuple[int, int]:
 
 
 def interaction_phase(
-    state: SparseState,
-    coupling_angle: float,
-    intra_coefficient: float,
-    corrections: Sequence[float] | None = None,
-    n: int | None = None,
+    state: SparseState, coupling_angle: float, intra_coefficient: float
 ) -> SparseState:
     """Charge-interaction phase between the two register pairs.
 
-    With coupling_angle = pi and corrections = -intra_coefficient*j(j-1)/2
-    the net factor per term is exactly (-1)^(j j').
+    With coupling_angle = pi, followed by the :func:`u_gate_corrections`
+    table, the net factor per term is exactly (-1)^(j j').
     """
-    if n is None:
-        if state.modes % 4 != 0:
-            raise ShapeMismatch(f"{state.modes} dots is not a two-register-pair shape")
-        n = state.modes // 4
-    if state.modes != 4 * n:
-        raise ShapeMismatch(f"expected {4 * n} dots for n={n}, got {state.modes}")
+    if state.modes % 4 != 0:
+        raise ShapeMismatch(f"{state.modes} dots is not a two-register-pair shape")
+    n = state.modes // 4
 
     def phase(occ: Occupation) -> float:
         j, jp = _x_side_counts(occ, n)
         total = coupling_angle * j * jp
         total += intra_coefficient * (j * (j - 1) / 2 + jp * (jp - 1) / 2)
-        if corrections is not None:
-            total += corrections[j] + corrections[jp]
         return total
 
     return state.apply_basis_phase(phase)
+
+
+def _correction_phase(phases: Sequence[float], n: int):
+    """Phase function of a u-gate correction: phases[j] + phases[j'] per term."""
+
+    def phase(occ: Occupation) -> float:
+        j, jp = _x_side_counts(occ, n)
+        return phases[j] + phases[jp]
+
+    return phase
 
 
 def u_gate_corrections(n: int, intra_coefficient: float) -> tuple[float, ...]:
@@ -287,15 +288,6 @@ def u_gate_corrections(n: int, intra_coefficient: float) -> tuple[float, ...]:
 # ----------------------------------------------------------------------
 # compilation and execution
 # ----------------------------------------------------------------------
-
-
-def dot_layout(n: int, pairs: int = 1) -> RegisterLayout:
-    names = [("x~", n), ("y~", n)]
-    if pairs == 2:
-        names += [("x~'", n), ("y~'", n)]
-    elif pairs != 1:
-        raise ShapeMismatch("only 1 or 2 register pairs are supported")
-    return RegisterLayout(names)
 
 
 def _register_pulses(n: int, probabilities: Sequence[float], offset: int) -> list[Pulse]:
@@ -326,17 +318,25 @@ def compile_schedule(n: int, profile: AmplitudeProfile) -> PulseSchedule:
 
 
 def compile_pair_schedule(
-    n: int,
-    profile: AmplitudeProfile,
-    coupling_angle: float = math.pi,
-    intra_coefficient: float = 0.0,
+    n: int, profile: AmplitudeProfile, intra_coefficient: float = 0.0
 ) -> PulseSchedule:
-    """Pulse program for both register pairs plus the entangling interaction."""
+    """Pulse program for both register pairs plus the entangling interaction.
+
+    Refuses an intra coefficient whose largest phase, |c| n(n-1) at
+    j = j' = n, reaches 2**32 rad: the float spacing there is 2**-20 rad,
+    so the interaction phase and its u-gate correction round apart and no
+    longer cancel.
+    """
+    if not abs(intra_coefficient) * n * (n - 1) < 2**32:  # NaN fails too
+        raise InvalidCoefficient(
+            f"intra coefficient {intra_coefficient} gives intra-register phases "
+            f"past 2**32 rad at n={n}"
+        )
     schedule = schedule_from_profile(profile)
     pulses: list[Pulse] = [Thermalize()]
     pulses += _register_pulses(n, schedule.probabilities, 0)
     pulses += _register_pulses(n, schedule.probabilities, 2 * n)
-    pulses.append(InteractionPhase(coupling_angle, intra_coefficient))
+    pulses.append(InteractionPhase(math.pi, intra_coefficient))
     pulses.append(UGateCorrection(u_gate_corrections(n, intra_coefficient)))
     return PulseSchedule(n, 2, tuple(pulses))
 
@@ -362,30 +362,26 @@ def execute(schedule: PulseSchedule, state: SparseState | None = None) -> Sparse
             state = load_from_reservoir(state, pulse.dot)
         elif isinstance(pulse, RabiPulse):
             state = rabi(state, pulse.src, pulse.dst, pulse.theta, pulse.only_if)
+        elif isinstance(pulse, (InteractionPhase, UGateCorrection)) and schedule.pairs != 2:
+            raise ShapeMismatch(f"{pulse!r} needs two register pairs")
         elif isinstance(pulse, InteractionPhase):
-            state = interaction_phase(
-                state, pulse.coupling_angle, pulse.intra_coefficient, n=schedule.n
-            )
+            state = interaction_phase(state, pulse.coupling_angle, pulse.intra_coefficient)
         elif isinstance(pulse, UGateCorrection):
-            state = interaction_phase(
-                state, 0.0, 0.0, corrections=pulse.phases, n=schedule.n
-            )
+            state = state.apply_basis_phase(_correction_phase(pulse.phases, schedule.n))
         else:
             raise ValueError(f"unknown pulse {pulse!r}")
         _check_binary(state)
     return state
 
 
-def emit_photons(state: SparseState, layout: RegisterLayout) -> SparseState:
+def emit_photons(state: SparseState, n: int) -> SparseState:
     """Map dot occupancies to fiber-mode photons, undoing the 180 degree
-    register rotation (each register's mode order is reversed)."""
-    if layout.total != state.modes:
+    register rotation: each register, a block of n dots, is reversed."""
+    if n < 1 or state.modes not in (2 * n, 4 * n):
         raise ShapeMismatch(
-            f"layout covers {layout.total} dots, state has {state.modes}"
+            f"{state.modes} dots is not one or two register pairs of n={n}"
         )
-    perm: list[int] = []
-    for name in layout.names():
-        perm.extend(reversed(layout.modes(name)))
+    perm = [m for start in range(0, state.modes, n) for m in reversed(range(start, start + n))]
     return state.permute_modes(perm)
 
 
@@ -395,9 +391,7 @@ def prepare_pair(
     intra_coefficient: float = 0.0,
 ) -> tuple[SparseState, PulseSchedule]:
     """Compile and run the full pair preparation; returns the photonic state."""
-    schedule = compile_pair_schedule(
-        n, profile, coupling_angle=math.pi, intra_coefficient=intra_coefficient
-    )
+    schedule = compile_pair_schedule(n, profile, intra_coefficient=intra_coefficient)
     final = execute(schedule)
-    photonic = emit_photons(final, dot_layout(n, pairs=2))
+    photonic = emit_photons(final, n)
     return photonic, schedule

@@ -422,50 +422,17 @@ _QUARTER_TURNS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 def _cis(phi: float) -> complex:
-    # Exact values at every integer multiple of pi/2 keep sign gates, the
-    # canonical fixups and pi * count phases free of 1e-16 junk.  A float
-    # whose quotient by pi/2 rounds to an integer lies within an ulp of that
-    # multiple, so the lookup is as accurate as cos/sin of the float itself.
+    # Exact values at integer multiples of pi/2 keep sign gates, the
+    # canonical fixups and pi * count phases free of 1e-16 junk.  A small
+    # float whose quotient by pi/2 rounds to an integer lies within an ulp
+    # of that multiple, so the lookup is as accurate as cos/sin of the float
+    # itself.  The bound keeps large phases out: every float past ~1.4e16
+    # divides to an integer, however far it lies from a multiple.
     quarters = phi / (math.pi / 2)
-    if quarters.is_integer():
+    if quarters.is_integer() and abs(quarters) < 2.0**20:
         return _QUARTER_TURNS[int(quarters) % 4]
     try:
         return complex(math.cos(phi), math.sin(phi))
     except ValueError:  # cos/sin of an infinite phase
         raise InvalidCoefficient(f"phase {phi} is not finite") from None
 
-
-class RegisterLayout:
-    """Named registers mapped onto contiguous ranges of global modes.
-
-    Built from an ordered list of (name, size) pairs, so the ranges are
-    disjoint by construction and cover 0..total-1 exactly.
-    """
-
-    def __init__(self, registers: Sequence[tuple[str, int]]):
-        self._ranges: dict[str, range] = {}
-        start = 0
-        for name, size in registers:
-            if size < 0:
-                raise ValueError(f"register {name!r} has negative size")
-            if name in self._ranges:
-                raise ValueError(f"duplicate register name {name!r}")
-            self._ranges[name] = range(start, start + size)
-            start += size
-        self.total = start
-
-    def modes(self, name: str) -> range:
-        return self._ranges[name]
-
-    def mode(self, name: str, index: int) -> int:
-        """Global index of the (0-based) ``index``-th mode of a register."""
-        r = self._ranges[name]
-        if not 0 <= index < len(r):
-            raise ModeOutOfRange(f"{name}[{index}] out of range")
-        return r[index]
-
-    def names(self) -> list[str]:
-        return list(self._ranges)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._ranges

@@ -7,16 +7,19 @@ Two routes exist for every target and are kept deliberately independent:
 * the *direct oracle* route writes the target superposition down literally.
 
 Tests and the CLI compare the two by fidelity.
+
+Registers are blocks of n consecutive modes: register r is modes
+r*n..(r+1)*n-1, in the order x, y for a single register and x, y, x', y'
+for a pair.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import AncillaNotDisentangled, InvalidProfile, ShapeMismatch
-from .fock import Occupation, RegisterLayout, SparseState
+from .fock import Occupation, SparseState
 from .gates import (
     cnot_logical,
     conditional_transfer,
@@ -35,67 +38,25 @@ class PhaseMethod(enum.Enum):
     DIRECT_ORACLE = "oracle"
 
 
-@dataclass
-class GateTally:
-    """Elementary-gate counts recorded while a construction runs.
-
-    ``fixed_gates`` holds the constant overhead of the parity method (the
-    two Toffolis and the final controlled sign), which is reported but
-    excluded from the scaling totals.
-    """
-
-    conditional_transfer_gates: int = 0
-    phase_gates: int = 0
-    fixed_gates: int = 0
-
-    @property
-    def total_gates(self) -> int:
-        return self.conditional_transfer_gates + self.phase_gates
-
-
-def single_layout(n: int) -> RegisterLayout:
-    return RegisterLayout([("x", n), ("y", n)])
-
-
-def pair_layout(n: int) -> RegisterLayout:
-    return RegisterLayout([("x", n), ("y", n), ("x'", n), ("y'", n)])
-
-
-def inject_singles(layout: RegisterLayout, registers: tuple[str, ...]) -> SparseState:
-    """Product basis state with one photon in every mode of the named registers."""
-    counts = [0] * layout.total
-    for name in registers:
-        for m in layout.modes(name):
-            counts[m] = 1
-    return SparseState.basis(counts)
-
-
 def _run_transfers(
-    state: SparseState,
-    x_modes: list[int],
-    y_modes: list[int],
-    schedule: TransferSchedule,
-    tally: GateTally | None,
+    state: SparseState, n: int, schedule: TransferSchedule, offset: int
 ) -> SparseState:
-    """Chain the conditional transfers y_k -> x_k over one register pair.
+    """Chain the conditional transfers y_k -> x_k over one register pair,
+    x at modes offset..offset+n-1 and y at the n modes after it.
 
     The first transfer is unconditional; transfer k >= 2 is gated on x_{k-1}
     being occupied, which is what consumes one controlled sign gate each.
     """
     for k, p in enumerate(schedule.probabilities, start=1):
         setting = transmission_for_probability(p)
-        control = x_modes[k - 2] if k >= 2 else None
+        control = offset + k - 2 if k >= 2 else None
         state = conditional_transfer(
-            state, y_modes[k - 1], x_modes[k - 1], setting, control=control
+            state, offset + n + k - 1, offset + k - 1, setting, control=control
         )
-        if control is not None and tally is not None:
-            tally.conditional_transfer_gates += 1
     return state
 
 
-def build_single_register(
-    n: int, profile: AmplitudeProfile, tally: GateTally | None = None
-) -> SparseState:
+def build_single_register(n: int, profile: AmplitudeProfile) -> SparseState:
     """Prepare the single-register superposition over registers (x, y)."""
     if profile.n != n:
         raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
@@ -104,12 +65,8 @@ def build_single_register(
             "the transfer pipeline only realizes non-negative weights; "
             "signed profiles are supported by the direct oracles"
         )
-    layout = single_layout(n)
-    state = inject_singles(layout, ("y",))
-    schedule = schedule_from_profile(profile)
-    return _run_transfers(
-        state, list(layout.modes("x")), list(layout.modes("y")), schedule, tally
-    )
+    state = SparseState.basis(single_register_pattern(n, 0))
+    return _run_transfers(state, n, schedule_from_profile(profile), 0)
 
 
 def single_register_pattern(n: int, j: int) -> Occupation:
@@ -133,12 +90,7 @@ def _occupied(occ: Occupation, modes: range | list[int]) -> int:
     return sum(1 for m in modes if occ[m] >= 1)
 
 
-def apply_entangling_phase(
-    state: SparseState,
-    method: PhaseMethod,
-    n: int | None = None,
-    tally: GateTally | None = None,
-) -> SparseState:
+def apply_entangling_phase(state: SparseState, method: PhaseMethod) -> SparseState:
     """Multiply each term by (-1)^(j j') where j, j' count occupied x, x' modes.
 
     PAIRWISE_GATES uses n^2 controlled signs between the x and x' modes.
@@ -148,15 +100,10 @@ def apply_entangling_phase(
     the helpers returned exactly to |000>.  DIRECT_ORACLE applies the
     diagonal phase in one shot.
     """
-    if n is None:
-        if state.modes % 4 != 0:
-            raise ShapeMismatch(f"{state.modes} modes is not a two-register-pair shape")
-        n = state.modes // 4
-    if state.modes != 4 * n:
-        raise ShapeMismatch(f"expected {4 * n} modes for n={n}, got {state.modes}")
-    layout = pair_layout(n)
-    x_modes = layout.modes("x")
-    xp_modes = layout.modes("x'")
+    if state.modes % 4 != 0:
+        raise ShapeMismatch(f"{state.modes} modes is not a two-register-pair shape")
+    n = state.modes // 4
+    x_modes, xp_modes = range(n), range(2 * n, 3 * n)
 
     if method is PhaseMethod.DIRECT_ORACLE:
         return state.apply_basis_phase(
@@ -167,8 +114,6 @@ def apply_entangling_phase(
         for a in x_modes:
             for b in xp_modes:
                 state = controlled_sign(state, {a}, b)
-                if tally is not None:
-                    tally.phase_gates += 1
         return state
 
     if method is PhaseMethod.PARITY_ANCILLA:
@@ -185,9 +130,6 @@ def apply_entangling_phase(
             work = cnot_logical(work, m, q_a)
         for m in xp_modes:
             work = cnot_logical(work, m, q_b)
-        if tally is not None:
-            tally.phase_gates += 4 * n
-            tally.fixed_gates += 3
         for occ in work.terms:
             if occ[q_a] or occ[q_b] or occ[q_c]:
                 raise AncillaNotDisentangled(
@@ -202,7 +144,6 @@ def build_entangled_pair(
     n: int,
     profile: AmplitudeProfile,
     method: PhaseMethod = PhaseMethod.PAIRWISE_GATES,
-    tally: GateTally | None = None,
 ) -> SparseState:
     """Full pipeline for the entangled two-register-pair ancilla state."""
     if profile.n != n:
@@ -211,16 +152,11 @@ def build_entangled_pair(
         raise InvalidProfile(
             "the transfer pipeline only realizes non-negative weights"
         )
-    layout = pair_layout(n)
-    state = inject_singles(layout, ("y", "y'"))
+    state = SparseState.basis(pair_pattern(n, 0, 0))
     schedule = schedule_from_profile(profile)
-    state = _run_transfers(
-        state, list(layout.modes("x")), list(layout.modes("y")), schedule, tally
-    )
-    state = _run_transfers(
-        state, list(layout.modes("x'")), list(layout.modes("y'")), schedule, tally
-    )
-    return apply_entangling_phase(state, method, n=n, tally=tally)
+    state = _run_transfers(state, n, schedule, 0)
+    state = _run_transfers(state, n, schedule, 2 * n)
+    return apply_entangling_phase(state, method)
 
 
 def pair_pattern(n: int, j: int, jp: int) -> Occupation:

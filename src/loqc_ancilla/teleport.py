@@ -95,7 +95,6 @@ class TeleportOutcome:
     k: int
     probability: float
     classification: Classification
-    output_register: int | None  # 1-based index of the y mode holding the qubit
     output_state: SparseState | None  # corrected residual over the y modes
     fidelity: float | None  # vs the ideal teleported residual
 
@@ -171,13 +170,13 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
             fid = fidelity(corrected, ideal[k])
             outcomes.append(
                 TeleportOutcome(
-                    mo.counts, k, mo.probability, Classification.SUCCESS, k, corrected, fid
+                    mo.counts, k, mo.probability, Classification.SUCCESS, corrected, fid
                 )
             )
         else:
             outcomes.append(
                 TeleportOutcome(
-                    mo.counts, k, mo.probability, Classification.FAILURE, None, None, None
+                    mo.counts, k, mo.probability, Classification.FAILURE, None, None
                 )
             )
     return outcomes

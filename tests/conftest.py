@@ -7,10 +7,26 @@ the creation operators, one factor at a time.
 
 from __future__ import annotations
 
+import collections
+import inspect
 import math
+import os
 import random
 
-from loqc_ancilla import SparseState
+import pytest
+
+import loqc_ancilla
+from loqc_ancilla import SparseState, pipeline
+
+# Child interpreters import the same package as this process, whether it is
+# installed or found through pytest's ``pythonpath`` setting.
+_SOURCE_ROOT = os.path.dirname(os.path.dirname(loqc_ancilla.__file__))
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (_SOURCE_ROOT, os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 
 def random_state(rng: random.Random, modes: int, max_photons: int, n_terms: int = 4) -> SparseState:
@@ -35,6 +51,28 @@ def random_qubit(rng: random.Random):
         complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
         complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
     )
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Counter of the gate calls the pipeline makes, by gate function name.
+
+    Wraps the gate functions ``pipeline`` imports, so the counts come from
+    the calls that ran.  Gated conditional transfers are also counted under
+    ``"gated_transfer"``.
+    """
+    calls = collections.Counter()
+    for name in ("conditional_transfer", "controlled_sign", "cnot_logical", "toffoli_logical"):
+        original = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _original=original, _sig=inspect.signature(original), **kwargs):
+            calls[_name] += 1
+            if _sig.bind(*args, **kwargs).arguments.get("control") is not None:
+                calls["gated_transfer"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
 
 
 # ----------------------------------------------------------------------

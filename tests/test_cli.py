@@ -3,26 +3,15 @@
 import csv
 import io
 import json
-import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-import loqc_ancilla
 from loqc_ancilla.cli import main
 from loqc_ancilla.dots import PulseSchedule
-
-# Child interpreters import the same package as this process, whether it is
-# installed or found through pytest's ``pythonpath`` setting.
-_SOURCE_ROOT = os.path.dirname(os.path.dirname(loqc_ancilla.__file__))
-CHILD_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        p for p in (_SOURCE_ROOT, os.environ.get("PYTHONPATH")) if p
-    ),
-}
+from conftest import CHILD_ENV
 
 
 def run_cli(argv, capsys):
@@ -244,6 +233,9 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         (["verify", "{good}", "{good}", "--tolerance=-1e-10"], None),
         (["dots", "--n", "3", "--intra-coefficient", "1e308"], None),
         (["dots", "--n", "2", "--intra-coefficient", "1.7e308"], None),
+        (["dots", "--n", "3", "--intra-coefficient", "1e12"], None),
+        (["dots", "--n", "3", "--intra-coefficient", "1e15"], None),
+        (["dots", "--n", "3", "--intra-coefficient", "1e17"], None),
     ],
     ids=[
         "teleport-three-values",
@@ -272,6 +264,9 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         "verify-negative-tolerance",
         "dots-infinite-phase-n3",
         "dots-infinite-phase-n2",
+        "dots-huge-intra-1e12",
+        "dots-huge-intra-1e15",
+        "dots-huge-intra-1e17",
     ],
 )
 def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):

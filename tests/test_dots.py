@@ -9,6 +9,7 @@ from loqc_ancilla import (
     AmplitudeProfile,
     BlockadeViolation,
     DotOutOfRange,
+    InvalidCoefficient,
     ShapeMismatch,
     SparseState,
     direct_oracle_pair,
@@ -24,7 +25,6 @@ from loqc_ancilla.dots import (
     UGateCorrection,
     compile_pair_schedule,
     compile_schedule,
-    dot_layout,
     emit_photons,
     execute,
     interaction_phase,
@@ -208,7 +208,7 @@ def test_single_register_matches_rotated_oracle():
     for n in (1, 2, 3):
         for profile in (AmplitudeProfile.constant(n), random_profile(rng, n)):
             final = execute(compile_schedule(n, profile))
-            photonic = emit_photons(final, dot_layout(n, pairs=1))
+            photonic = emit_photons(final, n)
             oracle = direct_oracle_single(n, profile)
             assert fidelity(photonic, oracle) >= 1 - 1e-10
 
@@ -245,9 +245,9 @@ def test_intra_register_term_cancelled_by_corrections():
     state = binary_random_state(rng, 4 * n, n_terms=6)
     lam = 0.7
     plain = interaction_phase(state, math.pi, 0.0)
-    corrected = interaction_phase(
-        state, math.pi, lam, corrections=u_gate_corrections(n, lam)
-    )
+    # The interaction pulse, then its u-gate correction, as execute runs them.
+    pulses = (InteractionPhase(math.pi, lam), UGateCorrection(u_gate_corrections(n, lam)))
+    corrected = execute(PulseSchedule(n, 2, pulses), state)
     assert fidelity(plain, corrected) == pytest.approx(1.0, abs=1e-12)
     for occ, amp in plain.terms.items():
         assert corrected.amplitude(occ) == pytest.approx(amp, abs=1e-12)
@@ -256,6 +256,22 @@ def test_intra_register_term_cancelled_by_corrections():
 def test_interaction_phase_shape_check():
     with pytest.raises(ShapeMismatch):
         interaction_phase(SparseState.vacuum(6), math.pi, 0.0)
+    # A one-pair schedule of 4 dots has a 4n shape but no second pair.
+    for pulse in (InteractionPhase(math.pi, 0.0), UGateCorrection((0.0, 0.0, 0.0))):
+        with pytest.raises(ShapeMismatch):
+            execute(PulseSchedule(2, 1, (pulse,)), SparseState.vacuum(4))
+
+
+def test_intra_coefficient_bound():
+    # The largest intra phase |c| n(n-1) must stay below 2**32 rad, where
+    # the float spacing is 2**-20 rad; just below it the correction cancels.
+    n = 3
+    profile = AmplitudeProfile.constant(n)
+    below = math.nextafter(2.0**32 / (n * (n - 1)), 0.0)
+    photonic, _ = prepare_pair(n, profile, intra_coefficient=-below)
+    assert fidelity(photonic, direct_oracle_pair(n, profile)) >= 1 - 1e-10
+    with pytest.raises(InvalidCoefficient):
+        compile_pair_schedule(n, profile, intra_coefficient=2.0**32 / (n * (n - 1)))
 
 
 # ----------------------------------------------------------------------
@@ -265,13 +281,24 @@ def test_interaction_phase_shape_check():
 
 def test_emit_photons_index_reversal():
     state = SparseState.basis((0, 0, 1, 1, 1, 0))  # n=3 rotated pattern, j=1
-    out = emit_photons(state, dot_layout(3, pairs=1))
+    out = emit_photons(state, 3)
     assert out.amplitude((1, 0, 0, 0, 1, 1)) == 1.0
 
 
 def test_emit_photons_vacuum():
-    out = emit_photons(SparseState.vacuum(4), dot_layout(2, pairs=1))
+    out = emit_photons(SparseState.vacuum(4), 2)
     assert out.amplitude((0, 0, 0, 0)) == 1.0
+
+
+def test_emit_photons_reverses_each_block_of_a_pair():
+    state = SparseState.basis((1, 0, 0, 1, 1, 1, 0, 0))  # n = 2, two pairs
+    assert emit_photons(state, 2).amplitude((0, 1, 1, 0, 1, 1, 0, 0)) == 1.0
+
+
+def test_emit_photons_shape_check():
+    for dots, n in ((6, 2), (12, 2), (4, 0)):
+        with pytest.raises(ShapeMismatch):
+            emit_photons(SparseState.vacuum(dots), n)
 
 
 def test_emit_photons_full_pair_n2():

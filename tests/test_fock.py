@@ -11,7 +11,6 @@ from loqc_ancilla import (
     InvalidCoefficient,
     InvalidState,
     ModeOutOfRange,
-    RegisterLayout,
     SparseState,
     ZeroState,
     fidelity,
@@ -132,6 +131,15 @@ def test_phase_integer_quarter_turns_are_exact():
     assert SparseState.basis((5,)).apply_phase(0, -math.pi).amplitude((5,)) == -1.0 + 0j
     # Other angles keep cos/sin of the unreduced angle.
     assert two.apply_phase(0, 0.3).amplitude((2,)) == complex(math.cos(0.6), math.sin(0.6))
+
+
+def test_huge_phases_are_not_read_as_quarter_turns():
+    # Every float past ~1.4e16 divides by pi/2 to an integer, so only small
+    # quotients may take the exact lookup; the rest keep cos/sin.
+    one = SparseState.basis((1,))
+    for phi in (1e17, -1e17, 1e20, math.pi * 2**20):
+        assert one.apply_phase(0, phi).amplitude((1,)) == complex(math.cos(phi), math.sin(phi))
+    assert one.apply_phase(0, math.pi * 2**18).amplitude((1,)) == 1.0 + 0j
 
 
 def test_phase_mode_out_of_range():
@@ -517,16 +525,6 @@ def test_json_round_trip_sorted():
     assert [t["occ"] for t in data["terms"]] == [[0, 1], [1, 0]]
     back = SparseState.from_json_dict(data)
     assert fidelity(s, back) == pytest.approx(1.0)
-
-
-def test_register_layout():
-    layout = RegisterLayout([("q", 1), ("x", 3), ("y", 3)])
-    assert layout.total == 7
-    assert list(layout.modes("x")) == [1, 2, 3]
-    assert layout.mode("y", 0) == 4
-    assert "q" in layout
-    with pytest.raises(ModeOutOfRange):
-        layout.mode("x", 3)
 
 
 def test_non_finite_amplitudes_rejected():

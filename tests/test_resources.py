@@ -4,7 +4,6 @@ import pytest
 
 from loqc_ancilla import (
     AmplitudeProfile,
-    GateTally,
     InfeasibleParameters,
     OutOfRange,
     PhaseMethod,
@@ -98,7 +97,7 @@ def test_failure_scaling_ordering(n):
 
 
 # ----------------------------------------------------------------------
-# cross-module consistency with the live pipeline tallies
+# cross-module consistency with the gate calls a build makes
 # ----------------------------------------------------------------------
 
 
@@ -106,14 +105,19 @@ def test_failure_scaling_ordering(n):
 @pytest.mark.parametrize(
     "method", [PhaseMethod.PAIRWISE_GATES, PhaseMethod.PARITY_ANCILLA]
 )
-def test_counts_match_pipeline_tallies(n, method):
-    tally = GateTally()
-    build_entangled_pair(n, AmplitudeProfile.constant(n), method, tally)
+def test_counts_match_pipeline_tallies(n, method, gate_calls):
+    build_entangled_pair(n, AmplitudeProfile.constant(n), method)
     report = gate_counts(n, method)
-    assert tally.conditional_transfer_gates == report.conditional_transfer_gates
-    assert tally.phase_gates == report.phase_gates
-    assert tally.fixed_gates == report.fixed_gates
-    assert tally.total_gates == report.total_gates
+    # The parity method's scaling gates are its CNOTs; its Toffoli pair and
+    # single controlled sign are the fixed overhead.
+    if method is PhaseMethod.PARITY_ANCILLA:
+        phase, fixed = "cnot_logical", ("toffoli_logical", "controlled_sign")
+    else:
+        phase, fixed = "controlled_sign", ("toffoli_logical", "cnot_logical")
+    assert gate_calls["gated_transfer"] == report.conditional_transfer_gates
+    assert gate_calls[phase] == report.phase_gates
+    assert sum(gate_calls[g] for g in fixed) == report.fixed_gates
+    assert gate_calls["gated_transfer"] + gate_calls[phase] == report.total_gates
 
 
 # ----------------------------------------------------------------------
