@@ -306,22 +306,14 @@ def _cmd_resources(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, method: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, required=True, help="ancilla photon count")
     sub.add_argument(
         "--profile",
         default="constant",
         help="constant | delta | path to a profile JSON file",
     )
-    if method:
-        sub.add_argument(
-            "--method",
-            default="pairwise",
-            choices=["pairwise", "parity", "oracle"],
-            help="entangling phase method",
-        )
     sub.add_argument("--tolerance", type=_tolerance, default=1e-10)
-    sub.add_argument("--format", default="csv", choices=["json", "csv"])
     sub.add_argument("--output", default=None, help="output file (stdout when omitted)")
 
 
@@ -335,6 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="prepare a register state, compare to oracle")
     _add_common(p)
+    p.add_argument(
+        "--method",
+        default="pairwise",
+        choices=["pairwise", "parity", "oracle"],
+        help="entangling phase method",
+    )
     p.add_argument("--registers", default="pair", choices=["single", "pair"])
     p.set_defaults(func=_cmd_build)
 
@@ -345,16 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("teleport", help="exhaustive teleport outcome table")
-    _add_common(p, method=False)
+    _add_common(p)
+    p.add_argument("--format", default="csv", choices=["json", "csv"])
     p.add_argument("--input", default="1,0", help="qubit amplitudes a,b")
     p.set_defaults(func=_cmd_teleport)
 
     p = sub.add_parser("czgate", help="double-teleport controlled-sign report")
-    _add_common(p, method=False)
+    _add_common(p)
+    p.add_argument("--format", default="csv", choices=["json", "csv"])
     p.set_defaults(func=_cmd_czgate)
 
     p = sub.add_parser("dots", help="dot-array preparation end to end")
-    _add_common(p, method=False)
+    _add_common(p)
     p.add_argument("--intra-coefficient", type=_finite_float, default=0.0)
     p.add_argument("--schedule-out", default=None, help="write the pulse program (JSON lines)")
     p.add_argument("--state-out", default=None, help="write the emitted photonic state")

@@ -296,7 +296,7 @@ def _register_pulses(n: int, probabilities: Sequence[float], offset: int) -> lis
         LoadFromReservoir(offset + d) for d in range(n, 2 * n)
     ]
     for k, p in enumerate(probabilities, start=1):
-        theta = math.asin(math.sqrt(min(1.0, max(0.0, p))))
+        theta = math.asin(math.sqrt(p))
         dst = offset + n - k  # edge dot the block grows into this round
         src = dst + 1
         pulses.append(RabiPulse(src, dst, theta))
@@ -357,7 +357,7 @@ def execute(schedule: PulseSchedule, state: SparseState | None = None) -> Sparse
         )
     for pulse in schedule.pulses:
         if isinstance(pulse, Thermalize):
-            state = SparseState.vacuum(state.modes, state.tolerance)
+            state = SparseState.vacuum(state.modes)
         elif isinstance(pulse, LoadFromReservoir):
             state = load_from_reservoir(state, pulse.dot)
         elif isinstance(pulse, RabiPulse):

@@ -3,8 +3,9 @@
 A state is a mapping from occupation vectors (one photon count per global
 mode) to complex amplitudes.  All operations are pure: inputs are never
 mutated and every method returns a fresh state.  Amplitudes with modulus
-below the state's pruning tolerance are dropped after each operation, which
-keeps the exact-cancellation junk of double precision out of the term set.
+below the fixed :data:`PRUNE_TOLERANCE` (1e-12) are dropped after each
+operation, which keeps the exact-cancellation junk of double precision out
+of the term set.
 
 Keys and amplitudes are validated where data enters (the constructor,
 ``basis``, ``from_json_dict``); operations derive new states through the
@@ -31,7 +32,8 @@ from .errors import (
 
 Occupation = tuple[int, ...]
 
-DEFAULT_TOLERANCE = 1e-12
+PRUNE_TOLERANCE = 1e-12  # amplitudes with a smaller modulus are dropped
+_PRUNE_PROBABILITY = PRUNE_TOLERANCE**2  # outcomes and norms at most this are zero
 
 
 class SparseState:
@@ -42,22 +44,14 @@ class SparseState:
     modes : int
         Number of global modes; every occupation key has this length.
     terms : mapping, optional
-        Occupation vector -> complex amplitude.  Copied, filtered against
-        ``tolerance``.
-    tolerance : float
-        Pruning threshold on |amplitude|.
+        Occupation vector -> complex amplitude.  Copied; amplitudes with
+        modulus below ``PRUNE_TOLERANCE`` are dropped.
     """
 
-    __slots__ = ("modes", "terms", "tolerance")
+    __slots__ = ("modes", "terms")
 
-    def __init__(
-        self,
-        modes: int,
-        terms: Mapping[Occupation, complex] | None = None,
-        tolerance: float = DEFAULT_TOLERANCE,
-    ):
+    def __init__(self, modes: int, terms: Mapping[Occupation, complex] | None = None):
         self.modes = int(modes)
-        self.tolerance = float(tolerance)
         self.terms: dict[Occupation, complex] = {}
         if terms:
             for occ, amp in terms.items():
@@ -76,7 +70,7 @@ class SparseState:
                     size = math.inf
                 if not math.isfinite(size):
                     raise InvalidState(f"amplitude {amp} at {occ} has no finite modulus")
-                if size >= self.tolerance:
+                if size >= PRUNE_TOLERANCE:
                     self.terms[occ] = self.terms.get(occ, 0j) + amp
 
     # ------------------------------------------------------------------
@@ -84,14 +78,14 @@ class SparseState:
     # ------------------------------------------------------------------
 
     @classmethod
-    def basis(cls, occ: Sequence[int], tolerance: float = DEFAULT_TOLERANCE) -> "SparseState":
+    def basis(cls, occ: Sequence[int]) -> "SparseState":
         """Single basis state |occ> with amplitude 1."""
         occ = tuple(int(c) for c in occ)
-        return cls(len(occ), {occ: 1.0 + 0j}, tolerance)
+        return cls(len(occ), {occ: 1.0 + 0j})
 
     @classmethod
-    def vacuum(cls, modes: int, tolerance: float = DEFAULT_TOLERANCE) -> "SparseState":
-        return cls.basis((0,) * modes, tolerance)
+    def vacuum(cls, modes: int) -> "SparseState":
+        return cls.basis((0,) * modes)
 
     def _like(self, terms: Mapping[Occupation, complex], modes: int | None = None) -> "SparseState":
         """Trusted constructor: keys are taken as valid for ``modes`` (default:
@@ -102,8 +96,7 @@ class SparseState:
             raise InvalidState("an operation produced a non-finite amplitude")
         out = object.__new__(SparseState)
         out.modes = self.modes if modes is None else modes
-        out.tolerance = tol = self.tolerance
-        out.terms = {occ: a + 0j for occ, a in terms.items() if abs(a) >= tol}
+        out.terms = {occ: a + 0j for occ, a in terms.items() if abs(a) >= PRUNE_TOLERANCE}
         return out
 
     # ------------------------------------------------------------------
@@ -123,7 +116,7 @@ class SparseState:
     def normalized(self) -> "SparseState":
         """Rescale to unit 2-norm.  Relative and global phases untouched."""
         n2 = self.norm_squared()
-        if n2 <= self.tolerance**2:
+        if n2 <= _PRUNE_PROBABILITY:
             raise ZeroState("cannot normalize a state with no amplitude")
         if n2 == math.inf:
             # Divide by the largest component first; only states this large
@@ -180,7 +173,7 @@ class SparseState:
         """
         if not 0.0 <= t <= 1.0:
             raise InvalidCoefficient(f"transmission {t} outside [0, 1]")
-        ir = 1j * math.sqrt(max(0.0, 1.0 - t * t))
+        ir = 1j * math.sqrt(1.0 - t * t)
         return self.apply_linear_transform((m1, m2), ((t, ir), (ir, t)))
 
     def apply_linear_transform(
@@ -259,7 +252,7 @@ class SparseState:
         for outcome in sorted(grouped):
             bucket = grouped[outcome]
             prob = sum(abs(a) ** 2 for a in bucket.values())
-            if prob <= self.tolerance**2:
+            if prob <= _PRUNE_PROBABILITY:
                 continue
             scale = 1.0 / math.sqrt(prob)
             residual = self._like({k: a * scale for k, a in bucket.items()}, len(keep))
@@ -320,7 +313,7 @@ class SparseState:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping, tolerance: float = DEFAULT_TOLERANCE) -> "SparseState":
+    def from_json_dict(cls, data: Mapping) -> "SparseState":
         """Parse the JSON state schema; malformed data raises InvalidState."""
         try:
             raw_modes = data["modes"]
@@ -340,7 +333,7 @@ class SparseState:
             if occ in terms:
                 raise InvalidState(f"occupation {list(occ)} is listed twice")
             terms[occ] = amp
-        return cls(modes, terms, tolerance)
+        return cls(modes, terms)
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,6 @@ class TransferSetting:
         if self.phi not in (0.0, math.pi):
             raise OutOfRange(f"phi must be exactly 0 or pi, got {self.phi}")
 
-    @property
-    def transfer_probability(self) -> float:
-        """4 R^2 T^2, the single-photon transfer probability at phi = 0."""
-        return 4.0 * self.r**2 * self.t**2
-
 
 def transmission_for_probability(p: float) -> TransferSetting:
     """Solve 4 T^2 (1 - T^2) = p for the transmission coefficient.
@@ -57,7 +52,7 @@ def transmission_for_probability(p: float) -> TransferSetting:
     """
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"probability {p} outside [0, 1]")
-    t_sq = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - p)))
+    t_sq = 0.5 * (1.0 - math.sqrt(1.0 - p))
     t = math.sqrt(t_sq)
     r = math.sqrt(1.0 - t_sq)
     return TransferSetting(t=t, r=r, phi=0.0)

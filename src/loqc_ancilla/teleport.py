@@ -256,7 +256,7 @@ def cz_via_double_teleportation(
         for kp in range(1, n + 1)
     }
 
-    total_success = 0.0
+    total_success = total_failure = 0.0
     branches: list[CzBranch] = []
     best: tuple[float, SparseState, int, int] | None = None
     for mo in full.measure(side1 + side2):
@@ -264,6 +264,7 @@ def cz_via_double_teleportation(
         c2 = mo.counts[n + 1 :]
         k, kp = sum(c1), sum(c2)
         if not (1 <= k <= n and 1 <= kp <= n):
+            total_failure += mo.probability
             continue
         # Cross corrections and profile signs are signs, so reduce them mod
         # 2 and keep the pi phase exact.
@@ -291,7 +292,7 @@ def cz_via_double_teleportation(
 
     return CzGateResult(
         success_probability=total_success,
-        failure_probability=1.0 - total_success,
+        failure_probability=total_failure,
         min_fidelity=min((b.fidelity for b in branches), default=None),
         output_qubits=output,
         branches=tuple(branches),

@@ -236,6 +236,8 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         (["dots", "--n", "3", "--intra-coefficient", "1e12"], None),
         (["dots", "--n", "3", "--intra-coefficient", "1e15"], None),
         (["dots", "--n", "3", "--intra-coefficient", "1e17"], None),
+        (["build", "--n", "1", "--format", "csv"], None),
+        (["dots", "--n", "1", "--format", "csv"], None),
     ],
     ids=[
         "teleport-three-values",
@@ -267,6 +269,8 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         "dots-huge-intra-1e12",
         "dots-huge-intra-1e15",
         "dots-huge-intra-1e17",
+        "build-format-flag",
+        "dots-format-flag",
     ],
 )
 def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):

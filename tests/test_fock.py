@@ -15,6 +15,7 @@ from loqc_ancilla import (
     ZeroState,
     fidelity,
 )
+from loqc_ancilla.fock import PRUNE_TOLERANCE
 from loqc_ancilla.teleport import qft_matrix
 from conftest import (
     assert_dense_unitary,
@@ -259,17 +260,30 @@ def test_linear_transform_agrees_with_beamsplitter():
 def test_fourier_multiport_suppression_law(size):
     # Tichy et al., PRL 104, 220405 (2010): one photon in each input of an
     # N-mode Fourier multiport reaches only outputs with sum_m m*c_m = 0
-    # mod N.  Tolerance 0 keeps every output, suppressed ones included.
-    state = SparseState.basis((1,) * size, tolerance=0.0)
+    # mod N.  Suppressed outputs cancel to below PRUNE_TOLERANCE and are pruned.
+    state = SparseState.basis((1,) * size)
     out = state.apply_linear_transform(range(size), qft_matrix(size))
-    assert len(out) == math.comb(2 * size - 1, size)
-    allowed = 0.0
-    for occ, amp in out.terms.items():
-        if sum(m * c for m, c in enumerate(occ)) % size:
-            assert abs(amp) < 1e-12
-        else:
-            allowed += abs(amp) ** 2
-    assert allowed == pytest.approx(1.0, abs=1e-12)
+    for occ in out.terms:
+        assert sum(m * c for m, c in enumerate(occ)) % size == 0
+    assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pruning_threshold():
+    # |amplitude| == PRUNE_TOLERANCE is kept and the next float below it is
+    # dropped, whether it enters through the constructor or an operation.
+    below = math.nextafter(PRUNE_TOLERANCE, 0)
+    built = SparseState(2, {(0, 1): PRUNE_TOLERANCE, (1, 0): below})
+    assert list(built.terms) == [(0, 1)]
+    pair = SparseState(2, {(0, 1): 2 * PRUNE_TOLERANCE, (1, 0): 2 * below})
+    halved = pair.tensor(SparseState(1, {(0,): 0.5}))
+    assert list(halved.terms) == [(0, 1, 0)]
+    # measure drops an outcome of probability PRUNE_TOLERANCE**2 and keeps
+    # one of twice that; normalized refuses a state of that norm.
+    faint = {(1, 0): PRUNE_TOLERANCE, (2, 0): PRUNE_TOLERANCE, (2, 1): PRUNE_TOLERANCE}
+    state = SparseState(2, {(0, 0): 1.0, **faint})
+    assert [o.counts for o in state.measure([0])] == [(0,), (2,)]
+    with pytest.raises(ZeroState):
+        SparseState(1, {(1,): PRUNE_TOLERANCE}).normalized()
 
 
 def test_infinite_phase_is_refused():

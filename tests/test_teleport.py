@@ -326,3 +326,18 @@ def test_success_plus_failure_is_one():
     assert success_probability(outcomes) + failure_probability(outcomes) == pytest.approx(
         1.0, abs=1e-9
     )
+
+
+def test_cz_without_failing_branches_reports_zero_failure():
+    # f = (0, 1, 0): both sides always carry one photon, so no branch fails.
+    # The failure probability is summed over failing branches, not taken as
+    # 1 - success, which rounds to a few negative ulp here.
+    ancilla = direct_oracle_pair(2, AmplitudeProfile.from_values([0, 1, 0]))
+    basis = [InputQubit.zero(), InputQubit.one()]
+    for qa in basis:
+        for qb in basis:
+            result = cz_via_double_teleportation(qa, qb, ancilla, 2)
+            assert result.failure_probability == 0.0
+            assert result.success_probability + result.failure_probability == pytest.approx(
+                1.0, abs=1e-9
+            )
