@@ -148,16 +148,20 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 def _cmd_build(args: argparse.Namespace) -> int:
     profile = _load_profile(args.profile, args.n)
     if args.registers == "single":
+        if args.method is not None:
+            raise AncillaError("--method applies to pair builds only")
         state = build_single_register(args.n, profile)
         oracle = direct_oracle_single(args.n, profile)
+        setup = "registers=single"
     else:
-        state = build_entangled_pair(args.n, profile, PhaseMethod(args.method))
+        method = PhaseMethod(args.method or "pairwise")
+        state = build_entangled_pair(args.n, profile, method)
         oracle = direct_oracle_pair(args.n, profile)
+        setup = f"registers=pair method={method.value}"
     fid = fidelity(state, oracle)
     _write_text(_resolve(args.output), _json_text(state.to_json_dict()))
     print(
-        f"n={args.n} registers={args.registers} method={args.method} "
-        f"terms={len(state)} fidelity={_fmt(fid)}",
+        f"n={args.n} {setup} terms={len(state)} fidelity={_fmt(fid)}",
         file=sys.stderr,
     )
     return 0 if fid >= 1.0 - args.tolerance else 1
@@ -329,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--method",
-        default="pairwise",
         choices=["pairwise", "parity", "oracle"],
-        help="entangling phase method",
+        help="entangling phase method of a pair build (default pairwise)",
     )
     p.add_argument("--registers", default="pair", choices=["single", "pair"])
     p.set_defaults(func=_cmd_build)

@@ -26,7 +26,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import BlockadeViolation, DotOutOfRange, InvalidCoefficient, ShapeMismatch
+from .errors import (
+    BlockadeViolation,
+    DotOutOfRange,
+    InvalidCoefficient,
+    InvalidProfile,
+    ShapeMismatch,
+)
 from .fock import Occupation, SparseState
 from .profiles import AmplitudeProfile, schedule_from_profile
 
@@ -114,22 +120,6 @@ class UGateCorrection:
 Pulse = Union[Thermalize, LoadFromReservoir, RabiPulse, InteractionPhase, UGateCorrection]
 
 
-def pulse_from_json_dict(data: dict) -> Pulse:
-    op = data["op"]
-    args = data.get("args", [])
-    if op == "thermalize":
-        return Thermalize()
-    if op == "load":
-        return LoadFromReservoir(int(args[0]))
-    if op == "rabi":
-        return RabiPulse(int(args[0]), int(args[1]), float(args[2]), data.get("only_if"))
-    if op == "interaction_phase":
-        return InteractionPhase(float(args[0]), float(args[1]))
-    if op == "u_gate_correction":
-        return UGateCorrection(tuple(float(v) for v in args[0]))
-    raise ValueError(f"unknown pulse op {op!r}")
-
-
 @dataclass(frozen=True)
 class PulseSchedule:
     """Ordered pulse list over ``pairs`` register pairs of n dots each side."""
@@ -144,15 +134,6 @@ class PulseSchedule:
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(p.to_json_dict()) for p in self.pulses) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str, n: int, pairs: int) -> "PulseSchedule":
-        pulses = tuple(
-            pulse_from_json_dict(json.loads(line))
-            for line in text.splitlines()
-            if line.strip()
-        )
-        return cls(n, pairs, pulses)
 
 
 # ----------------------------------------------------------------------
@@ -190,15 +171,11 @@ def rabi(
     def add(key: Occupation, amp: complex) -> None:
         terms[key] = terms.get(key, 0j) + amp
 
-    skipped: list[tuple[Occupation, complex]] = []
     for occ, a in state.terms.items():
         ci, cj = occ[dot_i], occ[dot_j]
         if ci > 1 or cj > 1:
             raise BlockadeViolation(f"double occupancy in term {occ}")
-        if only_if is not None and not occ[only_if]:
-            skipped.append((occ, a))
-            continue
-        if ci + cj != 1:
+        if ci + cj != 1 or (only_if is not None and not occ[only_if]):
             add(occ, a)
             continue
         swapped = list(occ)
@@ -210,10 +187,6 @@ def rabi(
         else:
             add(occ, a * c)
             add(swapped, -a * s)
-    # Skipped terms go in after the pulse's outputs: the term order fixes the
-    # rounding of later overlap sums, such as the dots report's fidelity.
-    for occ, a in skipped:
-        add(occ, a)
     return state._like(terms)
 
 
@@ -311,10 +284,10 @@ def _register_pulses(n: int, probabilities: Sequence[float], offset: int) -> lis
 
 def compile_schedule(n: int, profile: AmplitudeProfile) -> PulseSchedule:
     """Pulse program preparing one register pair; n^2 + n + 1 pulses."""
-    schedule = schedule_from_profile(profile)
-    pulses: list[Pulse] = [Thermalize()]
-    pulses += _register_pulses(n, schedule.probabilities, 0)
-    return PulseSchedule(n, 1, tuple(pulses))
+    if profile.n != n:
+        raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
+    pulses = _register_pulses(n, schedule_from_profile(profile).probabilities, 0)
+    return PulseSchedule(n, 1, (Thermalize(), *pulses))
 
 
 def compile_pair_schedule(
@@ -332,10 +305,8 @@ def compile_pair_schedule(
             f"intra coefficient {intra_coefficient} gives intra-register phases "
             f"past 2**32 rad at n={n}"
         )
-    schedule = schedule_from_profile(profile)
-    pulses: list[Pulse] = [Thermalize()]
-    pulses += _register_pulses(n, schedule.probabilities, 0)
-    pulses += _register_pulses(n, schedule.probabilities, 2 * n)
+    pulses = list(compile_schedule(n, profile).pulses)
+    pulses += _register_pulses(n, schedule_from_profile(profile).probabilities, 2 * n)
     pulses.append(InteractionPhase(math.pi, intra_coefficient))
     pulses.append(UGateCorrection(u_gate_corrections(n, intra_coefficient)))
     return PulseSchedule(n, 2, tuple(pulses))

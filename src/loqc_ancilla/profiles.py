@@ -95,14 +95,12 @@ class TransferSchedule:
     probabilities: tuple[float, ...]
 
     def __post_init__(self):
+        # schedule_from_profile never exceeds 1: its denominator adds the
+        # numerator's terms in the same order after one more non-negative
+        # term, and rounded addition is monotone.
         for p in self.probabilities:
-            if not 0.0 <= p <= 1.0 + 1e-15:
+            if not 0.0 <= p <= 1.0:  # NaN fails too
                 raise InvalidProfile(f"transfer probability {p} outside [0, 1]")
-        object.__setattr__(
-            self,
-            "probabilities",
-            tuple(min(1.0, float(p)) for p in self.probabilities),
-        )
 
     @property
     def n(self) -> int:

@@ -115,14 +115,12 @@ def apply_qft(state: SparseState, modes: list[int]) -> SparseState:
     return state.apply_linear_transform(modes, qft_matrix(len(modes)))
 
 
-def _output_patterns(n: int, k: int) -> tuple[Occupation, Occupation]:
-    """y-register patterns carrying the teleported 0/1 at slot k (1-based):
-    the y halves of the register patterns of weights k and k-1."""
-    return single_register_pattern(n, k)[n:], single_register_pattern(n, k - 1)[n:]
-
-
 def _ideal_residual(qubit: InputQubit, n: int, k: int) -> SparseState:
-    zero, one = _output_patterns(n, k)
+    """The qubit teleported to slot k (1-based) of the y register: its 0 and 1
+    ride on the y halves of the register patterns of weights k and k-1, which
+    differ only at y mode k-1."""
+    zero = single_register_pattern(n, k)[n:]
+    one = single_register_pattern(n, k - 1)[n:]
     return SparseState(n, {zero: qubit.alpha, one: qubit.beta})
 
 
@@ -183,11 +181,13 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
 
 
 def failure_probability(outcomes: list[TeleportOutcome]) -> float:
-    return sum(o.probability for o in outcomes if o.classification is Classification.FAILURE)
+    failed = (o.probability for o in outcomes if o.classification is Classification.FAILURE)
+    return sum(failed, 0.0)
 
 
 def success_probability(outcomes: list[TeleportOutcome]) -> float:
-    return sum(o.probability for o in outcomes if o.classification is Classification.SUCCESS)
+    succeeded = (o.probability for o in outcomes if o.classification is Classification.SUCCESS)
+    return sum(succeeded, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -279,16 +279,12 @@ def cz_via_double_teleportation(
 
     output = None
     if best is not None:
+        # Each side's 0 and 1 differ only at its output mode, so the other
+        # y modes carry no information and can be dropped.
         _, corrected, k, kp = best
-        y0, y1 = _output_patterns(n, k)
-        yp0, yp1 = _output_patterns(n, kp)
-        reduced: dict[Occupation, complex] = {}
-        for a, ya in ((0, y0), (1, y1)):
-            for b, yb in ((0, yp0), (1, yp1)):
-                amp = corrected.amplitude(ya + yb)
-                if amp != 0j:
-                    reduced[(a, b)] = amp
-        output = SparseState(2, reduced).normalized()
+        output = corrected.drop_modes(
+            m for m in range(2 * n) if m not in (k - 1, n + kp - 1)
+        ).normalized()
 
     return CzGateResult(
         success_probability=total_success,

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from loqc_ancilla.cli import main
-from loqc_ancilla.dots import PulseSchedule
+from loqc_ancilla import AmplitudeProfile
+from loqc_ancilla.dots import compile_pair_schedule
 from conftest import CHILD_ENV
 
 
@@ -189,6 +190,16 @@ def test_teleport_json_format(capsys):
     assert sum(o["probability"] for o in data["outcomes"]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_teleport_json_failure_probability_is_a_float(capsys):
+    # The delta profile never fails on input |0>: the sum is empty.
+    code, out, _ = run_cli(
+        ["teleport", "--n", "2", "--profile", "delta", "--input", "1,0", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert isinstance(json.loads(out)["failure_probability"], float)
+
+
 def test_teleport_complex_input(capsys):
     code, out, _ = run_cli(
         ["teleport", "--n", "1", "--input", "0.6,0.0,0.0,0.8"], capsys
@@ -238,6 +249,7 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         (["dots", "--n", "3", "--intra-coefficient", "1e17"], None),
         (["build", "--n", "1", "--format", "csv"], None),
         (["dots", "--n", "1", "--format", "csv"], None),
+        (["build", "--n", "1", "--registers", "single", "--method", "oracle"], None),
     ],
     ids=[
         "teleport-three-values",
@@ -271,6 +283,7 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         "dots-huge-intra-1e17",
         "build-format-flag",
         "dots-format-flag",
+        "build-single-method",
     ],
 )
 def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):
@@ -370,8 +383,9 @@ def test_dots_report_and_schedule(tmp_path, capsys):
     assert report["n"] == 2
     assert report["pulses"] == 15
     assert report["fidelity"] >= 1 - 1e-10
-    schedule = PulseSchedule.from_jsonl(sched_file.read_text(), n=2, pairs=2)
-    assert len(schedule.pulses) == 15
+    written = [json.loads(line) for line in sched_file.read_text().splitlines()]
+    schedule = compile_pair_schedule(2, AmplitudeProfile.constant(2), 0.4)
+    assert written == [pulse.to_json_dict() for pulse in schedule.pulses]
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dot-array pulses, schedule compilation, and end-to-end preparation."""
 
+import json
 import math
 import random
 
@@ -10,6 +11,7 @@ from loqc_ancilla import (
     BlockadeViolation,
     DotOutOfRange,
     InvalidCoefficient,
+    InvalidProfile,
     ShapeMismatch,
     SparseState,
     direct_oracle_pair,
@@ -332,26 +334,28 @@ def test_no_intermediate_double_occupancy():
             assert all(c <= 1 for c in occ)
 
 
-def test_schedule_jsonl_round_trip():
-    profile = AmplitudeProfile.from_values([0.2, 0.9, 0.5])
-    schedule = compile_pair_schedule(2, profile, intra_coefficient=0.1)
-    text = schedule.to_jsonl()
-    back = PulseSchedule.from_jsonl(text, n=2, pairs=2)
-    assert back.pulses == schedule.pulses
-    assert fidelity(execute(back), execute(schedule)) == pytest.approx(1.0, abs=1e-12)
+def test_pulse_kinds_write_their_json_dicts():
+    written = [
+        (Thermalize(), {"op": "thermalize", "args": []}),
+        (LoadFromReservoir(3), {"op": "load", "args": [3]}),
+        (RabiPulse(1, 0, 0.5, only_if=2), {"op": "rabi", "args": [1, 0, 0.5], "only_if": 2}),
+        (RabiPulse(1, 0, 0.5), {"op": "rabi", "args": [1, 0, 0.5]}),
+        (InteractionPhase(math.pi, 0.25), {"op": "interaction_phase", "args": [math.pi, 0.25]}),
+        (UGateCorrection((0.0, -0.125)), {"op": "u_gate_correction", "args": [[0.0, -0.125]]}),
+    ]
+    for pulse, data in written:
+        assert pulse.to_json_dict() == data
+    text = PulseSchedule(1, 2, tuple(pulse for pulse, _ in written)).to_jsonl()
+    assert text.endswith("\n")
+    assert [json.loads(line) for line in text.splitlines()] == [data for _, data in written]
 
 
-def test_pulse_kinds_serialize():
-    pulses = (
-        Thermalize(),
-        LoadFromReservoir(3),
-        RabiPulse(1, 0, 0.5, only_if=2),
-        InteractionPhase(math.pi, 0.25),
-        UGateCorrection((0.0, -0.125)),
-    )
-    text = PulseSchedule(1, 2, pulses).to_jsonl()
-    back = PulseSchedule.from_jsonl(text, 1, 2)
-    assert back.pulses == pulses
+@pytest.mark.parametrize("n, profile_n", [(3, 2), (2, 3)])
+def test_compilers_refuse_a_profile_for_another_n(n, profile_n):
+    profile = AmplitudeProfile.constant(profile_n)
+    for compile_for_n in (compile_schedule, compile_pair_schedule, prepare_pair):
+        with pytest.raises(InvalidProfile, match=f"profile is for n={profile_n}, requested n={n}"):
+            compile_for_n(n, profile)
 
 
 def test_load_refuses_partially_occupied_dot():

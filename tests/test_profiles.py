@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from loqc_ancilla import AmplitudeProfile, InvalidProfile, schedule_from_profile
+from loqc_ancilla import AmplitudeProfile, InvalidProfile, TransferSchedule, schedule_from_profile
 
 
 def test_profile_normalizes_on_construction():
@@ -80,3 +80,10 @@ def test_schedule_round_trip_reproduces_weights():
             implied = schedule.implied_weights()
             for got, want in zip(implied, profile.weights()):
                 assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_transfer_schedule_refuses_probabilities_outside_unit_interval():
+    assert TransferSchedule((0.0, 1.0)).probabilities == (0.0, 1.0)
+    for p in (math.nextafter(1.0, 2.0), -0.25, math.nan):
+        with pytest.raises(InvalidProfile):
+            TransferSchedule((p,))
