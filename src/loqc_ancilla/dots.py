@@ -283,9 +283,17 @@ def _register_pulses(n: int, probabilities: Sequence[float], offset: int) -> lis
 
 
 def compile_schedule(n: int, profile: AmplitudeProfile) -> PulseSchedule:
-    """Pulse program preparing one register pair; n^2 + n + 1 pulses."""
+    """Pulse program preparing one register pair; n^2 + n + 1 pulses.
+
+    The transfer probabilities come from f(j)^2, which drops signs, so a
+    profile with a negative weight is refused like a profile for another n.
+    """
     if profile.n != n:
         raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
+    if not profile.is_nonnegative:
+        raise InvalidProfile(
+            "the dot-array transfers only realize non-negative weights"
+        )
     pulses = _register_pulses(n, schedule_from_profile(profile).probabilities, 0)
     return PulseSchedule(n, 1, (Thermalize(), *pulses))
 

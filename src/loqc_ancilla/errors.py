@@ -55,12 +55,14 @@ class BlockadeViolation(AncillaError):
 
 
 class InfeasibleParameters(AncillaError):
-    """Monte Carlo parameters whose expected cost exceeds the guard.
+    """Parameters whose estimated cost exceeds a guard, refused up front.
 
-    Carries the analytically expected attempt count in ``analytic_mean`` so
-    callers can report it instead of sampling.
+    Carries the estimate in ``estimate``: the analytically expected attempt
+    count of a Monte Carlo retry loop, which callers can report instead of
+    sampling, or the bound on the measurement outcomes a teleport or CZ run
+    would enumerate.
     """
 
-    def __init__(self, message: str, analytic_mean: float):
+    def __init__(self, message: str, estimate: float):
         super().__init__(message)
-        self.analytic_mean = analytic_mean
+        self.estimate = estimate

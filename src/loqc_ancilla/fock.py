@@ -13,12 +13,20 @@ trusted ``_like``, which only prunes and refuses non-finite amplitudes.
 
 Global phase is deliberately never normalized away; state comparisons go
 through :func:`fidelity`, which is phase-insensitive.
+
+The one thing kept across calls is a memo of linear-transform expansions,
+keyed by (sub-occupation, matrix).  An expansion is a deterministic function
+of its key and is stored as tuples, so results never depend on what ran
+before.  The memo retains at most :data:`_MEMO_ENTRIES` expansions and
+:data:`_MEMO_PRODUCTS` expansion products in total, evicting in insertion
+order, and never stores a larger expansion.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -34,6 +42,21 @@ Occupation = tuple[int, ...]
 
 PRUNE_TOLERANCE = 1e-12  # amplitudes with a smaller modulus are dropped
 _PRUNE_PROBABILITY = PRUNE_TOLERANCE**2  # outcomes and norms at most this are zero
+
+# Bounds on the linear-transform expansions retained across calls, about
+# 2 MB in all.  An n=6 teleport's Fourier transform needs 14 entries and
+# 5 147 products, so repeated teleports up to n=6 expand nothing after the
+# first.  The n=8 set (72 929 products, about 17 MB) would add a quarter to
+# the peak memory of an n=8 teleport, so larger sets are kept only in part.
+# Entries of a few products cost several times their products' memory in
+# keys and matrices (about 0.7 kB each); the entry bound keeps a stream of
+# one-off beamsplitters, whose expansions are reused only within a gate,
+# to about 0.2 MB.
+_MEMO_PRODUCTS = 8_000
+_MEMO_ENTRIES = 256
+_memo: dict[tuple[Occupation, tuple], tuple[float, tuple]] = {}
+_memo_held = 0  # products in _memo
+_memo_lock = threading.Lock()
 
 
 class SparseState:
@@ -195,6 +218,7 @@ class SparseState:
         n_sub = len(mlist)
         if len(matrix) != n_sub or any(len(row) != n_sub for row in matrix):
             raise DimensionMismatch("matrix shape must match the mode list")
+        matrix = tuple(map(tuple, matrix))  # hashable: part of the memo key
 
         rest_modes = [m for m in range(self.modes) if m not in mset]
         sub_of, rest_of = _picker(mlist), _picker(rest_modes)
@@ -203,14 +227,14 @@ class SparseState:
         place = _picker([slot[m] for m in range(self.modes)])
 
         # Terms that share a sub-occupation share its expansion, so each
-        # distinct pattern is folded once per call.
-        expansions: dict[Occupation, tuple[float, list]] = {}
+        # distinct pattern is looked up once per call.
+        expansions: dict[Occupation, tuple[float, tuple]] = {}
         out: dict[Occupation, complex] = {}
         for occ, a in self.terms.items():
             sub = sub_of(occ)
             expansion = expansions.get(sub)
             if expansion is None:
-                expansion = expansions[sub] = _expand(sub, matrix)
+                expansion = expansions[sub] = _memo_expand(sub, matrix)
             root_in, products = expansion
             rest = rest_of(occ)
             base = a / root_in
@@ -374,9 +398,30 @@ def _picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: ()
 
 
+def _memo_expand(
+    sub: Occupation, matrix: tuple[tuple[complex, ...], ...]
+) -> tuple[float, tuple[tuple[Occupation, complex, float], ...]]:
+    """:func:`_expand` through the memo shared by every call."""
+    global _memo_held
+    key = (sub, matrix)
+    expansion = _memo.get(key)
+    if expansion is not None:
+        return expansion
+    expansion = _expand(sub, matrix)
+    size = len(expansion[1])
+    if size <= _MEMO_PRODUCTS:
+        with _memo_lock:
+            if key not in _memo:
+                while len(_memo) >= _MEMO_ENTRIES or _memo_held + size > _MEMO_PRODUCTS:
+                    _memo_held -= len(_memo.pop(next(iter(_memo)))[1])
+                _memo[key] = expansion
+                _memo_held += size
+    return expansion
+
+
 def _expand(
     sub: Occupation, matrix: Sequence[Sequence[complex]]
-) -> tuple[float, list[tuple[Occupation, complex, float]]]:
+) -> tuple[float, tuple[tuple[Occupation, complex, float], ...]]:
     """Expansion of one sub-occupation under a linear mode transform.
 
     Returns sqrt(prod sub!) and (output sub-occupation, coefficient,
@@ -408,7 +453,7 @@ def _expand(
             key.append(c)
             norm_out *= math.factorial(c)
         products.append((tuple(key), coeff, math.sqrt(norm_out)))
-    return math.sqrt(norm_in), products
+    return math.sqrt(norm_in), tuple(products)
 
 
 _QUARTER_TURNS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)

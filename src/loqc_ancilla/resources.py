@@ -89,7 +89,8 @@ def expected_attempts(
 
     Each attempt draws independent Bernoulli(p) outcomes gate by gate and
     aborts at the first failure.  Raises InfeasibleParameters (carrying the
-    analytic mean 1/p^G) when the expected attempt count exceeds the guard.
+    analytic mean 1/p^G as its estimate) when the expected attempt count
+    exceeds the guard.
     """
     if trials < 1:
         raise OutOfRange(f"need at least one trial, got {trials}")
@@ -100,7 +101,7 @@ def expected_attempts(
         raise InfeasibleParameters(
             f"expected {analytic:.3g} attempts exceeds the {ATTEMPTS_GUARD:.0e} "
             "sampling guard; use the analytic value",
-            analytic_mean=analytic,
+            estimate=analytic,
         )
     rng = random.Random(seed)
     samples = []

@@ -15,6 +15,9 @@ factor w^r f(k)/f(k-1), with r = sum_m m*c_m mod (n+1).  The correction is
 the phase 2 pi r/(n+1), plus pi where f(k) and f(k-1) have opposite signs
 (read off the ancilla's own amplitudes); for the constant profile the weight
 ratio is 1, so that phase restores the qubit exactly.
+
+Both routes enumerate every measurement outcome, so they refuse sizes whose
+outcome bound exceeds :data:`OUTCOMES_GUARD` before doing any work.
 """
 
 from __future__ import annotations
@@ -27,9 +30,14 @@ import operator
 import sys
 from dataclasses import dataclass
 
-from .errors import OutOfRange, ShapeMismatch
+from .errors import InfeasibleParameters, OutOfRange, ShapeMismatch
 from .fock import Occupation, SparseState, fidelity
 from .pipeline import pair_pattern, single_register_pattern
+
+# Measurement outcomes one call may enumerate.  It admits the CZ up to n=5
+# (about 5 s and 0.4 GB per call) and teleport up to n=10; the CZ at n=6 and
+# teleport from n=11 would run for minutes to hours.
+OUTCOMES_GUARD = 1e6
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,24 @@ def apply_qft(state: SparseState, modes: list[int]) -> SparseState:
     return state.apply_linear_transform(modes, qft_matrix(len(modes)))
 
 
+def outcome_estimate(n: int) -> int:
+    """Bound on the outcomes of one teleport's measurement: k photons over
+    the n+1 Fourier modes fall into C(n+k, k) patterns, for k = 0..n+1."""
+    return sum(math.comb(n + k, k) for k in range(n + 2))
+
+
+def _check_cost(n: int, sides: int) -> None:
+    """Refuse a run of ``sides`` simultaneous teleports whose outcome bound
+    exceeds the guard."""
+    estimate = outcome_estimate(n) ** sides
+    if estimate > OUTCOMES_GUARD:
+        raise InfeasibleParameters(
+            f"n={n} gives up to {estimate} measurement outcomes, past the "
+            f"{OUTCOMES_GUARD:.0e} guard",
+            estimate=estimate,
+        )
+
+
 def _ideal_residual(qubit: InputQubit, n: int, k: int) -> SparseState:
     """The qubit teleported to slot k (1-based) of the y register: its 0 and 1
     ride on the y halves of the register patterns of weights k and k-1, which
@@ -153,6 +179,7 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
         raise ShapeMismatch(
             f"ancilla has {ancilla.modes} modes, expected {2 * n} for n={n}"
         )
+    _check_cost(n, 1)
     state = qubit.state().tensor(ancilla)
     state = apply_qft(state, list(range(n + 1)))
     table = feedforward_table(n)
@@ -236,6 +263,7 @@ def cz_via_double_teleportation(
         raise ShapeMismatch(
             f"pair ancilla has {ancilla_pair.modes} modes, expected {4 * n} for n={n}"
         )
+    _check_cost(n, 2)
     # Modes [q, q', x, y, x', y']: each side mixes its qubit with its x
     # register, and the measurement leaves the residual on [y, y'].
     full = q.state().tensor(qp.state()).tensor(ancilla_pair)

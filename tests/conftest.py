@@ -16,7 +16,7 @@ import random
 import pytest
 
 import loqc_ancilla
-from loqc_ancilla import SparseState, pipeline
+from loqc_ancilla import SparseState, fock, pipeline
 
 # Child interpreters import the same package as this process, whether it is
 # installed or found through pytest's ``pythonpath`` setting.
@@ -73,6 +73,12 @@ def gate_calls(monkeypatch):
 
         monkeypatch.setattr(pipeline, name, counted)
     return calls
+
+
+def empty_memo(monkeypatch) -> None:
+    """Give ``fock`` an empty expansion memo; the shared one returns after the test."""
+    monkeypatch.setattr(fock, "_memo", {})
+    monkeypatch.setattr(fock, "_memo_held", 0)
 
 
 # ----------------------------------------------------------------------

@@ -233,4 +233,4 @@ def test_criterion_9_monte_carlo_attempts():
             assert abs(est.mean - analytic) <= 3 * est.standard_error
         with pytest.raises(InfeasibleParameters) as err:
             expected_attempts(3, PhaseMethod.PAIRWISE_GATES, 0.25, trials=10, seed=0)
-        assert err.value.analytic_mean == 4.0**13
+        assert err.value.estimate == 4.0**13

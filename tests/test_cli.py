@@ -6,13 +6,14 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 from loqc_ancilla.cli import main
-from loqc_ancilla import AmplitudeProfile
+from loqc_ancilla import AmplitudeProfile, fock
 from loqc_ancilla.dots import compile_pair_schedule
-from conftest import CHILD_ENV
+from conftest import CHILD_ENV, empty_memo
 
 
 def run_cli(argv, capsys):
@@ -250,6 +251,7 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         (["build", "--n", "1", "--format", "csv"], None),
         (["dots", "--n", "1", "--format", "csv"], None),
         (["build", "--n", "1", "--registers", "single", "--method", "oracle"], None),
+        (["dots", "--n", "3", "--profile", "{bad}"], '{"n": 3, "f": [0.3, 0.1, 0.7, -0.3]}'),
     ],
     ids=[
         "teleport-three-values",
@@ -284,6 +286,7 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         "build-format-flag",
         "dots-format-flag",
         "build-single-method",
+        "dots-signed-profile",
     ],
 )
 def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):
@@ -299,6 +302,49 @@ def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, estimate",
+    [(["teleport", "--n", "12"], "10400600"), (["czgate", "--n", "6"], "11778624")],
+    ids=["teleport-n12", "czgate-n6"],
+)
+def test_outcome_guard_refuses_large_sizes_at_once(argv, estimate, capsys):
+    # Unguarded, either run takes minutes to hours.
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and estimate in err
+
+
+def test_outcome_guard_admits_teleport_n8(tmp_path, capsys):
+    table = tmp_path / "n8.csv"
+    code, _, _ = run_cli(["teleport", "--n", "8", "--output", str(table)], capsys)
+    assert code == 0
+    _, rows = parse_csv(table.read_text())
+    assert 0 < len(rows) <= 48620  # outcome_estimate(8)
+    failed = sum(float(r[2]) for r in rows if r[3] == "failure")
+    assert failed == pytest.approx(1 / 9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["teleport", "--n", "4", "--input", "0.6,0.8", "--format", "json"],
+        ["czgate", "--n", "2", "--format", "json"],
+    ],
+    ids=["teleport", "czgate"],
+)
+def test_second_run_in_one_process_prints_the_same_bytes(argv, monkeypatch, capsys):
+    # The first run starts from an empty expansion memo, the second reuses it.
+    empty_memo(monkeypatch)
+    first = run_cli(argv, capsys)
+    assert fock._memo
+    second = run_cli(argv, capsys)
+    assert first[0] == 0
+    assert second == first
 
 
 def test_teleport_through_alternating_sign_profile(tmp_path, capsys):

@@ -358,6 +358,14 @@ def test_compilers_refuse_a_profile_for_another_n(n, profile_n):
             compile_for_n(n, profile)
 
 
+def test_compilers_refuse_a_signed_profile():
+    # The transfers realize f(j)^2 and would drop the sign of f(3).
+    profile = AmplitudeProfile.from_values([0.3, 0.1, 0.7, -0.3])
+    for compile_for_n in (compile_schedule, compile_pair_schedule, prepare_pair):
+        with pytest.raises(InvalidProfile, match="non-negative"):
+            compile_for_n(3, profile)
+
+
 def test_load_refuses_partially_occupied_dot():
     mixed = SparseState(2, {(1, 0): 0.6, (0, 0): 0.8})
     with pytest.raises(BlockadeViolation):

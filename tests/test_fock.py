@@ -3,24 +3,31 @@
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
 
 from loqc_ancilla import (
+    AmplitudeProfile,
     DimensionMismatch,
+    InputQubit,
     InvalidCoefficient,
     InvalidState,
     ModeOutOfRange,
     SparseState,
     ZeroState,
+    direct_oracle_single,
     fidelity,
 )
+from loqc_ancilla import fock
 from loqc_ancilla.fock import PRUNE_TOLERANCE
 from loqc_ancilla.teleport import qft_matrix
 from conftest import (
     assert_dense_unitary,
     beamsplitter_matrix,
     dense_two_mode_matrix,
+    empty_memo,
     poly_two_mode_image,
     random_state,
 )
@@ -376,6 +383,122 @@ def test_linear_transform_every_mode():
     rng = random.Random(10)
     s = random_state(rng, 3, 3, n_terms=6)
     assert_matches_reference(s, [2, 0, 1], random_matrix(rng, 3))
+
+
+# ----------------------------------------------------------------------
+# expansion memo
+# ----------------------------------------------------------------------
+
+
+def bits(state):
+    """Terms in dict order with the exact bits of each amplitude."""
+    return [(occ, a.real.hex(), a.imag.hex()) for occ, a in state.terms.items()]
+
+
+def assert_memo_within_bounds(entries, products):
+    assert len(fock._memo) <= entries
+    assert sum(len(p) for _, p in fock._memo.values()) == fock._memo_held <= products
+
+
+def test_memo_second_call_is_bit_identical(monkeypatch):
+    empty_memo(monkeypatch)
+    rng = random.Random(31)
+    qft_input = random_state(rng, 6, 4, n_terms=12)
+    split_input = random_state(rng, 3, 4, n_terms=8)
+    for run in (
+        lambda: qft_input.apply_linear_transform([4, 0, 2, 1, 5], qft_matrix(5)),
+        lambda: split_input.apply_beamsplitter(2, 0, 0.37),
+    ):
+        held = len(fock._memo)
+        cold = run()
+        assert len(fock._memo) > held  # the first call filled the memo
+        assert bits(run()) == bits(cold)
+
+
+def test_memo_entries_are_tuples(monkeypatch):
+    empty_memo(monkeypatch)
+    rng = random.Random(32)
+    random_state(rng, 4, 4, n_terms=10).apply_linear_transform(range(4), qft_matrix(4))
+    assert fock._memo
+    for (sub, matrix), (root_in, products) in fock._memo.items():
+        assert isinstance(matrix, tuple) and all(isinstance(row, tuple) for row in matrix)
+        assert isinstance(root_in, float)
+        assert isinstance(products, tuple)
+        assert all(isinstance(p, tuple) and isinstance(p[0], tuple) for p in products)
+
+
+def test_memo_bounds_hold_after_a_sweep_and_a_large_transform(monkeypatch):
+    empty_memo(monkeypatch)
+    rng = random.Random(33)
+    state = random_state(rng, 4, 4, n_terms=10)
+    for _ in range(500):
+        m1, m2 = rng.sample(range(4), 2)
+        state.apply_beamsplitter(m1, m2, rng.random())
+    assert len(fock._memo) == fock._MEMO_ENTRIES  # full: the sweep evicted
+    assert_memo_within_bounds(fock._MEMO_ENTRIES, fock._MEMO_PRODUCTS)
+    # An n=8 teleport's transform: 72 929 products over 18 sub-occupations;
+    # one photon in every Fourier input alone expands into C(17, 9) = 24 310,
+    # past the budget, so that entry is never stored.
+    teleport_input = InputQubit.plus().state().tensor(
+        direct_oracle_single(8, AmplitudeProfile.constant(8))
+    )
+    teleport_input.apply_linear_transform(range(9), qft_matrix(9))
+    assert_memo_within_bounds(fock._MEMO_ENTRIES, fock._MEMO_PRODUCTS)
+    assert ((1,) * 9, tuple(map(tuple, qft_matrix(9)))) not in fock._memo
+
+
+def test_memo_equal_matrices_of_other_types_give_identical_outputs(monkeypatch):
+    rng = random.Random(34)
+    state = random_state(rng, 3, 4, n_terms=8)
+    t, r = 0.6, 0.8
+    equal_sets = [
+        ([[1, 0], [0, 1]], [[1 + 0j, 0j], [0j, 1 + 0j]], [[complex(1, -0.0), 0j], [0j, 1.0]]),
+        (
+            [[t, 1j * r], [1j * r, t]],
+            [[complex(t, -0.0), complex(-0.0, r)], [complex(0.0, r), complex(t, 0.0)]],
+        ),
+    ]
+    for matrices in equal_sets:
+        cold = []
+        for matrix in matrices:
+            empty_memo(monkeypatch)
+            cold.append(bits(state.apply_linear_transform([0, 2], matrix)))
+        assert all(c == cold[0] for c in cold)
+        # Warm: every matrix after the first hits the first one's entries.
+        for matrix in matrices:
+            assert bits(state.apply_linear_transform([0, 2], matrix)) == cold[0]
+
+
+def test_memo_shared_by_threads_keeps_its_budget(monkeypatch):
+    # Small bounds force evictions while eight threads insert at once.
+    empty_memo(monkeypatch)
+    monkeypatch.setattr(fock, "_MEMO_ENTRIES", 8)
+    monkeypatch.setattr(fock, "_MEMO_PRODUCTS", 40)
+    rng = random.Random(35)
+    state = random_state(rng, 3, 4, n_terms=10)
+    jobs = [
+        [(rng.sample(range(3), 2), rng.choice((0.2, 0.5, rng.random()))) for _ in range(60)]
+        for _ in range(8)
+    ]
+    expected = [[bits(state.apply_beamsplitter(m1, m2, t)) for (m1, m2), t in job] for job in jobs]
+    results = [None] * len(jobs)
+
+    def work(i):
+        results[i] = [bits(state.apply_beamsplitter(m1, m2, t)) for (m1, m2), t in jobs[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+    assert_memo_within_bounds(8, 40)
 
 
 # ----------------------------------------------------------------------

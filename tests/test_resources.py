@@ -145,8 +145,8 @@ def test_attempts_thirteen_gates_p09():
 def test_attempts_infeasible_reports_analytic_value():
     with pytest.raises(InfeasibleParameters) as err:
         expected_attempts(3, PhaseMethod.PAIRWISE_GATES, 0.25, trials=10, seed=0)
-    assert err.value.analytic_mean == 1.0 / 0.25**13
-    assert err.value.analytic_mean == 4.0**13
+    assert err.value.estimate == 1.0 / 0.25**13
+    assert err.value.estimate == 4.0**13
 
 
 def test_attempts_trials_validation():

@@ -9,6 +9,7 @@ import pytest
 from loqc_ancilla import (
     AmplitudeProfile,
     Classification,
+    InfeasibleParameters,
     InputQubit,
     OutOfRange,
     ShapeMismatch,
@@ -21,7 +22,13 @@ from loqc_ancilla import (
     fidelity,
     teleport,
 )
-from loqc_ancilla.teleport import feedforward_table, qft_matrix, success_probability
+from loqc_ancilla.teleport import (
+    OUTCOMES_GUARD,
+    feedforward_table,
+    outcome_estimate,
+    qft_matrix,
+    success_probability,
+)
 from conftest import poly_two_mode_image, random_qubit, random_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -196,6 +203,28 @@ def test_feedforward_pure_phase_suffices(n):
         assert min(gap, 2 * math.pi - gap) <= 1e-12
         successes += 1
     assert successes  # at least one success outcome exists
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_outcome_estimate_bounds_the_teleport_outcomes(n):
+    ancilla = direct_oracle_single(n, AmplitudeProfile.constant(n))
+    assert len(teleport(InputQubit.plus(), ancilla, n)) <= outcome_estimate(n)
+    assert outcome_estimate(n) == math.comb(2 * n + 2, n + 1)
+
+
+def test_outcome_guard_sits_between_the_largest_admitted_sizes_and_the_next():
+    assert outcome_estimate(10) <= OUTCOMES_GUARD < outcome_estimate(11)
+    assert outcome_estimate(5) ** 2 <= OUTCOMES_GUARD < outcome_estimate(6) ** 2
+
+
+def test_outcome_guard_refuses_before_any_work():
+    with pytest.raises(InfeasibleParameters) as err:
+        teleport(InputQubit.plus(), direct_oracle_single(11, AmplitudeProfile.constant(11)), 11)
+    assert err.value.estimate == outcome_estimate(11) == 2704156
+    pair = direct_oracle_pair(6, AmplitudeProfile.constant(6))
+    with pytest.raises(InfeasibleParameters) as err:
+        cz_via_double_teleportation(InputQubit.plus(), InputQubit.plus(), pair, 6)
+    assert err.value.estimate == outcome_estimate(6) ** 2 == 11778624
 
 
 # ----------------------------------------------------------------------
