@@ -84,10 +84,7 @@ def _load_profile(source: str, n: int) -> AmplitudeProfile:
         return AmplitudeProfile.constant(n)
     if source == "delta":
         return AmplitudeProfile.delta(n)
-    profile = AmplitudeProfile.load(source)
-    if profile.n != n:
-        raise AncillaError(f"profile file is for n={profile.n}, requested n={n}")
-    return profile
+    return AmplitudeProfile.load(source)
 
 
 def _load_state(path: str) -> SparseState:

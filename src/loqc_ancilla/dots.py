@@ -15,8 +15,8 @@ carry the condition explicitly; on a branch-blind device the same pulses
 would be stopped by double-occupancy blockade on the no-transfer branch but
 would disturb branches frozen in earlier rounds).
 
-Double occupancy is forbidden throughout; execution checks it after every
-pulse.
+Double occupancy is forbidden throughout; :func:`execute` checks the state
+it is given once, and no pulse can create it.
 """
 
 from __future__ import annotations
@@ -285,15 +285,10 @@ def _register_pulses(n: int, probabilities: Sequence[float], offset: int) -> lis
 def compile_schedule(n: int, profile: AmplitudeProfile) -> PulseSchedule:
     """Pulse program preparing one register pair; n^2 + n + 1 pulses.
 
-    The transfer probabilities come from f(j)^2, which drops signs, so a
-    profile with a negative weight is refused like a profile for another n.
+    A signed profile is refused by :func:`schedule_from_profile`.
     """
     if profile.n != n:
         raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
-    if not profile.is_nonnegative:
-        raise InvalidProfile(
-            "the dot-array transfers only realize non-negative weights"
-        )
     pulses = _register_pulses(n, schedule_from_profile(profile).probabilities, 0)
     return PulseSchedule(n, 1, (Thermalize(), *pulses))
 
@@ -327,13 +322,21 @@ def scheduled_pulse_count(n: int, pairs: int = 1) -> int:
 
 
 def execute(schedule: PulseSchedule, state: SparseState | None = None) -> SparseState:
-    """Run a schedule, checking the occupancy invariant after every pulse."""
+    """Run a schedule from ``state`` (all dots empty when omitted).
+
+    A given state is checked once for double occupancy; no pulse creates it:
+    rabi moves a lone electron within its pair and refuses a doubly occupied
+    pair, a load fills only an empty dot, phases keep the keys, thermalize
+    resets.
+    """
     if state is None:
         state = SparseState.vacuum(schedule.dots)
-    if state.modes != schedule.dots:
+    elif state.modes != schedule.dots:
         raise ShapeMismatch(
             f"state has {state.modes} dots, schedule needs {schedule.dots}"
         )
+    else:
+        _check_binary(state)
     for pulse in schedule.pulses:
         if isinstance(pulse, Thermalize):
             state = SparseState.vacuum(state.modes)
@@ -349,7 +352,6 @@ def execute(schedule: PulseSchedule, state: SparseState | None = None) -> Sparse
             state = state.apply_basis_phase(_correction_phase(pulse.phases, schedule.n))
         else:
             raise ValueError(f"unknown pulse {pulse!r}")
-        _check_binary(state)
     return state
 
 

@@ -60,11 +60,6 @@ def build_single_register(n: int, profile: AmplitudeProfile) -> SparseState:
     """Prepare the single-register superposition over registers (x, y)."""
     if profile.n != n:
         raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
-    if not profile.is_nonnegative:
-        raise InvalidProfile(
-            "the transfer pipeline only realizes non-negative weights; "
-            "signed profiles are supported by the direct oracles"
-        )
     state = SparseState.basis(single_register_pattern(n, 0))
     return _run_transfers(state, n, schedule_from_profile(profile), 0)
 
@@ -100,7 +95,7 @@ def apply_entangling_phase(state: SparseState, method: PhaseMethod) -> SparseSta
     the helpers returned exactly to |000>.  DIRECT_ORACLE applies the
     diagonal phase in one shot.
     """
-    if state.modes % 4 != 0:
+    if state.modes == 0 or state.modes % 4 != 0:
         raise ShapeMismatch(f"{state.modes} modes is not a two-register-pair shape")
     n = state.modes // 4
     x_modes, xp_modes = range(n), range(2 * n, 3 * n)
@@ -148,10 +143,6 @@ def build_entangled_pair(
     """Full pipeline for the entangled two-register-pair ancilla state."""
     if profile.n != n:
         raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
-    if not profile.is_nonnegative:
-        raise InvalidProfile(
-            "the transfer pipeline only realizes non-negative weights"
-        )
     state = SparseState.basis(pair_pattern(n, 0, 0))
     schedule = schedule_from_profile(profile)
     state = _run_transfers(state, n, schedule, 0)

@@ -124,7 +124,15 @@ class TransferSchedule:
 
 
 def schedule_from_profile(profile: AmplitudeProfile) -> TransferSchedule:
-    """Tail-ratio recursion on the squared weights; 0/0 tails give P_k = 0."""
+    """Tail-ratio recursion on the squared weights; 0/0 tails give P_k = 0.
+
+    It sees only f(j)^2, so a profile with a negative weight is refused.
+    """
+    if not profile.is_nonnegative:
+        raise InvalidProfile(
+            "transfers only realize non-negative weights; "
+            "signed profiles are supported by the direct oracles"
+        )
     w = profile.weights()
     n = profile.n
     probs = []

@@ -151,14 +151,16 @@ def test_build_profile_file(tmp_path, capsys):
     assert fid >= 1 - 1e-10
 
 
-def test_profile_mismatch_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["build", "teleport", "czgate", "dots"])
+def test_profile_mismatch_is_usage_error(tmp_path, capsys, command):
     profile_file = tmp_path / "p.json"
     profile_file.write_text(json.dumps({"n": 3, "f": [1.0, 1.0, 1.0, 1.0]}))
-    code, _, err = run_cli(
-        ["build", "--n", "2", "--profile", str(profile_file)], capsys
+    code, out, err = run_cli(
+        [command, "--n", "2", "--profile", str(profile_file)], capsys
     )
     assert code == 2
-    assert "error:" in err
+    assert out == ""
+    assert "error: profile is for n=3, requested n=2" in err
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,12 @@ from loqc_ancilla import (
     InvalidProfile,
     ShapeMismatch,
     SparseState,
+    build_entangled_pair,
+    build_single_register,
     direct_oracle_pair,
     direct_oracle_single,
     fidelity,
+    schedule_from_profile,
 )
 from loqc_ancilla.dots import (
     InteractionPhase,
@@ -204,6 +207,41 @@ def test_execute_shape_check():
         execute(PulseSchedule(2, 1, ()), SparseState.vacuum(3))
 
 
+@pytest.mark.parametrize(
+    "pulses",
+    [(LoadFromReservoir(0),), (), (Thermalize(),)],
+    ids=["pulse-elsewhere", "empty", "thermalize-first"],
+)
+def test_execute_refuses_a_doubly_occupied_state(pulses):
+    with pytest.raises(BlockadeViolation):
+        execute(PulseSchedule(1, 1, pulses), SparseState.basis((0, 2)))
+
+
+def test_every_pulse_kind_keeps_single_occupancy():
+    # execute checks only the state it is given; this is why that suffices.
+    rng = random.Random(9090)
+    n, dots = 2, 8
+    for _ in range(50):
+        state = binary_random_state(rng, dots)
+        src, dst, gate = rng.sample(range(dots), 3)
+        theta = rng.uniform(0.0, math.pi / 2)
+        intra = rng.uniform(-1.0, 1.0)
+        empty = rng.randrange(dots)
+        emptied = {occ[:empty] + (0,) + occ[empty + 1 :] for occ in state.terms}
+        cases = [
+            (RabiPulse(src, dst, theta), state),
+            (RabiPulse(src, dst, theta, only_if=gate), state),
+            (LoadFromReservoir(empty), SparseState(dots, dict.fromkeys(emptied, 1.0))),
+            (InteractionPhase(math.pi, intra), state),
+            (UGateCorrection(u_gate_corrections(n, intra)), state),
+            (Thermalize(), state),
+        ]
+        for pulse, before in cases:
+            out = execute(PulseSchedule(n, 2, (pulse,)), before)
+            assert len(out) > 0
+            assert all(c <= 1 for occ in out.terms for c in occ), pulse
+
+
 def test_single_register_matches_rotated_oracle():
     # Derotating with emit_photons must land on the plain register state.
     rng = random.Random(12)
@@ -361,7 +399,14 @@ def test_compilers_refuse_a_profile_for_another_n(n, profile_n):
 def test_compilers_refuse_a_signed_profile():
     # The transfers realize f(j)^2 and would drop the sign of f(3).
     profile = AmplitudeProfile.from_values([0.3, 0.1, 0.7, -0.3])
-    for compile_for_n in (compile_schedule, compile_pair_schedule, prepare_pair):
+    for compile_for_n in (
+        compile_schedule,
+        compile_pair_schedule,
+        prepare_pair,
+        build_single_register,
+        build_entangled_pair,
+        lambda n, p: schedule_from_profile(p),
+    ):
         with pytest.raises(InvalidProfile, match="non-negative"):
             compile_for_n(3, profile)
 

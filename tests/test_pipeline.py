@@ -157,8 +157,11 @@ def test_phase_methods_agree(n):
 
 
 def test_entangling_phase_shape_check():
-    with pytest.raises(ShapeMismatch):
-        apply_entangling_phase(SparseState.vacuum(6), PhaseMethod.DIRECT_ORACLE)
+    # Zero modes divide by four too, but hold no register pair.
+    for modes in (6, 0):
+        for method in PhaseMethod:
+            with pytest.raises(ShapeMismatch):
+                apply_entangling_phase(SparseState.vacuum(modes), method)
 
 
 def test_zero_tail_profile_builds_correctly():
