@@ -230,7 +230,7 @@ def interaction_phase(
     With coupling_angle = pi, followed by the :func:`u_gate_corrections`
     table, the net factor per term is exactly (-1)^(j j').
     """
-    if state.modes % 4 != 0:
+    if state.modes == 0 or state.modes % 4 != 0:
         raise ShapeMismatch(f"{state.modes} dots is not a two-register-pair shape")
     n = state.modes // 4
 
@@ -282,14 +282,19 @@ def _register_pulses(n: int, probabilities: Sequence[float], offset: int) -> lis
     return pulses
 
 
+def _transfer_probabilities(n: int, profile: AmplitudeProfile) -> tuple[float, ...]:
+    """Per-round transfer probabilities of one register pair of n dots."""
+    if profile.n != n:
+        raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
+    return schedule_from_profile(profile).probabilities
+
+
 def compile_schedule(n: int, profile: AmplitudeProfile) -> PulseSchedule:
     """Pulse program preparing one register pair; n^2 + n + 1 pulses.
 
     A signed profile is refused by :func:`schedule_from_profile`.
     """
-    if profile.n != n:
-        raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
-    pulses = _register_pulses(n, schedule_from_profile(profile).probabilities, 0)
+    pulses = _register_pulses(n, _transfer_probabilities(n, profile), 0)
     return PulseSchedule(n, 1, (Thermalize(), *pulses))
 
 
@@ -308,11 +313,18 @@ def compile_pair_schedule(
             f"intra coefficient {intra_coefficient} gives intra-register phases "
             f"past 2**32 rad at n={n}"
         )
-    pulses = list(compile_schedule(n, profile).pulses)
-    pulses += _register_pulses(n, schedule_from_profile(profile).probabilities, 2 * n)
-    pulses.append(InteractionPhase(math.pi, intra_coefficient))
-    pulses.append(UGateCorrection(u_gate_corrections(n, intra_coefficient)))
-    return PulseSchedule(n, 2, tuple(pulses))
+    probabilities = _transfer_probabilities(n, profile)
+    return PulseSchedule(
+        n,
+        2,
+        (
+            Thermalize(),
+            *_register_pulses(n, probabilities, 0),
+            *_register_pulses(n, probabilities, 2 * n),
+            InteractionPhase(math.pi, intra_coefficient),
+            UGateCorrection(u_gate_corrections(n, intra_coefficient)),
+        ),
+    )
 
 
 def scheduled_pulse_count(n: int, pairs: int = 1) -> int:
@@ -344,8 +356,10 @@ def execute(schedule: PulseSchedule, state: SparseState | None = None) -> Sparse
             state = load_from_reservoir(state, pulse.dot)
         elif isinstance(pulse, RabiPulse):
             state = rabi(state, pulse.src, pulse.dst, pulse.theta, pulse.only_if)
-        elif isinstance(pulse, (InteractionPhase, UGateCorrection)) and schedule.pairs != 2:
-            raise ShapeMismatch(f"{pulse!r} needs two register pairs")
+        elif isinstance(pulse, (InteractionPhase, UGateCorrection)) and (
+            schedule.pairs != 2 or schedule.n < 1
+        ):
+            raise ShapeMismatch(f"{pulse!r} needs two non-empty register pairs")
         elif isinstance(pulse, InteractionPhase):
             state = interaction_phase(state, pulse.coupling_angle, pulse.intra_coefficient)
         elif isinstance(pulse, UGateCorrection):

@@ -10,6 +10,10 @@ of the term set.
 Keys and amplitudes are validated where data enters (the constructor,
 ``basis``, ``from_json_dict``); operations derive new states through the
 trusted ``_like``, which only prunes and refuses non-finite amplitudes.
+Two builds skip that amplitude scan and prune inline.  ``measure`` scales
+each residual amplitude a by 1/sqrt(p) with |a|^2 <= p, so every one stays
+within 1.  ``apply_phase`` multiplies by unit factors, one per distinct
+photon count, and a NaN phase is refused by looking at the phase once.
 
 Global phase is deliberately never normalized away; state comparisons go
 through :func:`fidelity`, which is phase-insensitive.
@@ -27,8 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -117,10 +120,10 @@ class SparseState:
         ``+ 0j`` maps -0.0 to +0.0 as the public constructor's sum does."""
         if not math.isfinite(sum(map(abs, terms.values()))):
             raise InvalidState("an operation produced a non-finite amplitude")
-        out = object.__new__(SparseState)
-        out.modes = self.modes if modes is None else modes
-        out.terms = {occ: a + 0j for occ, a in terms.items() if abs(a) >= PRUNE_TOLERANCE}
-        return out
+        return _state(
+            self.modes if modes is None else modes,
+            {occ: a + 0j for occ, a in terms.items() if abs(a) >= PRUNE_TOLERANCE},
+        )
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -170,10 +173,23 @@ class SparseState:
     def apply_phase(self, mode: int, phi: float) -> "SparseState":
         """Phase shifter: each term gains exp(i*phi*count(mode))."""
         self._check_mode(mode)
+        factors: dict[int, complex] = {}
         out: dict[Occupation, complex] = {}
         for occ, a in self.terms.items():
-            out[occ] = a * _cis(phi * occ[mode])
-        return self._like(out)
+            count = occ[mode]
+            factor = factors.get(count)
+            if factor is None:
+                factor = factors[count] = _cis(phi * count)
+            a *= factor
+            if abs(a) >= PRUNE_TOLERANCE:
+                out[occ] = a + 0j
+        # A NaN factor fails the prune and would vanish silently.  _cis gives
+        # NaN only for a NaN argument and raises for an infinite one, so with
+        # every factor made, a non-finite phi means a NaN factor; a finite
+        # amplitude times a finite unit factor stays finite.
+        if factors and not math.isfinite(phi):
+            raise InvalidState("an operation produced a non-finite amplitude")
+        return _state(self.modes, out)
 
     def apply_basis_phase(self, phase_fn: Callable[[Occupation], float]) -> "SparseState":
         """Diagonal unitary: each term gains exp(i*phase_fn(occ))."""
@@ -263,14 +279,15 @@ class SparseState:
         keep = [m for m in range(self.modes) if m not in mset]
         outcome_of, residual_of = _picker(mlist), _picker(keep)
 
+        # An occupation is its outcome plus its residual key, so each key
+        # lands in its bucket once.
         grouped: dict[Occupation, dict[Occupation, complex]] = {}
         for occ, a in self.terms.items():
             outcome = outcome_of(occ)
             bucket = grouped.get(outcome)
             if bucket is None:
                 bucket = grouped[outcome] = {}
-            residual_key = residual_of(occ)
-            bucket[residual_key] = bucket.get(residual_key, 0j) + a
+            bucket[residual_of(occ)] = a
 
         results: list[MeasurementOutcome] = []
         for outcome in sorted(grouped):
@@ -278,8 +295,16 @@ class SparseState:
             prob = sum(abs(a) ** 2 for a in bucket.values())
             if prob <= _PRUNE_PROBABILITY:
                 continue
+            # |a| * scale <= 1, so the residual needs no finiteness scan.
             scale = 1.0 / math.sqrt(prob)
-            residual = self._like({k: a * scale for k, a in bucket.items()}, len(keep))
+            residual = _state(
+                len(keep),
+                {
+                    k: b + 0j
+                    for k, a in bucket.items()
+                    if abs(b := a * scale) >= PRUNE_TOLERANCE
+                },
+            )
             results.append(MeasurementOutcome(outcome, prob, residual))
         return results
 
@@ -360,8 +385,7 @@ class SparseState:
         return cls(modes, terms)
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(NamedTuple):
     """One exhaustive-measurement branch."""
 
     counts: Occupation
@@ -383,6 +407,15 @@ def fidelity(a: SparseState, b: SparseState) -> float:
         if other is not None:
             overlap += amp.conjugate() * other
     return min(1.0, abs(overlap) ** 2)
+
+
+def _state(modes: int, terms: dict[Occupation, complex]) -> SparseState:
+    """State holding ``terms`` as given: keys, amplitudes and pruning are the
+    caller's to guarantee."""
+    out = object.__new__(SparseState)
+    out.modes = modes
+    out.terms = terms
+    return out
 
 
 def _picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:

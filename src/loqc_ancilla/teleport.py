@@ -29,6 +29,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InfeasibleParameters, OutOfRange, ShapeMismatch
 from .fock import Occupation, SparseState, fidelity
@@ -95,8 +96,7 @@ class Classification(enum.Enum):
     FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class TeleportOutcome:
+class TeleportOutcome(NamedTuple):
     """One enumerated measurement branch of a teleport run."""
 
     counts: Occupation
@@ -222,8 +222,7 @@ def success_probability(outcomes: list[TeleportOutcome]) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CzBranch:
+class CzBranch(NamedTuple):
     counts: Occupation  # side-1 then side-2 measured counts
     k: int
     kp: int

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import re
@@ -347,6 +348,49 @@ def test_second_run_in_one_process_prints_the_same_bytes(argv, monkeypatch, caps
     second = run_cli(argv, capsys)
     assert first[0] == 0
     assert second == first
+
+
+# sha256 of each command's output, pinned so that no change to the kernel,
+# the measurement or the corrections moves a printed digit unnoticed.
+PINNED_OUTPUTS = [
+    (
+        ["teleport", "--n", "4", "--input=0.3,0.1,-0.5,0.2", "--format", "json"],
+        0,
+        "42b800d1510f9788c5789e117672987e9106af1243f99b397e74291be4091d51",
+        "failure_probability=0.19999999999999998\n",
+    ),
+    (
+        ["czgate", "--n", "2", "--format", "json"],
+        0,
+        "4d017c5d9acb03f19cae93a6329835773b6d2ac6c0c97e3036fb6098d53dffae",
+        "",
+    ),
+    (
+        ["czgate", "--n", "3", "--format", "csv"],
+        0,
+        "9ffdf1622a8be4cad6e5f872a6e65178d4f4602125411ce85f4dbed12ad4c916",
+        "",
+    ),
+    (
+        ["czgate", "--n", "2", "--profile", "delta", "--format", "json"],
+        1,
+        "413d0f61da54aa268aaf4350cc63c103e3f52d589567dbf5208147b7d7e73946",
+        "",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest, err",
+    PINNED_OUTPUTS,
+    ids=["teleport-n4-json", "czgate-n2-json", "czgate-n3-csv", "czgate-n2-delta-json"],
+)
+def test_output_bytes_are_pinned(argv, code, digest, err, tmp_path, capsys):
+    got = run_cli(argv, capsys)
+    assert (got[0], hashlib.sha256(got[1].encode()).hexdigest(), got[2]) == (code, digest, err)
+    path = tmp_path / "out"
+    assert run_cli(argv + ["--output", str(path)], capsys) == (code, "", err)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_teleport_through_alternating_sign_profile(tmp_path, capsys):

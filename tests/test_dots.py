@@ -1,5 +1,6 @@
 """Dot-array pulses, schedule compilation, and end-to-end preparation."""
 
+import hashlib
 import json
 import math
 import random
@@ -300,6 +301,41 @@ def test_interaction_phase_shape_check():
     for pulse in (InteractionPhase(math.pi, 0.0), UGateCorrection((0.0, 0.0, 0.0))):
         with pytest.raises(ShapeMismatch):
             execute(PulseSchedule(2, 1, (pulse,)), SparseState.vacuum(4))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: interaction_phase(SparseState.vacuum(0), math.pi, 0.0),
+        lambda: execute(PulseSchedule(0, 2, (InteractionPhase(math.pi, 0.0),))),
+        lambda: execute(PulseSchedule(0, 2, (UGateCorrection((0.0,)),))),
+    ],
+    ids=["interaction_phase", "execute-interaction", "execute-u-gate"],
+)
+def test_zero_dot_pair_is_refused(run):
+    # 0 is a multiple of 4, but no register pair has zero dots.
+    with pytest.raises(ShapeMismatch):
+        run()
+
+
+def test_pair_schedule_builds_the_transfer_schedule_once(monkeypatch):
+    from loqc_ancilla import dots
+
+    calls = []
+
+    def counted(profile):
+        calls.append(profile)
+        return schedule_from_profile(profile)
+
+    monkeypatch.setattr(dots, "schedule_from_profile", counted)
+    n = 6
+    profile = AmplitudeProfile.from_values([0.3, 1.0, 0.2, 0.7, 0.05, 0.9, 0.4])
+    schedule = compile_pair_schedule(n, profile, 0.3)
+    assert calls == [profile]
+    # Digest of the schedule as compiled when each pair built its own
+    # transfer schedule.
+    digest = hashlib.sha256(schedule.to_jsonl().encode()).hexdigest()
+    assert digest == "446305a579387edee0b84bc5d6b034c5b04c79feac4e203796aaf52ee52bf40a"
 
 
 def test_intra_coefficient_bound():

@@ -591,6 +591,129 @@ def test_measure_matches_reference(modes):
 
 
 # ----------------------------------------------------------------------
+# fast paths against their earlier bodies, bit for bit
+# ----------------------------------------------------------------------
+
+
+def reference_measure_body(state, modes):
+    """``measure`` as it was before it stored each key once and built the
+    residual without ``_like``: kept as the oracle of the fast path."""
+    mlist = list(modes)
+    keep = [m for m in range(state.modes) if m not in set(mlist)]
+    outcome_of, residual_of = fock._picker(mlist), fock._picker(keep)
+    grouped = {}
+    for occ, a in state.terms.items():
+        outcome = outcome_of(occ)
+        bucket = grouped.get(outcome)
+        if bucket is None:
+            bucket = grouped[outcome] = {}
+        residual_key = residual_of(occ)
+        bucket[residual_key] = bucket.get(residual_key, 0j) + a
+    results = []
+    for outcome in sorted(grouped):
+        bucket = grouped[outcome]
+        prob = sum(abs(a) ** 2 for a in bucket.values())
+        if prob <= PRUNE_TOLERANCE**2:
+            continue
+        scale = 1.0 / math.sqrt(prob)
+        residual = state._like({k: a * scale for k, a in bucket.items()}, len(keep))
+        results.append((outcome, prob, residual))
+    return results
+
+
+def reference_phase_body(state, mode, phi):
+    """``apply_phase`` as it was before it made one factor per count."""
+    state._check_mode(mode)
+    out = {}
+    for occ, a in state.terms.items():
+        out[occ] = a * fock._cis(phi * occ[mode])
+    return state._like(out)
+
+
+def exact_terms(state):
+    """Modes, then every term in dict order with the repr of its amplitude,
+    so signed zeros and the last bit count."""
+    return state.modes, [(occ, repr(a)) for occ, a in state.terms.items()]
+
+
+def signed_zero_state(rng, modes, max_photons):
+    """Random state whose amplitudes carry -0.0 and +0.0 parts.  The
+    constructor maps -0.0 to +0.0, so the terms are set directly."""
+    state = random_state(rng, modes, max_photons, n_terms=8)
+    state.terms = {
+        occ: complex(rng.choice((a.real, -0.0, 0.0)), rng.choice((-0.0, 0.0, a.imag)))
+        if abs(a.real) > 0.1 and abs(a.imag) > 0.1
+        else a
+        for occ, a in state.terms.items()
+    }
+    return state
+
+
+def fast_path_inputs():
+    rng = random.Random(2024)
+    states = [signed_zero_state(rng, rng.randint(2, 5), 4) for _ in range(40)]
+    states += [random_state(rng, rng.randint(1, 4), 5, n_terms=10) for _ in range(20)]
+    states.append(SparseState(3))
+    return rng, states
+
+
+def test_fast_path_inputs_cover_the_edge_cases():
+    _, states = fast_path_inputs()
+    parts = [[x for a in s.terms.values() for x in (a.real, a.imag)] for s in states]
+    negative_zeros = [p for p in parts if any(x == 0 and math.copysign(1.0, x) < 0 for x in p)]
+    assert len(negative_zeros) >= 10
+    assert any(max(occ) >= 2 for s in states for occ in s.terms)
+
+
+def test_measure_fast_path_is_bit_identical_to_reference():
+    rng, states = fast_path_inputs()
+    # Unnormalized: the outcome (0,) has norm^2 4, so its 1.5e-12 term
+    # rescales to 7.5e-13 and is pruned from the residual.
+    unnormalized = SparseState(2, {(0, 0): 2.0, (0, 1): 1.5e-12, (1, 0): 0.5j})
+    assert len(unnormalized.measure([0])[0].residual) == 1
+    # An outcome of norm^2 exactly PRUNE_TOLERANCE^2 is dropped: no outcomes.
+    faint = SparseState(2, {(0, 1): PRUNE_TOLERANCE})
+    assert faint.measure([1]) == []
+    for state in states + [unnormalized, faint]:
+        for size in range(1, state.modes + 1):
+            modes = rng.sample(range(state.modes), size)
+            got = state.measure(modes)
+            want = reference_measure_body(state, modes)
+            assert [(o.counts, repr(o.probability)) for o in got] == [
+                (counts, repr(prob)) for counts, prob, _ in want
+            ]
+            for o, (_, _, residual) in zip(got, want):
+                assert exact_terms(o.residual) == exact_terms(residual)
+
+
+def test_phase_fast_path_is_bit_identical_to_reference():
+    rng, states = fast_path_inputs()
+    phases = [0.0, math.pi, -math.pi / 2, 0.3, 2.3, 1e17, math.pi * 2**18]
+    for state in states:
+        for mode in range(state.modes):
+            for phi in phases + [rng.uniform(-10.0, 10.0)]:
+                got = state.apply_phase(mode, phi)
+                assert exact_terms(got) == exact_terms(reference_phase_body(state, mode, phi))
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize(
+    "terms",
+    [{}, {(0, 1): 1.0}, {(1, 0): 1.0}, {(0, 1): 0.6, (1, 0): 0.8}, {(2, 0): 0.6, (0, 0): 0.8}],
+    ids=["empty", "count-0", "count-1", "mixed", "count-2-first"],
+)
+def test_phase_fast_path_refuses_as_reference_does(terms, phi):
+    state = SparseState(2, terms)
+    try:
+        want = exact_terms(reference_phase_body(state, 0, phi))
+    except (InvalidState, InvalidCoefficient) as exc:
+        with pytest.raises(type(exc)):
+            state.apply_phase(0, phi)
+    else:
+        assert exact_terms(state.apply_phase(0, phi)) == want
+
+
+# ----------------------------------------------------------------------
 # diagonal basis phases
 # ----------------------------------------------------------------------
 

@@ -370,3 +370,23 @@ def test_cz_without_failing_branches_reports_zero_failure():
             assert result.success_probability + result.failure_probability == pytest.approx(
                 1.0, abs=1e-9
             )
+
+
+def test_outcome_records_are_named_tuples():
+    n = 2
+    profile = AmplitudeProfile.constant(n)
+    outcome = teleport(InputQubit.plus(), direct_oracle_single(n, profile), n)[0]
+    cz = cz_via_double_teleportation(
+        InputQubit.plus(), InputQubit.one(), direct_oracle_pair(n, profile), n
+    )
+    measured = SparseState.basis((1, 0)).measure([0])[0]
+    for record, fields in [
+        (measured, ("counts", "probability", "residual")),
+        (outcome, ("counts", "k", "probability", "classification", "output_state", "fidelity")),
+        (cz.branches[0], ("counts", "k", "kp", "probability", "fidelity")),
+    ]:
+        assert record._fields == fields
+        assert tuple(record) == tuple(getattr(record, f) for f in fields)
+        assert repr(record).startswith(f"{type(record).__name__}(counts={record.counts!r}, ")
+        with pytest.raises(AttributeError):
+            record.counts = ()
