@@ -12,8 +12,8 @@ Keys and amplitudes are validated where data enters (the constructor,
 trusted ``_like``, which only prunes and refuses non-finite amplitudes.
 Two builds skip that amplitude scan and prune inline.  ``measure`` scales
 each residual amplitude a by 1/sqrt(p) with |a|^2 <= p, so every one stays
-within 1.  ``apply_phase`` multiplies by unit factors, one per distinct
-photon count, and a NaN phase is refused by looking at the phase once.
+within 1.  ``apply_phase`` multiplies by unit factors, and a NaN phase is
+refused by looking at the phase once.
 
 Global phase is deliberately never normalized away; state comparisons go
 through :func:`fidelity`, which is phase-insensitive.
@@ -117,7 +117,11 @@ class SparseState:
         """Trusted constructor: keys are taken as valid for ``modes`` (default:
         this state's) and amplitudes are only pruned.  A NaN fails the prune's
         comparison and would vanish silently, hence the finiteness check;
-        ``+ 0j`` maps -0.0 to +0.0 as the public constructor's sum does."""
+        ``+ 0j`` maps -0.0 to +0.0 as the public constructor's sum does.
+
+        ``measure`` and ``apply_phase`` write this prune inline, because a
+        helper call per residual costs a teleport about a tenth of its time;
+        the fast-path tests in ``test_fock`` hold both copies to this one."""
         if not math.isfinite(sum(map(abs, terms.values()))):
             raise InvalidState("an operation produced a non-finite amplitude")
         return _state(
@@ -173,21 +177,16 @@ class SparseState:
     def apply_phase(self, mode: int, phi: float) -> "SparseState":
         """Phase shifter: each term gains exp(i*phi*count(mode))."""
         self._check_mode(mode)
-        factors: dict[int, complex] = {}
         out: dict[Occupation, complex] = {}
         for occ, a in self.terms.items():
-            count = occ[mode]
-            factor = factors.get(count)
-            if factor is None:
-                factor = factors[count] = _cis(phi * count)
-            a *= factor
+            a *= _cis(phi * occ[mode])
             if abs(a) >= PRUNE_TOLERANCE:
                 out[occ] = a + 0j
         # A NaN factor fails the prune and would vanish silently.  _cis gives
         # NaN only for a NaN argument and raises for an infinite one, so with
         # every factor made, a non-finite phi means a NaN factor; a finite
         # amplitude times a finite unit factor stays finite.
-        if factors and not math.isfinite(phi):
+        if self.terms and not math.isfinite(phi):
             raise InvalidState("an operation produced a non-finite amplitude")
         return _state(self.modes, out)
 

@@ -622,7 +622,7 @@ def reference_measure_body(state, modes):
 
 
 def reference_phase_body(state, mode, phi):
-    """``apply_phase`` as it was before it made one factor per count."""
+    """``apply_phase`` as it was before it skipped ``_like``."""
     state._check_mode(mode)
     out = {}
     for occ, a in state.terms.items():
