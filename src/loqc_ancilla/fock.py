@@ -13,7 +13,14 @@ trusted ``_like``, which only prunes and refuses non-finite amplitudes.
 Two builds skip that amplitude scan and prune inline.  ``measure`` scales
 each residual amplitude a by 1/sqrt(p) with |a|^2 <= p, so every one stays
 within 1.  ``apply_phase`` multiplies by unit factors, and a NaN phase is
-refused by looking at the phase once.
+refused by looking at the phase once.  Three gate builds skip both the scan
+and the prune: ``gates.controlled_sign`` and the gated
+``gates.conditional_transfer`` negate amplitudes, and the occupancy flip
+behind ``cnot_logical`` and ``toffoli_logical`` moves them to distinct keys.
+An input state is already pruned and finite, and none of the three changes a
+modulus, so there is nothing to drop or refuse.  No stored amplitude has a
+-0.0 part, since every build adds ``+ 0j``; a negation writes ``-a + 0j`` to
+keep it so.
 
 Global phase is deliberately never normalized away; state comparisons go
 through :func:`fidelity`, which is phase-insensitive.
@@ -267,7 +274,8 @@ class SparseState:
 
         Returns every outcome with its probability and the normalized
         residual state over the remaining modes (measured modes removed).
-        Probabilities sum to 1 for a normalized input.
+        Probabilities sum to 1 for a normalized input.  An outcome whose
+        norm^2 exceeds the float range raises InvalidState.
         """
         mlist = [int(m) for m in modes]
         for m in mlist:
@@ -291,7 +299,12 @@ class SparseState:
         results: list[MeasurementOutcome] = []
         for outcome in sorted(grouped):
             bucket = grouped[outcome]
-            prob = sum(abs(a) ** 2 for a in bucket.values())
+            try:
+                prob = sum(abs(a) ** 2 for a in bucket.values())
+            except OverflowError:  # a modulus squared past the float range
+                prob = math.inf
+            if prob == math.inf:
+                raise InvalidState(f"outcome {outcome} has a norm^2 past the float range")
             if prob <= _PRUNE_PROBABILITY:
                 continue
             # |a| * scale <= 1, so the residual needs no finiteness scan.
@@ -492,8 +505,9 @@ _QUARTER_TURNS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 def _cis(phi: float) -> complex:
-    # Exact values at integer multiples of pi/2 keep sign gates, the
-    # canonical fixups and pi * count phases free of 1e-16 junk.  A small
+    # Exact values at integer multiples of pi/2 keep the canonical fixups
+    # and pi * count phases free of 1e-16 junk up to count 10; math.pi * 11
+    # and some larger products do not divide back to an integer.  A small
     # float whose quotient by pi/2 rounds to an integer lies within an ulp
     # of that multiple, so the lookup is as accurate as cos/sin of the float
     # itself.  The bound keeps large phases out: every float past ~1.4e16

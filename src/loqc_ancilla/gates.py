@@ -12,6 +12,12 @@ Both beamsplitters are the 2 x 2 case of the one linear-transform kernel.
 A gated transfer is the same gadget with its internal phase chosen per term
 by a controlled sign: 0 where the control mode is occupied, pi where it is
 empty.
+
+Controlled signs and occupancy flips are exact per-term conditions, with no
+float phase: a sign negates the amplitudes of the terms that meet its
+condition, and a flip relabels their keys.  Neither changes a modulus, and a
+0 <-> 1 flip maps distinct keys to distinct keys, so their results need
+neither the prune nor the finiteness scan of ``SparseState._like``.
 """
 
 from __future__ import annotations
@@ -20,9 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModeOutOfRange, NonBinaryTarget, OutOfRange
-from .fock import Occupation, SparseState
-
-PHASE_OFF = math.pi  # inhibits the transfer: photon stays in the source
+from .fock import Occupation, SparseState, _picker, _state
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,15 @@ def conditional_transfer(
     if control in (src, dst):
         raise ModeOutOfRange("control mode must differ from source and destination")
     out = state.apply_beamsplitter(src, dst, setting.t)
-    out = out.apply_basis_phase(lambda occ: 0.0 if occ[control] else PHASE_OFF * occ[src])
+    # Internal phase pi per src photon where the control is empty: a sign on
+    # odd counts, which inhibits the transfer.
+    out = _state(
+        out.modes,
+        {
+            occ: -a + 0j if not occ[control] and occ[src] & 1 else a
+            for occ, a in out.terms.items()
+        },
+    )
     return _fixup(out.apply_beamsplitter(src, dst, setting.t), src, dst)
 
 
@@ -114,13 +126,11 @@ def controlled_sign(
         state._check_mode(m)
     if target_mode in controls:
         raise ModeOutOfRange("target must be disjoint from the controls")
-
-    def phase(occ: Occupation) -> float:
-        if occ[target_mode] >= 1 and all(occ[m] >= 1 for m in controls):
-            return math.pi
-        return 0.0
-
-    return state.apply_basis_phase(phase)
+    counts = _picker(controls + [target_mode])
+    return _state(
+        state.modes,
+        {occ: a if 0 in counts(occ) else -a + 0j for occ, a in state.terms.items()},
+    )
 
 
 def _flip(state: SparseState, controls: tuple[int, ...], target_mode: int) -> SparseState:
@@ -134,18 +144,17 @@ def _flip(state: SparseState, controls: tuple[int, ...], target_mode: int) -> Sp
         state._check_mode(m)
     if len(set(modes)) != len(modes):
         raise ModeOutOfRange("controls and target must be distinct modes")
+    counts = _picker(controls)
+    after = target_mode + 1
     terms: dict[Occupation, complex] = {}
     for occ, a in state.terms.items():
-        if occ[target_mode] > 1:
-            raise NonBinaryTarget(
-                f"target mode {target_mode} holds {occ[target_mode]} photons"
-            )
-        if all(occ[m] for m in controls):
-            new = list(occ)
-            new[target_mode] = 1 - new[target_mode]
-            occ = tuple(new)
-        terms[occ] = terms.get(occ, 0j) + a
-    return state._like(terms)
+        held = occ[target_mode]
+        if held > 1:
+            raise NonBinaryTarget(f"target mode {target_mode} holds {held} photons")
+        if 0 not in counts(occ):
+            occ = occ[:target_mode] + (1 - held,) + occ[after:]
+        terms[occ] = a
+    return _state(state.modes, terms)
 
 
 def cnot_logical(state: SparseState, control_mode: int, target_mode: int) -> SparseState:

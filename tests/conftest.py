@@ -44,6 +44,12 @@ def random_state(rng: random.Random, modes: int, max_photons: int, n_terms: int 
     return SparseState(modes, terms).normalized()
 
 
+def exact_terms(state):
+    """Modes, then every term in dict order with the repr of its amplitude,
+    so signed zeros and the last bit count."""
+    return state.modes, [(occ, repr(a)) for occ, a in state.terms.items()]
+
+
 def random_qubit(rng: random.Random):
     from loqc_ancilla import InputQubit
 

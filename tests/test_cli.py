@@ -393,6 +393,51 @@ def test_output_bytes_are_pinned(argv, code, digest, err, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# sha256 of built states, pinned so that no change to the transfers, the
+# controlled signs or the occupancy flips moves a printed digit unnoticed.
+# "{profile}" stands for a file holding PROFILE_N4.
+PROFILE_N4 = '{"n": 4, "f": [0.3, 0.5, 0.7, 0.2, 0.4]}'
+PAIR_N4 = "81c4107614f6d8870e26474293093c4ae5d2dd84d7661a1d76587d278638580e"
+PINNED_BUILDS = [
+    (
+        ["--n", "4", "--method", "pairwise"],
+        PAIR_N4,
+        "n=4 registers=pair method=pairwise terms=25 fidelity=0.9999999999999987\n",
+    ),
+    (
+        ["--n", "4", "--method", "parity"],
+        PAIR_N4,
+        "n=4 registers=pair method=parity terms=25 fidelity=0.9999999999999987\n",
+    ),
+    (
+        ["--n", "4", "--registers", "single"],
+        "9080aff340b3daae97b238166ed025fe72844248820565ec2d262b1714deaaa1",
+        "n=4 registers=single terms=5 fidelity=0.9999999999999998\n",
+    ),
+    (
+        ["--n", "4", "--method", "parity", "--profile", "{profile}"],
+        "74188a78a4d98feb436b1f41e7fad0042022c073819cd9eca8dedc58510b8196",
+        "n=4 registers=pair method=parity terms=25 fidelity=1.0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest, err",
+    PINNED_BUILDS,
+    ids=["pairwise-n4", "parity-n4", "single-n4", "parity-n4-profile-file"],
+)
+def test_build_bytes_are_pinned(args, digest, err, tmp_path, capsys):
+    profile = tmp_path / "profile.json"
+    profile.write_text(PROFILE_N4)
+    argv = ["build"] + [str(profile) if a == "{profile}" else a for a in args]
+    got = run_cli(argv, capsys)
+    assert (got[0], hashlib.sha256(got[1].encode()).hexdigest(), got[2]) == (0, digest, err)
+    path = tmp_path / "out"
+    assert run_cli(argv + ["--output", str(path)], capsys) == (0, "", err)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_teleport_through_alternating_sign_profile(tmp_path, capsys):
     # f(k)/f(k-1) < 0 at every k: the feedforward must add the pi.
     profile = tmp_path / "alternating.json"

@@ -28,6 +28,7 @@ from conftest import (
     beamsplitter_matrix,
     dense_two_mode_matrix,
     empty_memo,
+    exact_terms,
     poly_two_mode_image,
     random_state,
 )
@@ -590,6 +591,24 @@ def test_measure_matches_reference(modes):
             assert o.residual.terms[key] == pytest.approx(amp, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [{(0, 0): 1e200, (0, 1): 1.0}, {(0, 0): 1e154, (0, 1): 1e154, (1, 0): 1.0}],
+    ids=["square-overflows", "sum-overflows"],
+)
+def test_measure_refuses_an_outcome_past_the_float_range(terms):
+    # Every amplitude is finite, but outcome (0,) has norm^2 past the float
+    # range: 1e200 squared overflows, 1e154 squared twice sums to inf.
+    with pytest.raises(InvalidState, match=r"outcome \(0,\) has a norm\^2 past the float range"):
+        SparseState(2, terms).measure([0])
+
+
+def test_measure_keeps_outcomes_inside_the_float_range():
+    (low, high) = SparseState(2, {(0, 0): 1e153, (0, 1): 1e153, (1, 0): 1.0}).measure([0])
+    assert low.probability == 2e306 and len(low.residual) == 2
+    assert high.probability == 1.0
+
+
 # ----------------------------------------------------------------------
 # fast paths against their earlier bodies, bit for bit
 # ----------------------------------------------------------------------
@@ -628,12 +647,6 @@ def reference_phase_body(state, mode, phi):
     for occ, a in state.terms.items():
         out[occ] = a * fock._cis(phi * occ[mode])
     return state._like(out)
-
-
-def exact_terms(state):
-    """Modes, then every term in dict order with the repr of its amplitude,
-    so signed zeros and the last bit count."""
-    return state.modes, [(occ, repr(a)) for occ, a in state.terms.items()]
 
 
 def signed_zero_state(rng, modes, max_photons):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from loqc_ancilla import (
+    AncillaError,
     ModeOutOfRange,
     NonBinaryTarget,
     OutOfRange,
@@ -19,7 +20,8 @@ from loqc_ancilla import (
     transfer_gadget,
     transmission_for_probability,
 )
-from conftest import random_state
+from loqc_ancilla import gates
+from conftest import exact_terms, random_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -221,3 +223,148 @@ def test_conditional_transfer_control_must_be_distinct():
         conditional_transfer(s, 1, 2, setting, control=1)
     with pytest.raises(ModeOutOfRange):
         conditional_transfer(s, 1, 2, setting, control=2)
+
+
+# ----------------------------------------------------------------------
+# exact per-term conditions against the earlier phase-based bodies
+# ----------------------------------------------------------------------
+
+
+def reference_controlled_sign(state, control_modes, target_mode):
+    """``controlled_sign`` as it was, a pi phase through ``apply_basis_phase``:
+    kept as the oracle of the exact sign."""
+    controls = sorted(int(m) for m in control_modes)
+    for m in controls + [target_mode]:
+        state._check_mode(m)
+    if target_mode in controls:
+        raise ModeOutOfRange("target must be disjoint from the controls")
+
+    def phase(occ):
+        if occ[target_mode] >= 1 and all(occ[m] >= 1 for m in controls):
+            return math.pi
+        return 0.0
+
+    return state.apply_basis_phase(phase)
+
+
+def reference_flip(state, controls, target_mode):
+    """``gates._flip`` as it was, summing into a fresh dict through ``_like``."""
+    modes = controls + (target_mode,)
+    for m in modes:
+        state._check_mode(m)
+    if len(set(modes)) != len(modes):
+        raise ModeOutOfRange("controls and target must be distinct modes")
+    terms = {}
+    for occ, a in state.terms.items():
+        if occ[target_mode] > 1:
+            raise NonBinaryTarget(f"target mode {target_mode} holds {occ[target_mode]} photons")
+        if all(occ[m] for m in controls):
+            new = list(occ)
+            new[target_mode] = 1 - new[target_mode]
+            occ = tuple(new)
+        terms[occ] = terms.get(occ, 0j) + a
+    return state._like(terms)
+
+
+def reference_gated_transfer(state, src, dst, setting, control):
+    """Gated ``conditional_transfer`` as it was, its internal phase a
+    ``pi * count(src)`` phase through ``apply_basis_phase``."""
+    state._check_mode(control)
+    if control in (src, dst):
+        raise ModeOutOfRange("control mode must differ from source and destination")
+    out = state.apply_beamsplitter(src, dst, setting.t)
+    out = out.apply_basis_phase(lambda occ: 0.0 if occ[control] else math.pi * occ[src])
+    return gates._fixup(out.apply_beamsplitter(src, dst, setting.t), src, dst)
+
+
+def result_of(fn, *args):
+    """Every term of the result bit for bit, or the refusal's type and message."""
+    try:
+        return exact_terms(fn(*args))
+    except AncillaError as exc:
+        return type(exc), str(exc)
+
+
+def unnormalized_states(seed, count, target=None):
+    """Random unnormalized states of 4 to 6 modes with counts up to 3 (at most
+    1 on ``target``), and one empty state; some amplitudes have a zero real
+    or imaginary part."""
+    rng = random.Random(seed)
+    states = []
+    for _ in range(count):
+        modes = rng.randint(4, 6)
+        terms = {}
+        for _ in range(rng.randint(1, 24)):
+            occ = [rng.randint(0, 3) for _ in range(modes)]
+            if target is not None:
+                occ[target] = rng.randint(0, 1)
+            re, im = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            terms[tuple(occ)] = rng.choice((complex(re, im), complex(re, 0.0), complex(0.0, im)))
+        states.append(SparseState(modes, terms))
+    states.append(SparseState(4))
+    return states
+
+
+def test_exact_sign_inputs_cover_the_edge_cases():
+    states = unnormalized_states(5, 60)
+    counts = {c for s in states for occ in s.terms for c in occ}
+    assert counts == {0, 1, 2, 3}
+    parts = [x for s in states for a in s.terms.values() for x in (a.real, a.imag)]
+    assert 0.0 in parts and any(abs(x) > 1 for x in parts)
+    # Public constructors never store a -0.0 part; the exact signs rely on it.
+    assert all(math.copysign(1.0, x) > 0 for x in parts if x == 0)
+
+
+def test_controlled_sign_is_bit_identical_to_reference():
+    rng = random.Random(6)
+    for state in unnormalized_states(5, 60):
+        for n_controls in (0, 1, 2, 3):
+            modes = rng.sample(range(state.modes), n_controls + 1)
+            controls, target = set(modes[:-1]), modes[-1]
+            got = result_of(controlled_sign, state, controls, target)
+            assert got == result_of(reference_controlled_sign, state, controls, target)
+
+
+def test_flip_is_bit_identical_to_reference():
+    rng = random.Random(7)
+    for target in (0, 2):
+        for state in unnormalized_states(8 + target, 40, target):
+            for n_controls in (0, 1, 2):
+                others = [m for m in range(state.modes) if m != target]
+                controls = tuple(rng.sample(others, n_controls))
+                got = result_of(gates._flip, state, controls, target)
+                assert got == result_of(reference_flip, state, controls, target)
+
+
+def test_gated_transfer_is_bit_identical_to_reference():
+    rng = random.Random(9)
+    for state in unnormalized_states(10, 60):
+        src, dst, control = rng.sample(range(state.modes), 3)
+        setting = transmission_for_probability(rng.random())
+        got = result_of(conditional_transfer, state, src, dst, setting, control)
+        assert got == result_of(reference_gated_transfer, state, src, dst, setting, control)
+
+
+@pytest.mark.parametrize(
+    "gate, reference, args",
+    [
+        (gates._flip, reference_flip, ((0,), 1)),
+        (gates._flip, reference_flip, ((0, 2), 1)),
+        (gates._flip, reference_flip, ((1,), 1)),
+        (gates._flip, reference_flip, ((0, 0), 1)),
+        (controlled_sign, reference_controlled_sign, ({0, 1}, 1)),
+        (
+            conditional_transfer,
+            reference_gated_transfer,
+            (1, 2, transmission_for_probability(0.5), 2),
+        ),
+    ],
+    ids=["two-photon-target", "two-photon-target-two-controls", "flip-overlap",
+         "flip-repeated-control", "sign-overlap", "transfer-overlap"],
+)
+def test_exact_conditions_refuse_as_reference_does(gate, reference, args):
+    # The one 2-photon target follows a 1-photon one and has mode 0 empty:
+    # the flip refuses it whether or not its controls are occupied.
+    state = SparseState(3, {(1, 1, 1): 0.6, (0, 2, 1): 0.6j, (1, 0, 1): 0.5})
+    got = result_of(gate, state, *args)
+    assert isinstance(got[0], type) and got == result_of(reference, state, *args)
