@@ -61,7 +61,18 @@ def _resolve(path: str | None) -> str | None:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    """Write atomically (temp file, then rename); stdout when no path."""
+    """Write atomically (temp file, then rename); stdout when no path.
+
+    Replacing an existing file costs more than the write itself on ext4
+    with its default ``auto_da_alloc``: a rename (or a truncating open)
+    onto an existing file forces out the new data first, so that a crash
+    leaves the old or the new contents, never an empty file.  On a 2-vCPU
+    VM's ext4 disk, replacing a file written 0.2 to 6 s before took 45-73 ms,
+    against about 0.01 ms for a rename to a new path, so a repeated
+    ``--output`` to one file pays it each time.  Preallocating the temporary
+    file would avoid the flush but also that protection, so the write is
+    left as it is.
+    """
     if path is None:
         sys.stdout.write(text)
         return

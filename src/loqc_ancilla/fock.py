@@ -13,14 +13,17 @@ trusted ``_like``, which only prunes and refuses non-finite amplitudes.
 Two builds skip that amplitude scan and prune inline.  ``measure`` scales
 each residual amplitude a by 1/sqrt(p) with |a|^2 <= p, so every one stays
 within 1.  ``apply_phase`` multiplies by unit factors, and a NaN phase is
-refused by looking at the phase once.  Three gate builds skip both the scan
-and the prune: ``gates.controlled_sign`` and the gated
-``gates.conditional_transfer`` negate amplitudes, and the occupancy flip
-behind ``cnot_logical`` and ``toffoli_logical`` moves them to distinct keys.
-An input state is already pruned and finite, and none of the three changes a
-modulus, so there is nothing to drop or refuse.  No stored amplitude has a
--0.0 part, since every build adds ``+ 0j``; a negation writes ``-a + 0j`` to
-keep it so.
+refused by looking at the phase once.  Four builds skip both the scan and
+the prune: ``gates.controlled_sign``, the gated ``gates.conditional_transfer``
+and the ``oracle`` entangling phase of ``pipeline`` negate amplitudes, and
+the occupancy flip behind ``cnot_logical`` and ``toffoli_logical`` moves them
+to distinct keys.  An input state is already pruned and finite, and none of
+the four changes a modulus, so there is nothing to drop or refuse.  No
+stored amplitude has a -0.0 part, since every build adds ``+ 0j``; a
+negation writes ``-a + 0j`` to keep it so.
+
+Float sums go through ``_sum_in_order``, strictly left to right, so every
+printed digit is the same on every supported Python version.
 
 Global phase is deliberately never normalized away; state comparisons go
 through :func:`fidelity`, which is phase-insensitive.
@@ -35,6 +38,7 @@ order, and never stores a larger expansion.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -146,7 +150,7 @@ class SparseState:
     def norm_squared(self) -> float:
         """Sum of |amplitude|^2; inf when it exceeds the float range."""
         try:
-            return sum(abs(a) ** 2 for a in self.terms.values())
+            return _sum_in_order(abs(a) ** 2 for a in self.terms.values())
         except OverflowError:
             return math.inf
 
@@ -300,7 +304,7 @@ class SparseState:
         for outcome in sorted(grouped):
             bucket = grouped[outcome]
             try:
-                prob = sum(abs(a) ** 2 for a in bucket.values())
+                prob = _sum_in_order(abs(a) ** 2 for a in bucket.values())
             except OverflowError:  # a modulus squared past the float range
                 prob = math.inf
             if prob == math.inf:
@@ -430,6 +434,15 @@ def _state(modes: int, terms: dict[Occupation, complex]) -> SparseState:
     return out
 
 
+def _sum_in_order(values: Iterable[float]) -> float:
+    """Float sum added strictly left to right from 0.0.
+
+    This is what ``sum`` did before Python 3.12, which compensates float
+    sums and so moves their last bit; printed probabilities, norms and
+    fidelities stay the same digits on every Python version."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     """Function returning the entries at ``indices`` of a sequence as a tuple.
 
@@ -506,8 +519,10 @@ _QUARTER_TURNS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 def _cis(phi: float) -> complex:
     # Exact values at integer multiples of pi/2 keep the canonical fixups
-    # and pi * count phases free of 1e-16 junk up to count 10; math.pi * 11
-    # and some larger products do not divide back to an integer.  A small
+    # and pi * count phases free of 1e-16 junk up to count 10 only:
+    # math.pi * c for c = 11, 13, 15, 22, 26, 30, ... does not divide back to
+    # an integer, and cos/sin leave an imaginary part near 1e-15.  Exact
+    # signs are therefore negations, never phases through here.  A small
     # float whose quotient by pi/2 rounds to an integer lies within an ulp
     # of that multiple, so the lookup is as accurate as cos/sin of the float
     # itself.  The bound keeps large phases out: every float past ~1.4e16

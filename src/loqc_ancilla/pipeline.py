@@ -8,6 +8,13 @@ Two routes exist for every target and are kept deliberately independent:
 
 Tests and the CLI compare the two by fidelity.
 
+A pair is built as the procedure prescribes: each register pair is prepared
+by its own transfers on its own 2n modes, the two are joined by a tensor
+product, and the entangling sign acts on the joint state.  The transfers of
+one pair never touch the other's modes, so the tensor product is exact; it
+also keeps each transfer on the n+1 terms of one pair instead of the up to
+(n+1)^2 terms of the joint state.
+
 Registers are blocks of n consecutive modes: register r is modes
 r*n..(r+1)*n-1, in the order x, y for a single register and x, y, x', y'
 for a pair.
@@ -16,10 +23,9 @@ for a pair.
 from __future__ import annotations
 
 import enum
-import math
 
 from .errors import AncillaNotDisentangled, InvalidProfile, ShapeMismatch
-from .fock import Occupation, SparseState
+from .fock import Occupation, SparseState, _state
 from .gates import (
     cnot_logical,
     conditional_transfer,
@@ -27,7 +33,7 @@ from .gates import (
     toffoli_logical,
     transmission_for_probability,
 )
-from .profiles import AmplitudeProfile, TransferSchedule, schedule_from_profile
+from .profiles import AmplitudeProfile, schedule_from_profile
 
 
 class PhaseMethod(enum.Enum):
@@ -38,30 +44,22 @@ class PhaseMethod(enum.Enum):
     DIRECT_ORACLE = "oracle"
 
 
-def _run_transfers(
-    state: SparseState, n: int, schedule: TransferSchedule, offset: int
-) -> SparseState:
-    """Chain the conditional transfers y_k -> x_k over one register pair,
-    x at modes offset..offset+n-1 and y at the n modes after it.
-
-    The first transfer is unconditional; transfer k >= 2 is gated on x_{k-1}
-    being occupied, which is what consumes one controlled sign gate each.
-    """
-    for k, p in enumerate(schedule.probabilities, start=1):
-        setting = transmission_for_probability(p)
-        control = offset + k - 2 if k >= 2 else None
-        state = conditional_transfer(
-            state, offset + n + k - 1, offset + k - 1, setting, control=control
-        )
-    return state
-
-
 def build_single_register(n: int, profile: AmplitudeProfile) -> SparseState:
-    """Prepare the single-register superposition over registers (x, y)."""
+    """Prepare the single-register superposition over registers (x, y).
+
+    Chains the conditional transfers y_k -> x_k, x at modes 0..n-1 and y at
+    modes n..2n-1.  The first transfer is unconditional; transfer k >= 2 is
+    gated on x_{k-1} being occupied, which is what consumes one controlled
+    sign gate each.
+    """
     if profile.n != n:
         raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
     state = SparseState.basis(single_register_pattern(n, 0))
-    return _run_transfers(state, n, schedule_from_profile(profile), 0)
+    for k, p in enumerate(schedule_from_profile(profile).probabilities, start=1):
+        setting = transmission_for_probability(p)
+        control = k - 2 if k >= 2 else None
+        state = conditional_transfer(state, n + k - 1, k - 1, setting, control=control)
+    return state
 
 
 def single_register_pattern(n: int, j: int) -> Occupation:
@@ -92,8 +90,10 @@ def apply_entangling_phase(state: SparseState, method: PhaseMethod) -> SparseSta
     PARITY_ANCILLA appends three helper qubit modes, computes both register
     parities with CNOT chains, applies the sign through a Toffoli pair plus
     one controlled sign on the first x mode, then uncomputes and verifies
-    the helpers returned exactly to |000>.  DIRECT_ORACLE applies the
-    diagonal phase in one shot.
+    the helpers returned exactly to |000>.  DIRECT_ORACLE negates every
+    term with odd j j' in one pass.  All three are exact: a sign is applied
+    as ``-a + 0j``, never as a float phase, so on register states they
+    return the same state bit for bit.
     """
     if state.modes == 0 or state.modes % 4 != 0:
         raise ShapeMismatch(f"{state.modes} modes is not a two-register-pair shape")
@@ -101,8 +101,12 @@ def apply_entangling_phase(state: SparseState, method: PhaseMethod) -> SparseSta
     x_modes, xp_modes = range(n), range(2 * n, 3 * n)
 
     if method is PhaseMethod.DIRECT_ORACLE:
-        return state.apply_basis_phase(
-            lambda occ: math.pi * _occupied(occ, x_modes) * _occupied(occ, xp_modes)
+        return _state(
+            state.modes,
+            {
+                occ: -a + 0j if _occupied(occ, x_modes) * _occupied(occ, xp_modes) & 1 else a
+                for occ, a in state.terms.items()
+            },
         )
 
     if method is PhaseMethod.PAIRWISE_GATES:
@@ -140,14 +144,15 @@ def build_entangled_pair(
     profile: AmplitudeProfile,
     method: PhaseMethod = PhaseMethod.PAIRWISE_GATES,
 ) -> SparseState:
-    """Full pipeline for the entangled two-register-pair ancilla state."""
-    if profile.n != n:
-        raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
-    state = SparseState.basis(pair_pattern(n, 0, 0))
-    schedule = schedule_from_profile(profile)
-    state = _run_transfers(state, n, schedule, 0)
-    state = _run_transfers(state, n, schedule, 2 * n)
-    return apply_entangling_phase(state, method)
+    """Full pipeline for the entangled two-register-pair ancilla state.
+
+    Each register pair gets its own n transfers on its own 2n modes; their
+    exact tensor product, each amplitude one product a_j * b_j', then gets
+    the entangling sign.
+    """
+    first = build_single_register(n, profile)
+    second = build_single_register(n, profile)
+    return apply_entangling_phase(first.tensor(second), method)
 
 
 def pair_pattern(n: int, j: int, jp: int) -> Occupation:

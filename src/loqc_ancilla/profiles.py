@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidProfile
+from .fock import _sum_in_order
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class AmplitudeProfile:
             )
         if not all(math.isfinite(v) for v in self.f):
             raise InvalidProfile("profile values must be finite")
-        norm = math.sqrt(sum(v * v for v in self.f))
+        norm = math.sqrt(_sum_in_order(v * v for v in self.f))
         if norm == 0.0:
             raise InvalidProfile("profile cannot be all zero")
         object.__setattr__(self, "f", tuple(v / norm for v in self.f))
@@ -137,7 +138,7 @@ def schedule_from_profile(profile: AmplitudeProfile) -> TransferSchedule:
     n = profile.n
     probs = []
     for k in range(1, n + 1):
-        tail_prev = sum(w[k - 1 :])
-        tail_here = sum(w[k:])
+        tail_prev = _sum_in_order(w[k - 1 :])
+        tail_here = _sum_in_order(w[k:])
         probs.append(0.0 if tail_prev == 0.0 else tail_here / tail_prev)
     return TransferSchedule(tuple(probs))

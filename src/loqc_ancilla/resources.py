@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InfeasibleParameters, OutOfRange
+from .fock import _sum_in_order
 from .pipeline import PhaseMethod
 
 ATTEMPTS_GUARD = 1e6
@@ -117,7 +118,7 @@ def expected_attempts(
         samples.append(attempts)
     mean = sum(samples) / trials
     if trials > 1:
-        var = sum((s - mean) ** 2 for s in samples) / (trials - 1)
+        var = _sum_in_order((s - mean) ** 2 for s in samples) / (trials - 1)
         stderr = math.sqrt(var / trials)
     else:
         stderr = float("inf")

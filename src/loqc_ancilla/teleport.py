@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InfeasibleParameters, OutOfRange, ShapeMismatch
-from .fock import Occupation, SparseState, fidelity
+from .fock import Occupation, SparseState, _sum_in_order, fidelity
 from .pipeline import pair_pattern, single_register_pattern
 
 # Measurement outcomes one call may enumerate.  It admits the CZ up to n=5
@@ -209,12 +209,12 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
 
 def failure_probability(outcomes: list[TeleportOutcome]) -> float:
     failed = (o.probability for o in outcomes if o.classification is Classification.FAILURE)
-    return sum(failed, 0.0)
+    return _sum_in_order(failed)
 
 
 def success_probability(outcomes: list[TeleportOutcome]) -> float:
     succeeded = (o.probability for o in outcomes if o.classification is Classification.SUCCESS)
-    return sum(succeeded, 0.0)
+    return _sum_in_order(succeeded)
 
 
 # ----------------------------------------------------------------------

@@ -393,21 +393,33 @@ def test_output_bytes_are_pinned(argv, code, digest, err, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n", ["5", "6"])
+def test_build_methods_print_the_same_bytes(n, capsys):
+    # From n=5 on, j j' reaches 15, where a pi * j j' float phase would leave
+    # an imaginary part of 1e-16; every method negates exactly instead.
+    outputs = [
+        run_cli(["build", "--n", n, "--method", m], capsys)[:2]
+        for m in ("pairwise", "parity", "oracle")
+    ]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 # sha256 of built states, pinned so that no change to the transfers, the
 # controlled signs or the occupancy flips moves a printed digit unnoticed.
 # "{profile}" stands for a file holding PROFILE_N4.
 PROFILE_N4 = '{"n": 4, "f": [0.3, 0.5, 0.7, 0.2, 0.4]}'
-PAIR_N4 = "81c4107614f6d8870e26474293093c4ae5d2dd84d7661a1d76587d278638580e"
+PAIR_N4 = "5861355b033f5888b1996e7e58483006d62c6d8488047b981d18a19873609b3f"
 PINNED_BUILDS = [
     (
         ["--n", "4", "--method", "pairwise"],
         PAIR_N4,
-        "n=4 registers=pair method=pairwise terms=25 fidelity=0.9999999999999987\n",
+        "n=4 registers=pair method=pairwise terms=25 fidelity=0.9999999999999982\n",
     ),
     (
         ["--n", "4", "--method", "parity"],
         PAIR_N4,
-        "n=4 registers=pair method=parity terms=25 fidelity=0.9999999999999987\n",
+        "n=4 registers=pair method=parity terms=25 fidelity=0.9999999999999982\n",
     ),
     (
         ["--n", "4", "--registers", "single"],
@@ -416,7 +428,7 @@ PINNED_BUILDS = [
     ),
     (
         ["--n", "4", "--method", "parity", "--profile", "{profile}"],
-        "74188a78a4d98feb436b1f41e7fad0042022c073819cd9eca8dedc58510b8196",
+        "5401985f5fd84a64d982475255234ab260783d8fad52e95f7f77418261286735",
         "n=4 registers=pair method=parity terms=25 fidelity=1.0\n",
     ),
 ]

@@ -609,6 +609,16 @@ def test_measure_keeps_outcomes_inside_the_float_range():
     assert high.probability == 1.0
 
 
+def test_float_sums_add_left_to_right():
+    # Python 3.12's sum compensates: it returns 1.0 and 1.0000000000000002e16
+    # here.  Adding in order gives the same digits on every version.
+    assert fock._sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    state = SparseState(3, {(1, 0, 0): 1.0, (0, 1, 0): 1e8, (0, 0, 1): 1.0})
+    assert state.norm_squared() == 1e16
+    assert state.measure([0, 1, 2])[2].probability == 1.0
+    assert repr(fock._sum_in_order([])) == "0.0"
+
+
 # ----------------------------------------------------------------------
 # fast paths against their earlier bodies, bit for bit
 # ----------------------------------------------------------------------
@@ -631,7 +641,9 @@ def reference_measure_body(state, modes):
     results = []
     for outcome in sorted(grouped):
         bucket = grouped[outcome]
-        prob = sum(abs(a) ** 2 for a in bucket.values())
+        prob = 0.0  # left to right, as ``sum`` added floats before Python 3.12
+        for a in bucket.values():
+            prob += abs(a) ** 2
         if prob <= PRUNE_TOLERANCE**2:
             continue
         scale = 1.0 / math.sqrt(prob)

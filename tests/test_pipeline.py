@@ -18,7 +18,11 @@ from loqc_ancilla import (
     direct_oracle_single,
     fidelity,
 )
+from loqc_ancilla import pipeline
+from loqc_ancilla.gates import conditional_transfer, transmission_for_probability
 from loqc_ancilla.pipeline import pair_pattern, single_register_pattern
+from loqc_ancilla.profiles import schedule_from_profile
+from conftest import exact_terms
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -261,3 +265,74 @@ def test_tally_parity_method(n, gate_calls):
     assert gate_calls["cnot_logical"] == 4 * n
     assert gate_calls["toffoli_logical"] == 2
     assert gate_calls["controlled_sign"] == 1
+
+
+# ----------------------------------------------------------------------
+# each pair on its own modes against the earlier joint-state route
+# ----------------------------------------------------------------------
+
+
+def reference_joint_state_pair(n, profile, method):
+    """``build_entangled_pair`` as it was: the second pair's transfers run on
+    the joint 4n-mode state, which already holds the first pair's terms."""
+    state = SparseState.basis(pair_pattern(n, 0, 0))
+    schedule = schedule_from_profile(profile)
+    for offset in (0, 2 * n):
+        for k, p in enumerate(schedule.probabilities, start=1):
+            control = offset + k - 2 if k >= 2 else None
+            state = conditional_transfer(
+                state,
+                offset + n + k - 1,
+                offset + k - 1,
+                transmission_for_probability(p),
+                control=control,
+            )
+    return apply_entangling_phase(state, method)
+
+
+def pair_profiles(rng, n):
+    """Constant, zero-tail and two random profiles for n modes per register."""
+    zero_tail = AmplitudeProfile.from_values([1.0, 2.0] + [0.0] * (n - 1))
+    return [AmplitudeProfile.constant(n), zero_tail, random_profile(rng, n), random_profile(rng, n)]
+
+
+@pytest.mark.parametrize("method", list(PhaseMethod), ids=lambda m: m.value)
+def test_pair_matches_joint_state_reference(method):
+    # The tensor product forms each amplitude as one product a_j * b_j',
+    # where the joint route carried a_j through every gate of the second
+    # pair, so only the last bit may differ.
+    rng = random.Random(2003)
+    for n in range(1, 9):
+        for profile in pair_profiles(rng, n):
+            built = build_entangled_pair(n, profile, method)
+            reference = reference_joint_state_pair(n, profile, method)
+            assert built.terms.keys() == reference.terms.keys()
+            for occ, amp in built.terms.items():
+                assert abs(amp - reference.terms[occ]) <= 1e-15, (n, occ)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_phase_methods_build_identical_states(n):
+    # Every method applies its sign as an exact negation, so pairwise,
+    # parity and oracle builds agree bit for bit at every n.
+    rng = random.Random(4000 + n)
+    for profile in pair_profiles(rng, n):
+        built = [exact_terms(build_entangled_pair(n, profile, m)) for m in PhaseMethod]
+        assert built[0] == built[1] == built[2]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_transfers_run_on_one_pair(n, monkeypatch):
+    # Each transfer sees one register pair's 2n modes and at most its n+1
+    # terms, never the joint state of both pairs.
+    seen = []
+    original = pipeline.conditional_transfer
+
+    def recorded(state, *args, **kwargs):
+        seen.append((state.modes, len(state)))
+        return original(state, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "conditional_transfer", recorded)
+    build_entangled_pair(n, AmplitudeProfile.constant(n), PhaseMethod.PARITY_ANCILLA)
+    assert len(seen) == 2 * n
+    assert all(modes == 2 * n and terms <= n + 1 for modes, terms in seen), seen
