@@ -10,13 +10,16 @@ of the term set.
 Keys and amplitudes are validated where data enters (the constructor,
 ``basis``, ``from_json_dict``); operations derive new states through the
 trusted ``_like``, which only prunes and refuses non-finite amplitudes.
-Two builds skip that amplitude scan and prune inline.  ``measure`` scales
+Four builds skip that amplitude scan and prune inline.  ``measure`` scales
 each residual amplitude a by 1/sqrt(p) with |a|^2 <= p, so every one stays
 within 1.  ``apply_phase`` multiplies by unit factors, and a NaN phase is
-refused by looking at the phase once.  Four builds skip both the scan and
-the prune: ``gates.controlled_sign``, the gated ``gates.conditional_transfer``
-and the ``oracle`` entangling phase of ``pipeline`` negate amplitudes, and
-the occupancy flip behind ``cnot_logical`` and ``toffoli_logical`` moves them
+refused by looking at the phase once; ``teleport._correct`` multiplies by
+the same factors of finite phases.  The CZ's weighted join of its two mixed
+sides keeps an overflowing product as an infinite modulus, which
+``measure`` refuses.  Four more skip both the scan and the prune:
+``gates.controlled_sign``, the gated ``gates.conditional_transfer`` and the
+``oracle`` entangling phase of ``pipeline`` negate amplitudes, and the
+occupancy flip behind ``cnot_logical`` and ``toffoli_logical`` moves them
 to distinct keys.  An input state is already pruned and finite, and none of
 the four changes a modulus, so there is nothing to drop or refuse.  No
 stored amplitude has a -0.0 part, since every build adds ``+ 0j``; a

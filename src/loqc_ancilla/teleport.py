@@ -16,6 +16,14 @@ the phase 2 pi r/(n+1), plus pi where f(k) and f(k-1) have opposite signs
 (read off the ancilla's own amplitudes); for the constant profile the weight
 ratio is 1, so that phase restores the qubit exactly.
 
+The controlled sign teleports two qubits at once through the entangled pair
+ancilla, whose terms sit at the register patterns (j, j') with weights
+w(j, j').  The two Fourier transforms never see the pair: each side mixes
+its qubit with a unit-weight single register on its own 2n+1 modes, and the
+joint state is the product of the two mixed sides, each term weighted by
+w(j, j') at the register weights its y modes show.  Both gates correct a
+success branch in one pass over its terms (``_correct``).
+
 Both routes enumerate every measurement outcome, so they refuse sizes whose
 outcome bound exceeds :data:`OUTCOMES_GUARD` before doing any work.
 """
@@ -32,11 +40,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InfeasibleParameters, OutOfRange, ShapeMismatch
-from .fock import Occupation, SparseState, _sum_in_order, fidelity
+from .fock import PRUNE_TOLERANCE, Occupation, SparseState, _cis, _state, _sum_in_order, fidelity
 from .pipeline import pair_pattern, single_register_pattern
 
 # Measurement outcomes one call may enumerate.  It admits the CZ up to n=5
-# (about 5 s and 0.4 GB per call) and teleport up to n=10; the CZ at n=6 and
+# (about 2.5 s and 0.5 GB per call) and teleport up to n=10; the CZ at n=6 and
 # teleport from n=11 would run for minutes to hours.
 OUTCOMES_GUARD = 1e6
 
@@ -173,6 +181,29 @@ def _sign_flips(weights: list[complex]) -> list[int]:
     return [0] + [int((w * v.conjugate()).real < 0) for v, w in zip(weights, weights[1:])]
 
 
+def _correct(state: SparseState, phases: tuple[tuple[int, float], ...]) -> SparseState:
+    """``state.apply_phase(mode, phi)`` for each (mode, phi) in turn, in one
+    pass over the terms; bit-identical to the chained calls for finite phases.
+
+    A term empty at ``mode`` would gain _cis(0) = 1, which leaves a stored
+    amplitude (no -0.0 part) unchanged, so it is skipped.  A single photon
+    takes the factor _cis(phi), made once per call; larger counts, which no
+    register pattern holds, make theirs per term."""
+    factors = [(mode, phi, _cis(phi)) for mode, phi in phases]
+    out: dict[Occupation, complex] = {}
+    for occ, a in state.terms.items():
+        for mode, phi, one in factors:
+            count = occ[mode]
+            if count:
+                a *= one if count == 1 else _cis(phi * count)
+                if abs(a) < PRUNE_TOLERANCE:
+                    break
+                a += 0j
+        else:
+            out[occ] = a
+    return _state(state.modes, out)
+
+
 def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOutcome]:
     """Enumerate every measurement branch of one teleport exactly."""
     if ancilla.modes != 2 * n:
@@ -191,7 +222,7 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
         k = sum(mo.counts)
         if 1 <= k <= n:
             phi = table[_fourier_residue(mo.counts)] + math.pi * flips[k]
-            corrected = mo.residual.apply_phase(k - 1, phi)
+            corrected = _correct(mo.residual, ((k - 1, phi),))
             fid = fidelity(corrected, ideal[k])
             outcomes.append(
                 TeleportOutcome(
@@ -253,30 +284,71 @@ def cz_via_double_teleportation(
 ) -> CzGateResult:
     """Teleport both qubits through the entangled pair ancilla.
 
+    Each side's Fourier transform acts on its own (2n+1)-mode state, the
+    qubit tensored with the unit-weight single register sum_j |x_j y_j>.
+    The joint state is the tensor product of the two mixed sides with each
+    term reweighted by the pair's amplitude w(j, j') at the registers' weights,
+    read off the y halves (j = n - |y|).  No sum is lost: a side's output key
+    fixes its register weight, and its photon total then fixes the qubit
+    count, so each joint key has one product s1 s2 w(j, j').
+
     Jointly successful branches (both photon totals in 1..n) receive the
     per-side phase corrections plus the cross corrections pi*k' on the
     unprimed output and pi*k on the primed output; the post-selected result
-    is the controlled-sign image of the input product state.
+    is the controlled-sign image of the input product state.  An ancilla with
+    a term off the register patterns (j, j') raises ``ShapeMismatch``.
     """
     if ancilla_pair.modes != 4 * n:
         raise ShapeMismatch(
             f"pair ancilla has {ancilla_pair.modes} modes, expected {4 * n} for n={n}"
         )
     _check_cost(n, 2)
-    # Modes [q, q', x, y, x', y']: each side mixes its qubit with its x
-    # register, and the measurement leaves the residual on [y, y'].
-    full = q.state().tensor(qp.state()).tensor(ancilla_pair)
-    side1 = [0] + list(range(2, n + 2))
-    side2 = [1] + list(range(2 * n + 2, 3 * n + 2))
-    full = apply_qft(full, side1)
-    full = apply_qft(full, side2)
+    # A stored amplitude is never 0, so the terms not read here are the ones
+    # off the register patterns.
+    weights = [
+        [ancilla_pair.amplitude(pair_pattern(n, j, jp)) for jp in range(n + 1)]
+        for j in range(n + 1)
+    ]
+    stray = len(ancilla_pair) - sum(1 for row in weights for w in row if w)
+    if stray:
+        raise ShapeMismatch(f"pair ancilla has {stray} terms off the register patterns for n={n}")
     table = feedforward_table(n)
     # Both sides share the profile; read its signs off the row j' whose
     # diagonal amplitude f(j')^2 is largest, undoing the (-1)^(j j') factor.
-    row = max(range(n + 1), key=lambda j: abs(ancilla_pair.amplitude(pair_pattern(n, j, j))))
-    flips = _sign_flips(
-        [ancilla_pair.amplitude(pair_pattern(n, j, row)) * (-1) ** (j * row) for j in range(n + 1)]
-    )
+    row = max(range(n + 1), key=lambda j: abs(weights[j][j]))
+    flips = _sign_flips([weights[j][row] * (-1) ** (j * row) for j in range(n + 1)])
+
+    # Each side is modes [q, x, y]; mixing q with x leaves keys c + y.
+    register = SparseState(2 * n, {single_register_pattern(n, j): 1.0 for j in range(n + 1)})
+    fourier = list(range(n + 1))
+    sides = [apply_qft(qubit.state().tensor(register), fourier) for qubit in (q, qp)]
+    by_weight: list[list[list[tuple[Occupation, complex]]]] = []
+    side_outcome: dict[Occupation, tuple[int, float]] = {}  # counts -> total, table phase
+    for side in sides:
+        groups: list[list[tuple[Occupation, complex]]] = [[] for _ in range(n + 1)]
+        for key, s in side.terms.items():
+            groups[n - sum(key[n + 1 :])].append((key, s))
+            counts = key[: n + 1]
+            if counts not in side_outcome:
+                side_outcome[counts] = (sum(counts), table[_fourier_residue(counts)])
+        by_weight.append(groups)
+    # |s1 s2| <= n+1, so a product that overflows keeps an infinite modulus:
+    # it passes the prune, and measure refuses its outcome.
+    terms: dict[Occupation, complex] = {}
+    for j, part1 in enumerate(by_weight[0]):
+        for jp, part2 in enumerate(by_weight[1]):
+            w = weights[j][jp]
+            if not w:
+                continue
+            for key1, s1 in part1:
+                for key2, s2 in part2:
+                    a = s1 * s2 * w
+                    if abs(a) >= PRUNE_TOLERANCE:
+                        terms[key1 + key2] = a + 0j
+    # Modes [q, x, y, q', x', y']: measuring both Fourier blocks leaves the
+    # residual on [y, y'] and the counts as side 1 then side 2.
+    joint = _state(4 * n + 2, terms)
+    measured = fourier + [2 * n + 1 + m for m in fourier]
     ideal = {
         (k, kp): _ideal_cz_residual(q, qp, n, k, kp)
         for k in range(1, n + 1)
@@ -286,18 +358,17 @@ def cz_via_double_teleportation(
     total_success = total_failure = 0.0
     branches: list[CzBranch] = []
     best: tuple[float, SparseState, int, int] | None = None
-    for mo in full.measure(side1 + side2):
-        c1 = mo.counts[: n + 1]
-        c2 = mo.counts[n + 1 :]
-        k, kp = sum(c1), sum(c2)
+    for mo in joint.measure(measured):
+        k, phase1 = side_outcome[mo.counts[: n + 1]]
+        kp, phase2 = side_outcome[mo.counts[n + 1 :]]
         if not (1 <= k <= n and 1 <= kp <= n):
             total_failure += mo.probability
             continue
         # Cross corrections and profile signs are signs, so reduce them mod
         # 2 and keep the pi phase exact.
-        phi1 = table[_fourier_residue(c1)] + math.pi * ((kp + flips[k]) % 2)
-        phi2 = table[_fourier_residue(c2)] + math.pi * ((k + flips[kp]) % 2)
-        corrected = mo.residual.apply_phase(k - 1, phi1).apply_phase(n + kp - 1, phi2)
+        phi1 = phase1 + math.pi * ((kp + flips[k]) % 2)
+        phi2 = phase2 + math.pi * ((k + flips[kp]) % 2)
+        corrected = _correct(mo.residual, ((k - 1, phi1), (n + kp - 1, phi2)))
         fid = fidelity(corrected, ideal[k, kp])
         total_success += mo.probability
         branches.append(CzBranch(mo.counts, k, kp, mo.probability, fid))

@@ -362,7 +362,7 @@ PINNED_OUTPUTS = [
     (
         ["czgate", "--n", "2", "--format", "json"],
         0,
-        "4d017c5d9acb03f19cae93a6329835773b6d2ac6c0c97e3036fb6098d53dffae",
+        "4cfc4943e4001bf4983fc1e443a44768857f245aec1905ab7cb9ca1c9f066cff",
         "",
     ),
     (
@@ -374,7 +374,7 @@ PINNED_OUTPUTS = [
     (
         ["czgate", "--n", "2", "--profile", "delta", "--format", "json"],
         1,
-        "413d0f61da54aa268aaf4350cc63c103e3f52d589567dbf5208147b7d7e73946",
+        "d3803f17a182bffcdae71918c9d7d953581dceb8831486b571198e81fda1f6b3",
         "",
     ),
 ]

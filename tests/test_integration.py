@@ -59,6 +59,25 @@ def test_cz_through_dot_prepared_pair():
         )
 
 
+PAIR_BUILDERS = {
+    "pairwise": lambda n, p: build_entangled_pair(n, p, PhaseMethod.PAIRWISE_GATES),
+    "parity": lambda n, p: build_entangled_pair(n, p, PhaseMethod.PARITY_ANCILLA),
+    "dots": lambda n, p: prepare_pair(n, p, intra_coefficient=0.5)[0],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("method", sorted(PAIR_BUILDERS))
+def test_cz_through_built_pairs(method, n):
+    # Every preparation route leaves the pair on its register patterns, so
+    # the CZ accepts it and succeeds with (n/(n+1))^2.
+    pair = PAIR_BUILDERS[method](n, AmplitudeProfile.constant(n))
+    rng = random.Random(66 + n)
+    result = cz_via_double_teleportation(random_qubit(rng), random_qubit(rng), pair, n)
+    assert result.min_fidelity >= 1 - 1e-10
+    assert result.success_probability == pytest.approx((n / (n + 1)) ** 2, abs=1e-12)
+
+
 def test_trusted_operations_refuse_nan_and_keep_valid_keys():
     # Internal operations skip key validation but must still refuse a NaN
     # instead of pruning it away into an emptied state.

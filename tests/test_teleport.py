@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from loqc_ancilla import (
     Classification,
     InfeasibleParameters,
     InputQubit,
+    InvalidState,
     OutOfRange,
     ShapeMismatch,
     SparseState,
@@ -22,14 +24,24 @@ from loqc_ancilla import (
     fidelity,
     teleport,
 )
+from loqc_ancilla.pipeline import pair_pattern
 from loqc_ancilla.teleport import (
     OUTCOMES_GUARD,
+    CzBranch,
+    CzGateResult,
+    _correct,
+    _fourier_residue,
+    _ideal_cz_residual,
+    _sign_flips,
     feedforward_table,
     outcome_estimate,
     qft_matrix,
     success_probability,
 )
-from conftest import poly_two_mode_image, random_qubit, random_state
+from conftest import exact_terms, poly_two_mode_image, random_qubit, random_state
+
+# The package re-exports the function ``teleport`` under the module's name.
+teleport_module = sys.modules["loqc_ancilla.teleport"]
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -390,3 +402,180 @@ def test_outcome_records_are_named_tuples():
         assert repr(record).startswith(f"{type(record).__name__}(counts={record.counts!r}, ")
         with pytest.raises(AttributeError):
             record.counts = ()
+
+
+# ----------------------------------------------------------------------
+# the CZ's per-side transforms against the full-state route
+# ----------------------------------------------------------------------
+
+
+def reference_joint_state_cz(q, qp, ancilla_pair, n):
+    """The CZ as it was before each side got its own modes: both Fourier
+    transforms on the whole (4n+2)-mode state, two phases per branch."""
+    full = q.state().tensor(qp.state()).tensor(ancilla_pair)
+    side1 = [0] + list(range(2, n + 2))
+    side2 = [1] + list(range(2 * n + 2, 3 * n + 2))
+    full = apply_qft(full, side1)
+    full = apply_qft(full, side2)
+    table = feedforward_table(n)
+    row = max(range(n + 1), key=lambda j: abs(ancilla_pair.amplitude(pair_pattern(n, j, j))))
+    flips = _sign_flips(
+        [ancilla_pair.amplitude(pair_pattern(n, j, row)) * (-1) ** (j * row) for j in range(n + 1)]
+    )
+    total_success = total_failure = 0.0
+    branches = []
+    best = None
+    for mo in full.measure(side1 + side2):
+        c1, c2 = mo.counts[: n + 1], mo.counts[n + 1 :]
+        k, kp = sum(c1), sum(c2)
+        if not (1 <= k <= n and 1 <= kp <= n):
+            total_failure += mo.probability
+            continue
+        phi1 = table[_fourier_residue(c1)] + math.pi * ((kp + flips[k]) % 2)
+        phi2 = table[_fourier_residue(c2)] + math.pi * ((k + flips[kp]) % 2)
+        corrected = mo.residual.apply_phase(k - 1, phi1).apply_phase(n + kp - 1, phi2)
+        fid = fidelity(corrected, _ideal_cz_residual(q, qp, n, k, kp))
+        total_success += mo.probability
+        branches.append(CzBranch(mo.counts, k, kp, mo.probability, fid))
+        if best is None or mo.probability > best[0]:
+            best = (mo.probability, corrected, k, kp)
+    output = None
+    if best is not None:
+        _, corrected, k, kp = best
+        output = corrected.drop_modes(
+            m for m in range(2 * n) if m not in (k - 1, n + kp - 1)
+        ).normalized()
+    return CzGateResult(
+        total_success,
+        total_failure,
+        min((b.fidelity for b in branches), default=None),
+        output,
+        tuple(branches),
+    )
+
+
+def pair_of(kind, n, rng):
+    """An oracle pair ancilla: constant, random or signed profile, or two
+    different random profiles on the two register pairs."""
+    if kind == "constant":
+        return direct_oracle_pair(n, AmplitudeProfile.constant(n))
+    values = [rng.uniform(0.1, 1.0) for _ in range(n + 1)]
+    if kind == "signed":
+        values = [v * rng.choice((-1, 1)) for v in values]
+        values[0], values[1] = abs(values[0]), -abs(values[1])  # a sign change at k=1
+    if kind == "asymmetric":
+        other = [rng.uniform(0.1, 1.0) for _ in range(n + 1)]
+        terms = {
+            pair_pattern(n, j, jp): values[j] * other[jp] * (-1) ** (j * jp)
+            for j in range(n + 1)
+            for jp in range(n + 1)
+        }
+        return SparseState(4 * n, terms).normalized()
+    return direct_oracle_pair(n, AmplitudeProfile.from_values(values))
+
+
+# The two routes round differently: the joint amplitude is s1 s2 w(j, j')
+# where the full-state route multiplied w through both transforms.  Over 96
+# random cases at n = 1..4 the largest gaps were 3e-17 per branch
+# probability, 1.2e-15 per fidelity and 1.7e-15 on a success or failure
+# total of up to 825 branches; the full-state route itself lies up to
+# 1.5e-15 from the exact failure 7/16 at n=3.
+BRANCH_PROBABILITY_GAP = 1e-15
+FIDELITY_GAP = 2e-15
+TOTAL_GAP = 4e-15
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(n, kind) for n in (1, 2, 3) for kind in ("constant", "random", "signed", "asymmetric")]
+    + [(4, "signed")],
+)
+def test_cz_matches_the_joint_state_route(n, kind):
+    rng = random.Random(1400 + 10 * n + len(kind))
+    ancilla = pair_of(kind, n, rng)
+    pairs = [(InputQubit.plus(), InputQubit.plus()), (random_qubit(rng), random_qubit(rng))]
+    for qa, qb in pairs:
+        got = cz_via_double_teleportation(qa, qb, ancilla, n)
+        want = reference_joint_state_cz(qa, qb, ancilla, n)
+        assert [(b.counts, b.k, b.kp) for b in got.branches] == [
+            (b.counts, b.k, b.kp) for b in want.branches
+        ]
+        for a, b in zip(got.branches, want.branches):
+            assert abs(a.probability - b.probability) <= BRANCH_PROBABILITY_GAP
+            assert abs(a.fidelity - b.fidelity) <= FIDELITY_GAP
+        assert abs(got.success_probability - want.success_probability) <= TOTAL_GAP
+        assert abs(got.failure_probability - want.failure_probability) <= TOTAL_GAP
+        assert abs(got.min_fidelity - want.min_fidelity) <= FIDELITY_GAP
+        assert fidelity(got.output_qubits, want.output_qubits) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
+    # The benchmark's czgate span contract: two transforms, one measure.
+    transforms, measures = [], []
+    qft, measure = teleport_module.apply_qft, SparseState.measure
+
+    def counted_qft(state, modes):
+        transforms.append((state.modes, len(state), list(modes)))
+        return qft(state, modes)
+
+    def counted_measure(self, modes):
+        measures.append(self.modes)
+        return measure(self, modes)
+
+    monkeypatch.setattr(teleport_module, "apply_qft", counted_qft)
+    monkeypatch.setattr(SparseState, "measure", counted_measure)
+    ancilla = direct_oracle_pair(n, AmplitudeProfile.constant(n))
+    cz_via_double_teleportation(InputQubit.plus(), InputQubit.of(0.6, 0.8j), ancilla, n)
+    side = (2 * n + 1, 2 * (n + 1), list(range(n + 1)))
+    assert transforms == [side, side]
+    assert measures == [4 * n + 2]
+
+
+def test_cz_refuses_an_off_pattern_ancilla(monkeypatch):
+    n = 2
+    terms = dict(direct_oracle_pair(n, AmplitudeProfile.constant(n)).terms)
+    terms[(1, 0, 0, 0) + (1, 1, 0, 0)] = 0.1  # x holds j=1 but y holds j=2
+    stray = SparseState(4 * n, terms)
+
+    def no_transform(state, modes):
+        raise AssertionError("the ancilla should be refused before any work")
+
+    monkeypatch.setattr(teleport_module, "apply_qft", no_transform)
+    with pytest.raises(ShapeMismatch, match="1 terms off the register patterns"):
+        cz_via_double_teleportation(InputQubit.plus(), InputQubit.plus(), stray, n)
+
+
+def test_cz_refuses_an_ancilla_past_the_float_range_as_before():
+    # Unnormalized weights of 1e200: an outcome's norm^2 overflows on both routes.
+    n = 1
+    big = SparseState(4 * n, {pair_pattern(n, j, jp): 1e200 for j in (0, 1) for jp in (0, 1)})
+    for route in (cz_via_double_teleportation, reference_joint_state_cz):
+        with pytest.raises(InvalidState, match="past the float range"):
+            route(InputQubit.plus(), InputQubit.plus(), big, n)
+
+
+def test_one_pass_correction_is_bit_identical_to_chained_phases():
+    # Stored amplitudes carry no -0.0 part, which is what lets the pass
+    # skip a term empty at the corrected mode.
+    rng = random.Random(1450)
+    states = [random_state(rng, rng.randint(2, 5), 5, n_terms=10) for _ in range(30)]
+    # A phase of 0.3 at mode 0 rounds the modulus of the faint term from
+    # 1e-12 to below the prune tolerance.
+    faint = complex(-9.500635012429373e-13, 3.120566352539412e-13)
+    edge = SparseState(2, {(1, 0): faint, (0, 1): 1.0})
+    assert len(edge) == 2 and len(_correct(edge, ((0, 0.3),))) == 1
+    states.append(edge)
+    phases = [0.0, math.pi, -math.pi / 2, 0.3, 2.3, 1e17, math.pi * 2**18]
+    for state in states:
+        for _ in range(12):
+            chain = [
+                (rng.randrange(state.modes), rng.choice(phases + [rng.uniform(-10.0, 10.0)]))
+                for _ in range(rng.randint(1, 2))
+            ]
+            if state is edge:
+                chain[0] = (0, 0.3)
+            want = state
+            for mode, phi in chain:
+                want = want.apply_phase(mode, phi)
+            assert exact_terms(_correct(state, tuple(chain))) == exact_terms(want)
