@@ -10,19 +10,18 @@ of the term set.
 Keys and amplitudes are validated where data enters (the constructor,
 ``basis``, ``from_json_dict``); operations derive new states through the
 trusted ``_like``, which only prunes and refuses non-finite amplitudes.
-Four builds skip that amplitude scan and prune inline.  ``measure`` scales
+Three builds skip that amplitude scan and prune inline.  ``measure`` scales
 each residual amplitude a by 1/sqrt(p) with |a|^2 <= p, so every one stays
 within 1.  ``apply_phase`` multiplies by unit factors, and a NaN phase is
-refused by looking at the phase once; ``teleport._correct`` multiplies by
-the same factors of finite phases.  The CZ's weighted join of its two mixed
-sides keeps an overflowing product as an infinite modulus, which
-``measure`` refuses.  Four more skip both the scan and the prune:
-``gates.controlled_sign``, the gated ``gates.conditional_transfer`` and the
-``oracle`` entangling phase of ``pipeline`` negate amplitudes, and the
-occupancy flip behind ``cnot_logical`` and ``toffoli_logical`` moves them
-to distinct keys.  An input state is already pruned and finite, and none of
-the four changes a modulus, so there is nothing to drop or refuse.  No
-stored amplitude has a -0.0 part, since every build adds ``+ 0j``; a
+refused by looking at the phase once.  The CZ's weighted join of its two
+mixed sides (``teleport``) refuses, before it starts, pair weights large
+enough for a product to overflow.  Four more skip both the scan and the
+prune: ``gates.controlled_sign``, the gated ``gates.conditional_transfer``
+and the ``oracle`` entangling phase of ``pipeline`` negate amplitudes, and
+the occupancy flip behind ``cnot_logical`` and ``toffoli_logical`` moves
+them to distinct keys.  An input state is already pruned and finite, and
+none of the four changes a modulus, so there is nothing to drop or refuse.
+No stored amplitude has a -0.0 part, since every build adds ``+ 0j``; a
 negation writes ``-a + 0j`` to keep it so.
 
 Float sums go through ``_sum_in_order``, strictly left to right, so every
@@ -191,14 +190,26 @@ class SparseState:
     def apply_phase(self, mode: int, phi: float) -> "SparseState":
         """Phase shifter: each term gains exp(i*phi*count(mode))."""
         self._check_mode(mode)
+        # A term empty at ``mode`` would gain _cis(0) = 1, and a * (1+0j)
+        # differs from a only in the sign of a zero part, which ``+ 0j``
+        # clears; so it is not multiplied.  A single photon, the only count
+        # a register pattern holds, takes one factor made at its first use.
+        one = None
         out: dict[Occupation, complex] = {}
         for occ, a in self.terms.items():
-            a *= _cis(phi * occ[mode])
+            count = occ[mode]
+            if count == 1:
+                if one is None:
+                    one = _cis(phi)
+                a *= one
+            elif count:
+                a *= _cis(phi * count)
             if abs(a) >= PRUNE_TOLERANCE:
                 out[occ] = a + 0j
         # A NaN factor fails the prune and would vanish silently.  _cis gives
-        # NaN only for a NaN argument and raises for an infinite one, so with
-        # every factor made, a non-finite phi means a NaN factor; a finite
+        # NaN only for a NaN argument and raises for an infinite one, so a
+        # non-finite phi that gets here is refused, whether or not a term
+        # met it (an infinite phase times 0 photons is NaN as well); a finite
         # amplitude times a finite unit factor stays finite.
         if self.terms and not math.isfinite(phi):
             raise InvalidState("an operation produced a non-finite amplitude")

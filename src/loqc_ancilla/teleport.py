@@ -21,8 +21,7 @@ ancilla, whose terms sit at the register patterns (j, j') with weights
 w(j, j').  The two Fourier transforms never see the pair: each side mixes
 its qubit with a unit-weight single register on its own 2n+1 modes, and the
 joint state is the product of the two mixed sides, each term weighted by
-w(j, j') at the register weights its y modes show.  Both gates correct a
-success branch in one pass over its terms (``_correct``).
+w(j, j') at the register weights its y modes show.
 
 Both routes enumerate every measurement outcome, so they refuse sizes whose
 outcome bound exceeds :data:`OUTCOMES_GUARD` before doing any work.
@@ -39,8 +38,8 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InfeasibleParameters, OutOfRange, ShapeMismatch
-from .fock import PRUNE_TOLERANCE, Occupation, SparseState, _cis, _state, _sum_in_order, fidelity
+from .errors import InfeasibleParameters, InvalidState, OutOfRange, ShapeMismatch
+from .fock import PRUNE_TOLERANCE, Occupation, SparseState, _state, _sum_in_order, fidelity
 from .pipeline import pair_pattern, single_register_pattern
 
 # Measurement outcomes one call may enumerate.  It admits the CZ up to n=5
@@ -181,29 +180,6 @@ def _sign_flips(weights: list[complex]) -> list[int]:
     return [0] + [int((w * v.conjugate()).real < 0) for v, w in zip(weights, weights[1:])]
 
 
-def _correct(state: SparseState, phases: tuple[tuple[int, float], ...]) -> SparseState:
-    """``state.apply_phase(mode, phi)`` for each (mode, phi) in turn, in one
-    pass over the terms; bit-identical to the chained calls for finite phases.
-
-    A term empty at ``mode`` would gain _cis(0) = 1, which leaves a stored
-    amplitude (no -0.0 part) unchanged, so it is skipped.  A single photon
-    takes the factor _cis(phi), made once per call; larger counts, which no
-    register pattern holds, make theirs per term."""
-    factors = [(mode, phi, _cis(phi)) for mode, phi in phases]
-    out: dict[Occupation, complex] = {}
-    for occ, a in state.terms.items():
-        for mode, phi, one in factors:
-            count = occ[mode]
-            if count:
-                a *= one if count == 1 else _cis(phi * count)
-                if abs(a) < PRUNE_TOLERANCE:
-                    break
-                a += 0j
-        else:
-            out[occ] = a
-    return _state(state.modes, out)
-
-
 def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOutcome]:
     """Enumerate every measurement branch of one teleport exactly."""
     if ancilla.modes != 2 * n:
@@ -222,7 +198,7 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
         k = sum(mo.counts)
         if 1 <= k <= n:
             phi = table[_fourier_residue(mo.counts)] + math.pi * flips[k]
-            corrected = _correct(mo.residual, ((k - 1, phi),))
+            corrected = mo.residual.apply_phase(k - 1, phi)
             fid = fidelity(corrected, ideal[k])
             outcomes.append(
                 TeleportOutcome(
@@ -296,7 +272,8 @@ def cz_via_double_teleportation(
     per-side phase corrections plus the cross corrections pi*k' on the
     unprimed output and pi*k on the primed output; the post-selected result
     is the controlled-sign image of the input product state.  An ancilla with
-    a term off the register patterns (j, j') raises ``ShapeMismatch``.
+    a term off the register patterns (j, j') raises ``ShapeMismatch``, and
+    one with weights large enough to overflow the join ``InvalidState``.
     """
     if ancilla_pair.modes != 4 * n:
         raise ShapeMismatch(
@@ -312,6 +289,14 @@ def cz_via_double_teleportation(
     stray = len(ancilla_pair) - sum(1 for row in weights for w in row if w)
     if stray:
         raise ShapeMismatch(f"pair ancilla has {stray} terms off the register patterns for n={n}")
+    # Each side has norm^2 n+1, so |s1 s2| <= n+1, and each part of s1 s2 w
+    # adds two products of at most (n+1) times w's largest part.  Under the
+    # bound below (2 for the sum, 2 for rounding and the modulus) no part
+    # overflows to inf, or to NaN as inf - inf, which the join's prune would
+    # drop silently.
+    peak = max(max(abs(w.real), abs(w.imag)) for row in weights for w in row)
+    if not math.isfinite(4 * (n + 1) * peak):
+        raise InvalidState(f"pair ancilla amplitude parts up to {peak} overflow the join")
     table = feedforward_table(n)
     # Both sides share the profile; read its signs off the row j' whose
     # diagonal amplitude f(j')^2 is largest, undoing the (-1)^(j j') factor.
@@ -332,8 +317,6 @@ def cz_via_double_teleportation(
             if counts not in side_outcome:
                 side_outcome[counts] = (sum(counts), table[_fourier_residue(counts)])
         by_weight.append(groups)
-    # |s1 s2| <= n+1, so a product that overflows keeps an infinite modulus:
-    # it passes the prune, and measure refuses its outcome.
     terms: dict[Occupation, complex] = {}
     for j, part1 in enumerate(by_weight[0]):
         for jp, part2 in enumerate(by_weight[1]):
@@ -368,7 +351,7 @@ def cz_via_double_teleportation(
         # 2 and keep the pi phase exact.
         phi1 = phase1 + math.pi * ((kp + flips[k]) % 2)
         phi2 = phase2 + math.pi * ((k + flips[kp]) % 2)
-        corrected = _correct(mo.residual, ((k - 1, phi1), (n + kp - 1, phi2)))
+        corrected = mo.residual.apply_phase(k - 1, phi1).apply_phase(n + kp - 1, phi2)
         fid = fidelity(corrected, ideal[k, kp])
         total_success += mo.probability
         branches.append(CzBranch(mo.counts, k, kp, mo.probability, fid))

@@ -713,8 +713,13 @@ def test_measure_fast_path_is_bit_identical_to_reference():
 
 def test_phase_fast_path_is_bit_identical_to_reference():
     rng, states = fast_path_inputs()
+    # A phase of 0.3 at mode 0 rounds the modulus of the faint term from
+    # 1e-12 to below the prune tolerance; the term empty there is kept.
+    faint = complex(-9.500635012429373e-13, 3.120566352539412e-13)
+    edge = SparseState(2, {(1, 0): faint, (0, 1): 1.0})
+    assert len(edge) == 2 and list(edge.apply_phase(0, 0.3).terms) == [(0, 1)]
     phases = [0.0, math.pi, -math.pi / 2, 0.3, 2.3, 1e17, math.pi * 2**18]
-    for state in states:
+    for state in states + [edge]:
         for mode in range(state.modes):
             for phi in phases + [rng.uniform(-10.0, 10.0)]:
                 got = state.apply_phase(mode, phi)
