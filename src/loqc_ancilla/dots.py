@@ -15,6 +15,13 @@ carry the condition explicitly; on a branch-blind device the same pulses
 would be stopped by double-occupancy blockade on the no-transfer branch but
 would disturb branches frozen in earlier rounds).
 
+A pair schedule is one reset, the loads and rounds of the first pair, the
+same pulses shifted by 2n dots for the second, then the interaction phase
+and its u-gate correction.  :func:`execute` runs any schedule literally on all its dots;
+:func:`prepare_pair` runs each pair's block on that pair's own 2n dots and
+joins the two by a tensor product before the phases, the way
+``pipeline.build_entangled_pair`` joins its register pairs.
+
 Double occupancy is forbidden throughout; :func:`execute` checks the state
 it is given once, and no pulse can create it.
 """
@@ -336,6 +343,8 @@ def scheduled_pulse_count(n: int, pairs: int = 1) -> int:
 def execute(schedule: PulseSchedule, state: SparseState | None = None) -> SparseState:
     """Run a schedule from ``state`` (all dots empty when omitted).
 
+    Every pulse acts on the whole state.  With a full pair schedule this is
+    the literal route, the oracle :func:`prepare_pair` is tested against.
     A given state is checked once for double occupancy; no pulse creates it:
     rabi moves a lone electron within its pair and refuses a doubly occupied
     pair, a load fills only an empty dot, phases keep the keys, thermalize
@@ -385,8 +394,23 @@ def prepare_pair(
     profile: AmplitudeProfile,
     intra_coefficient: float = 0.0,
 ) -> tuple[SparseState, PulseSchedule]:
-    """Compile and run the full pair preparation; returns the photonic state."""
+    """Compile the pair schedule and run it; returns the photonic state and
+    the schedule.
+
+    Each register pair runs the schedule's register block (reset, loads and
+    n transfer rounds) on its own 2n dots; the compiler emits the second
+    pair's block as the first's shifted by 2n dots, so the block runs once
+    per pair and the device still applies 2n^2 Rabi pulses.  The exact
+    tensor product of the two pairs then gets the interaction phase and its
+    u-gate correction.  No pulse of one pair touches the other's dots, so
+    this is the state ``execute(schedule)`` gives, up to the last bits (each
+    amplitude is now one product of the two pairs' amplitudes), with each
+    pulse seeing at most n+1 terms instead of up to (n+1)^2.
+    """
     schedule = compile_pair_schedule(n, profile, intra_coefficient=intra_coefficient)
-    final = execute(schedule)
-    photonic = emit_photons(final, n)
-    return photonic, schedule
+    block = scheduled_pulse_count(n)
+    register_block = PulseSchedule(n, 1, schedule.pulses[:block])
+    first = execute(register_block)
+    second = execute(register_block)
+    final = execute(PulseSchedule(n, 2, schedule.pulses[-2:]), first.tensor(second))
+    return emit_photons(final, n), schedule

@@ -181,16 +181,26 @@ def _sign_flips(weights: list[complex]) -> list[int]:
 
 
 def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOutcome]:
-    """Enumerate every measurement branch of one teleport exactly."""
+    """Enumerate every measurement branch of one teleport exactly.
+
+    An ancilla with a term off the register patterns raises
+    ``ShapeMismatch``: its sign flips are read off those patterns.
+    """
     if ancilla.modes != 2 * n:
         raise ShapeMismatch(
             f"ancilla has {ancilla.modes} modes, expected {2 * n} for n={n}"
         )
     _check_cost(n, 1)
+    # A stored amplitude is never 0, so the terms not read here are the ones
+    # off the register patterns.
+    weights = [ancilla.amplitude(single_register_pattern(n, j)) for j in range(n + 1)]
+    stray = len(ancilla) - sum(1 for w in weights if w)
+    if stray:
+        raise ShapeMismatch(f"ancilla has {stray} terms off the register patterns for n={n}")
     state = qubit.state().tensor(ancilla)
     state = apply_qft(state, list(range(n + 1)))
     table = feedforward_table(n)
-    flips = _sign_flips([ancilla.amplitude(single_register_pattern(n, j)) for j in range(n + 1)])
+    flips = _sign_flips(weights)
     ideal = {k: _ideal_residual(qubit, n, k) for k in range(1, n + 1)}
 
     outcomes: list[TeleportOutcome] = []

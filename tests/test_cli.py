@@ -537,6 +537,25 @@ def test_dots_report_and_schedule(tmp_path, capsys):
     assert written == [pulse.to_json_dict() for pulse in schedule.pulses]
 
 
+# sha256 of the dots report, written schedule and photonic state, pinned so
+# that no change to the pulses or their execution moves a byte unnoticed.
+PINNED_DOTS = (
+    "96d048f4ffd57dabec8f1f74796319ac791cba1962649954586b5ecfef7e86f2",
+    "2e7a3e3048bc025bfd6b0b37958e32899d9ceb0c53ad00453a927eb48e75638a",
+    "57218b2a961640565c2a43beca6484196babdfdd738e0fb14749dacbab1bc006",
+)
+
+
+def test_dots_bytes_are_pinned(tmp_path, capsys):
+    schedule, state = tmp_path / "schedule.jsonl", tmp_path / "state.json"
+    argv = ["dots", "--n", "3", "--intra-coefficient", "0.4"]
+    argv += ["--schedule-out", str(schedule), "--state-out", str(state)]
+    code, out, err = run_cli(argv, capsys)
+    written = (out.encode(), schedule.read_bytes(), state.read_bytes())
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in written)
+    assert (code, err, digests) == (0, "", PINNED_DOTS)
+
+
 # ----------------------------------------------------------------------
 # environment and usage
 # ----------------------------------------------------------------------

@@ -397,6 +397,70 @@ def test_pair_preparation_end_to_end(n):
         assert len(schedule.pulses) == scheduled_pulse_count(n, pairs=2)
 
 
+def literal_pair(n, profile, intra_coefficient):
+    """The oracle route: the whole pair schedule run on the joint 4n dots."""
+    schedule = compile_pair_schedule(n, profile, intra_coefficient)
+    return emit_photons(execute(schedule), n), schedule
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_prepare_pair_matches_the_literal_schedule(n):
+    rng = random.Random(700 + n)
+    for profile in (AmplitudeProfile.constant(n), random_profile(rng, n), AmplitudeProfile.delta(n)):
+        for intra in (0.0, 0.3, -1.7):
+            photonic, schedule = prepare_pair(n, profile, intra)
+            literal, literal_schedule = literal_pair(n, profile, intra)
+            assert schedule.to_jsonl() == literal_schedule.to_jsonl()
+            assert photonic.modes == literal.modes
+            assert photonic.terms.keys() == literal.terms.keys()
+            for key, a in literal.terms.items():
+                assert abs(photonic.terms[key] - a) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_prepare_pair_pulses_see_one_register_pair(n, monkeypatch):
+    from loqc_ancilla import dots
+
+    sizes, transfer_schedules = [], []
+
+    def counted_rabi(state, *args):
+        sizes.append(len(state))
+        return rabi(state, *args)
+
+    def counted_schedule(profile):
+        transfer_schedules.append(profile)
+        return schedule_from_profile(profile)
+
+    monkeypatch.setattr(dots, "rabi", counted_rabi)
+    monkeypatch.setattr(dots, "schedule_from_profile", counted_schedule)
+    profile = random_profile(random.Random(800 + n), n)
+    prepare_pair(n, profile, 0.3)
+    assert (len(sizes), max(sizes)) == (2 * n * n, n + 1)
+    assert transfer_schedules == [profile]
+    # The literal route runs the same pulses on up to (n+1)^2 terms.
+    sizes.clear()
+    literal_pair(n, profile, 0.3)
+    assert (len(sizes), max(sizes)) == (2 * n * n, (n + 1) ** 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_second_register_block_is_the_first_shifted_by_2n_dots(n):
+    # prepare_pair runs the first pair's block for both pairs, which is
+    # exact only while the second block is the first shifted by 2n dots.
+    schedule = compile_pair_schedule(n, random_profile(random.Random(900 + n), n), 0.3)
+    block = scheduled_pulse_count(n)
+
+    def shifted(pulse):
+        if isinstance(pulse, LoadFromReservoir):
+            return LoadFromReservoir(pulse.dot + 2 * n)
+        gate = None if pulse.only_if is None else pulse.only_if + 2 * n
+        return RabiPulse(pulse.src + 2 * n, pulse.dst + 2 * n, pulse.theta, gate)
+
+    assert schedule.pulses[0] == Thermalize()
+    assert schedule.pulses[block:-2] == tuple(map(shifted, schedule.pulses[1:block]))
+    assert [type(p) for p in schedule.pulses[-2:]] == [InteractionPhase, UGateCorrection]
+
+
 def test_no_intermediate_double_occupancy():
     # Replay the schedule pulse by pulse and scan every prefix state.
     profile = AmplitudeProfile.constant(3)

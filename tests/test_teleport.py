@@ -134,6 +134,21 @@ def test_teleport_shape_check():
         teleport(InputQubit.zero(), SparseState.basis((1, 0)), 2)
 
 
+def test_teleport_refuses_an_off_pattern_ancilla(monkeypatch):
+    # Run anyway, this ancilla gave 14 outcomes and a minimum fidelity of 0.881.
+    n = 2
+    terms = dict(direct_oracle_single(n, AmplitudeProfile.constant(n)).terms)
+    terms[(1, 0, 0, 0)] = 0.3  # x holds j=1 but y holds no photon
+    stray = SparseState(2 * n, terms)
+
+    def no_transform(state, modes):
+        raise AssertionError("the ancilla should be refused before any work")
+
+    monkeypatch.setattr(teleport_module, "apply_qft", no_transform)
+    with pytest.raises(ShapeMismatch, match="1 terms off the register patterns"):
+        teleport(InputQubit.plus(), stray, n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_teleport_outcome_completeness(n):
     outcomes = teleport(
