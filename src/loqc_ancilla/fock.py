@@ -14,13 +14,15 @@ Three builds skip that amplitude scan and prune inline.  ``measure`` scales
 each residual amplitude a by 1/sqrt(p) with |a|^2 <= p, so every one stays
 within 1.  ``apply_phase`` multiplies by unit factors, and a NaN phase is
 refused by looking at the phase once.  The CZ's weighted join of its two
-mixed sides (``teleport``) refuses, before it starts, pair weights large
-enough for a product to overflow.  Four more skip both the scan and the
-prune: ``gates.controlled_sign``, the gated ``gates.conditional_transfer``
-and the ``oracle`` entangling phase of ``pipeline`` negate amplitudes, and
-the occupancy flip behind ``cnot_logical`` and ``toffoli_logical`` moves
-them to distinct keys.  An input state is already pruned and finite, and
-none of the four changes a modulus, so there is nothing to drop or refuse.
+corrected sides (``teleport``) refuses, before it starts, pair weights
+large enough for a product to overflow; the table phases on its sides'
+terms are unit factors, and its pi corrections negate a weight exactly.
+Four more skip both the scan and the prune: ``gates.controlled_sign``, the
+gated ``gates.conditional_transfer`` and the ``oracle`` entangling phase of
+``pipeline`` negate amplitudes, and the occupancy flip behind
+``cnot_logical`` and ``toffoli_logical`` moves them to distinct keys.  An
+input state is already pruned and finite, and none of the four changes a
+modulus, so there is nothing to drop or refuse.
 No stored amplitude has a -0.0 part, since every build adds ``+ 0j``; a
 negation writes ``-a + 0j`` to keep it so.
 

@@ -19,9 +19,14 @@ ratio is 1, so that phase restores the qubit exactly.
 The controlled sign teleports two qubits at once through the entangled pair
 ancilla, whose terms sit at the register patterns (j, j') with weights
 w(j, j').  The two Fourier transforms never see the pair: each side mixes
-its qubit with a unit-weight single register on its own 2n+1 modes, and the
-joint state is the product of the two mixed sides, each term weighted by
-w(j, j') at the register weights its y modes show.
+its qubit with a unit-weight single register on its own 2n+1 modes.  The
+feedforward is a phase conditioned on the measured counts, so it commutes
+with their measurement and is applied before the join: each side's success
+terms take their table phase, and the join negates exactly for the pi
+parts.  Only success terms are joined, each product weighted by w(j, j') at
+the register weights its y modes show, so measuring the joint state yields
+exactly the kept branches.  The success and failure totals come from each
+side's mass per register weight, not from the branches.
 
 Both routes enumerate every measurement outcome, so they refuse sizes whose
 outcome bound exceeds :data:`OUTCOMES_GUARD` before doing any work.
@@ -39,12 +44,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InfeasibleParameters, InvalidState, OutOfRange, ShapeMismatch
-from .fock import PRUNE_TOLERANCE, Occupation, SparseState, _state, _sum_in_order, fidelity
+from .fock import (
+    PRUNE_TOLERANCE,
+    Occupation,
+    SparseState,
+    _cis,
+    _state,
+    _sum_in_order,
+    fidelity,
+)
 from .pipeline import pair_pattern, single_register_pattern
 
 # Measurement outcomes one call may enumerate.  It admits the CZ up to n=5
-# (about 2.5 s and 0.5 GB per call) and teleport up to n=10; the CZ at n=6 and
-# teleport from n=11 would run for minutes to hours.
+# (about 1.7 s and 0.4 GB per call on |+> inputs) and teleport up to n=10;
+# the CZ at n=6 and teleport from n=11 would run for minutes to hours.
 OUTCOMES_GUARD = 1e6
 
 
@@ -265,25 +278,114 @@ def _ideal_cz_residual(
     return ideal.apply_basis_phase(lambda occ: math.pi * occ[k - 1] * occ[n + kp - 1])
 
 
+# One side's success terms by register weight j, then by (k, b): its photon
+# total and whether y mode k-1 holds the qubit's photon.
+_SideGroups = list[dict[tuple[int, int], list[tuple[Occupation, complex]]]]
+
+
+def _corrected_side(
+    qubit: InputQubit, register: SparseState, n: int
+) -> tuple[_SideGroups, tuple[list[float], list[float]]]:
+    """Mix one CZ side and apply its table phases before the join.
+
+    The side is modes [q, x, y]; mixing q with x leaves keys c + y.  A
+    success term (total k in 1..n) gains the table phase of its counts when
+    y mode k-1 holds the qubit's photon: the feedforward is conditioned only
+    on the counts, so it commutes with their measurement.  Its pi parts are
+    left to the join.  Returns the success terms grouped as ``_SideGroups``
+    and, per weight j, the masses sum |s|^2 of all its terms and of its
+    failing ones.
+    """
+    table = feedforward_table(n)
+    factors: dict[Occupation, complex] = {}  # per count pattern
+    side = apply_qft(qubit.state().tensor(register), list(range(n + 1)))
+    groups: _SideGroups = [{} for _ in range(n + 1)]
+    every: list[list[float]] = [[] for _ in range(n + 1)]
+    failed: list[list[float]] = [[] for _ in range(n + 1)]
+    for key, s in side.terms.items():
+        counts = key[: n + 1]
+        k = sum(counts)
+        j = n - sum(key[n + 1 :])
+        mass = abs(s) ** 2
+        every[j].append(mass)
+        if not 1 <= k <= n:
+            failed[j].append(mass)
+            continue
+        occupied = key[n + k]  # y mode k-1
+        if occupied:
+            factor = factors.get(counts)
+            if factor is None:
+                factor = factors[counts] = _cis(table[_fourier_residue(counts)])
+            s *= factor
+        part = groups[j].get((k, occupied))
+        if part is None:
+            part = groups[j][k, occupied] = []
+        part.append((key, s))
+    return groups, ([_sum_in_order(m) for m in every], [_sum_in_order(m) for m in failed])
+
+
+def _cz_totals(
+    weights: list[list[complex]],
+    masses1: tuple[list[float], list[float]],
+    masses2: tuple[list[float], list[float]],
+) -> tuple[float, float]:
+    """Success and failure of the CZ from the two sides' masses per weight.
+
+    Different register weights are orthogonal y patterns, so the joint
+    terms at (j, j') carry |w(j, j')|^2 times the sides' masses at j and j'.
+    With T the mass of all terms, F of the failing ones and S = T - F,
+    success sums |w|^2 S1(j) S2(j') and failure |w|^2 (F1(j) T2(j') +
+    S1(j) F2(j')).  A total past the float range raises ``InvalidState``.
+    """
+    (every1, failed1), (every2, failed2) = masses1, masses2
+    kept1 = [t - f for t, f in zip(every1, failed1)]
+    kept2 = [t - f for t, f in zip(every2, failed2)]
+    try:
+        pair_mass = [[abs(w) ** 2 for w in row] for row in weights]
+    except OverflowError:  # a modulus squared past the float range
+        pair_mass = [[math.inf] * len(row) for row in weights]
+    success = _sum_in_order(
+        m * kept1[j] * kept2[jp]
+        for j, row in enumerate(pair_mass)
+        for jp, m in enumerate(row)
+    )
+    failure = _sum_in_order(
+        m * (failed1[j] * every2[jp] + kept1[j] * failed2[jp])
+        for j, row in enumerate(pair_mass)
+        for jp, m in enumerate(row)
+    )
+    # Each side has mass T(j) > 0 at every weight, so an infinite |w|^2
+    # leaves an inf or NaN term in a total.
+    if not math.isfinite(success + failure):
+        raise InvalidState("pair ancilla weights give a norm^2 past the float range")
+    return success, failure
+
+
 def cz_via_double_teleportation(
     q: InputQubit, qp: InputQubit, ancilla_pair: SparseState, n: int
 ) -> CzGateResult:
     """Teleport both qubits through the entangled pair ancilla.
 
     Each side's Fourier transform acts on its own (2n+1)-mode state, the
-    qubit tensored with the unit-weight single register sum_j |x_j y_j>.
-    The joint state is the tensor product of the two mixed sides with each
-    term reweighted by the pair's amplitude w(j, j') at the registers' weights,
-    read off the y halves (j = n - |y|).  No sum is lost: a side's output key
-    fixes its register weight, and its photon total then fixes the qubit
-    count, so each joint key has one product s1 s2 w(j, j').
+    qubit tensored with the unit-weight single register sum_j |x_j y_j>,
+    and each success term takes its table phase there (``_corrected_side``).
+    The joint state is the product of the two sides' success terms (both
+    photon totals in 1..n) with each term reweighted by the pair's amplitude
+    w(j, j') at the registers' weights, read off the y halves
+    (j = n - |y|).  No sum is lost: a side's output key fixes its register
+    weight, and its photon total then fixes the qubit count, so each joint
+    key has one product s1 s2 w(j, j').  The join also applies the
+    feedforward's pi parts, the profile's sign flips and the cross
+    corrections pi*k' on the unprimed output and pi*k on the primed one, as
+    exact negations.  Measuring the joint state then yields exactly the
+    kept branches, already corrected; each is the controlled-sign image of
+    the input product state.
 
-    Jointly successful branches (both photon totals in 1..n) receive the
-    per-side phase corrections plus the cross corrections pi*k' on the
-    unprimed output and pi*k on the primed output; the post-selected result
-    is the controlled-sign image of the input product state.  An ancilla with
-    a term off the register patterns (j, j') raises ``ShapeMismatch``, and
-    one with weights large enough to overflow the join ``InvalidState``.
+    Failing terms never enter the joint state: the success and failure
+    totals come from the sides' masses per weight (``_cz_totals``).  An
+    ancilla with a term off the register patterns (j, j') raises
+    ``ShapeMismatch``, and one with weights large enough to overflow the
+    join or its totals ``InvalidState``.
     """
     if ancilla_pair.modes != 4 * n:
         raise ShapeMismatch(
@@ -307,66 +409,53 @@ def cz_via_double_teleportation(
     peak = max(max(abs(w.real), abs(w.imag)) for row in weights for w in row)
     if not math.isfinite(4 * (n + 1) * peak):
         raise InvalidState(f"pair ancilla amplitude parts up to {peak} overflow the join")
-    table = feedforward_table(n)
     # Both sides share the profile; read its signs off the row j' whose
     # diagonal amplitude f(j')^2 is largest, undoing the (-1)^(j j') factor.
     row = max(range(n + 1), key=lambda j: abs(weights[j][j]))
     flips = _sign_flips([weights[j][row] * (-1) ** (j * row) for j in range(n + 1)])
 
-    # Each side is modes [q, x, y]; mixing q with x leaves keys c + y.
     register = SparseState(2 * n, {single_register_pattern(n, j): 1.0 for j in range(n + 1)})
-    fourier = list(range(n + 1))
-    sides = [apply_qft(qubit.state().tensor(register), fourier) for qubit in (q, qp)]
-    by_weight: list[list[list[tuple[Occupation, complex]]]] = []
-    side_outcome: dict[Occupation, tuple[int, float]] = {}  # counts -> total, table phase
-    for side in sides:
-        groups: list[list[tuple[Occupation, complex]]] = [[] for _ in range(n + 1)]
-        for key, s in side.terms.items():
-            groups[n - sum(key[n + 1 :])].append((key, s))
-            counts = key[: n + 1]
-            if counts not in side_outcome:
-                side_outcome[counts] = (sum(counts), table[_fourier_residue(counts)])
-        by_weight.append(groups)
+    groups1, masses1 = _corrected_side(q, register, n)
+    groups2, masses2 = _corrected_side(qp, register, n)
+    total_success, total_failure = _cz_totals(weights, masses1, masses2)
+
+    # The feedforward's pi parts fall on y mode k-1 when b1 (flips[k] and the
+    # cross correction pi*k') and on y' mode k'-1 when b2 (flips[k'] and
+    # pi*k), so each pair of groups takes one sign.  Negating w negates each
+    # product exactly, as -a would, where a float phase of pi would leave
+    # 1e-16 junk.
     terms: dict[Occupation, complex] = {}
-    for j, part1 in enumerate(by_weight[0]):
-        for jp, part2 in enumerate(by_weight[1]):
+    for j, parts1 in enumerate(groups1):
+        for jp, parts2 in enumerate(groups2):
             w = weights[j][jp]
             if not w:
                 continue
-            for key1, s1 in part1:
-                for key2, s2 in part2:
-                    a = s1 * s2 * w
-                    if abs(a) >= PRUNE_TOLERANCE:
-                        terms[key1 + key2] = a + 0j
+            for (k, b1), part1 in parts1.items():
+                for (kp, b2), part2 in parts2.items():
+                    v = -w if (b1 * (flips[k] + kp) + b2 * (flips[kp] + k)) % 2 else w
+                    for key1, s1 in part1:
+                        for key2, s2 in part2:
+                            a = s1 * s2 * v
+                            if abs(a) >= PRUNE_TOLERANCE:
+                                terms[key1 + key2] = a + 0j
     # Modes [q, x, y, q', x', y']: measuring both Fourier blocks leaves the
-    # residual on [y, y'] and the counts as side 1 then side 2.
+    # corrected residual on [y, y'] and the counts as side 1 then side 2.
     joint = _state(4 * n + 2, terms)
-    measured = fourier + [2 * n + 1 + m for m in fourier]
+    measured = list(range(n + 1)) + list(range(2 * n + 1, 3 * n + 2))
     ideal = {
         (k, kp): _ideal_cz_residual(q, qp, n, k, kp)
         for k in range(1, n + 1)
         for kp in range(1, n + 1)
     }
 
-    total_success = total_failure = 0.0
     branches: list[CzBranch] = []
     best: tuple[float, SparseState, int, int] | None = None
     for mo in joint.measure(measured):
-        k, phase1 = side_outcome[mo.counts[: n + 1]]
-        kp, phase2 = side_outcome[mo.counts[n + 1 :]]
-        if not (1 <= k <= n and 1 <= kp <= n):
-            total_failure += mo.probability
-            continue
-        # Cross corrections and profile signs are signs, so reduce them mod
-        # 2 and keep the pi phase exact.
-        phi1 = phase1 + math.pi * ((kp + flips[k]) % 2)
-        phi2 = phase2 + math.pi * ((k + flips[kp]) % 2)
-        corrected = mo.residual.apply_phase(k - 1, phi1).apply_phase(n + kp - 1, phi2)
-        fid = fidelity(corrected, ideal[k, kp])
-        total_success += mo.probability
+        k, kp = sum(mo.counts[: n + 1]), sum(mo.counts[n + 1 :])
+        fid = fidelity(mo.residual, ideal[k, kp])
         branches.append(CzBranch(mo.counts, k, kp, mo.probability, fid))
         if best is None or mo.probability > best[0]:
-            best = (mo.probability, corrected, k, kp)
+            best = (mo.probability, mo.residual, k, kp)
 
     output = None
     if best is not None:

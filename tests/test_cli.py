@@ -362,7 +362,7 @@ PINNED_OUTPUTS = [
     (
         ["czgate", "--n", "2", "--format", "json"],
         0,
-        "4cfc4943e4001bf4983fc1e443a44768857f245aec1905ab7cb9ca1c9f066cff",
+        "5497484fcd1e2ee752820ddde4db21a2dc8affb10e21db1b5a2c7b550c927b91",
         "",
     ),
     (
@@ -374,7 +374,7 @@ PINNED_OUTPUTS = [
     (
         ["czgate", "--n", "2", "--profile", "delta", "--format", "json"],
         1,
-        "d3803f17a182bffcdae71918c9d7d953581dceb8831486b571198e81fda1f6b3",
+        "225c41216bc89688a704153d804c3951c7a3ba4619135c6d873a589ac7ed4593",
         "",
     ),
 ]

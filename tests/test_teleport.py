@@ -265,12 +265,19 @@ def test_cz_shape_check():
         )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_cz_failure_rate_and_scaling(n):
+    # The totals come from each side's mass per register weight, not from
+    # summing up to 15 625 branches, so they stay within a few ulp.
     ancilla = direct_oracle_pair(n, AmplitudeProfile.constant(n))
-    result = cz_via_double_teleportation(InputQubit.plus(), InputQubit.plus(), ancilla, n)
+    rng = random.Random(1600 + n)
+    pairs = [(InputQubit.plus(), InputQubit.plus()), (InputQubit.one(), InputQubit.zero())]
+    pairs.append((random_qubit(rng), random_qubit(rng)))
     expected_failure = 1.0 - (n / (n + 1)) ** 2
-    assert result.failure_probability == pytest.approx(expected_failure, abs=1e-12)
+    for qa, qb in pairs:
+        result = cz_via_double_teleportation(qa, qb, ancilla, n)
+        assert abs(result.success_probability - (n / (n + 1)) ** 2) <= 2e-15
+        assert abs(result.failure_probability - expected_failure) <= 2e-15
     # Leading term of the expansion is 2/(n+1).
     assert abs(expected_failure - 2.0 / (n + 1)) <= 1.0 / (n + 1) ** 2 + 1e-12
 
@@ -436,20 +443,19 @@ def reference_joint_state_cz(q, qp, ancilla_pair, n):
     flips = _sign_flips(
         [ancilla_pair.amplitude(pair_pattern(n, j, row)) * (-1) ** (j * row) for j in range(n + 1)]
     )
-    total_success = total_failure = 0.0
+    failed = []
     branches = []
     best = None
     for mo in full.measure(side1 + side2):
         c1, c2 = mo.counts[: n + 1], mo.counts[n + 1 :]
         k, kp = sum(c1), sum(c2)
         if not (1 <= k <= n and 1 <= kp <= n):
-            total_failure += mo.probability
+            failed.append(mo.probability)
             continue
         phi1 = table[_fourier_residue(c1)] + math.pi * ((kp + flips[k]) % 2)
         phi2 = table[_fourier_residue(c2)] + math.pi * ((k + flips[kp]) % 2)
         corrected = mo.residual.apply_phase(k - 1, phi1).apply_phase(n + kp - 1, phi2)
         fid = fidelity(corrected, _ideal_cz_residual(q, qp, n, k, kp))
-        total_success += mo.probability
         branches.append(CzBranch(mo.counts, k, kp, mo.probability, fid))
         if best is None or mo.probability > best[0]:
             best = (mo.probability, corrected, k, kp)
@@ -459,9 +465,11 @@ def reference_joint_state_cz(q, qp, ancilla_pair, n):
         output = corrected.drop_modes(
             m for m in range(2 * n) if m not in (k - 1, n + kp - 1)
         ).normalized()
+    # Correctly rounded totals, so the comparison measures the route under
+    # test rather than this sum's own rounding.
     return CzGateResult(
-        total_success,
-        total_failure,
+        math.fsum(b.probability for b in branches),
+        math.fsum(failed),
         min((b.fidelity for b in branches), default=None),
         output,
         tuple(branches),
@@ -489,14 +497,14 @@ def pair_of(kind, n, rng):
 
 
 # The two routes round differently: the joint amplitude is s1 s2 w(j, j')
-# where the full-state route multiplied w through both transforms.  Over 96
-# random cases at n = 1..4 the largest gaps were 3e-17 per branch
-# probability, 1.2e-15 per fidelity and 1.7e-15 on a success or failure
-# total of up to 825 branches; the full-state route itself lies up to
-# 1.5e-15 from the exact failure 7/16 at n=3.
+# where the full-state route multiplied w through both transforms, and the
+# totals come from the sides' masses per weight where the full-state route
+# sums its outcomes.  Over 96 random cases at n = 1..4 the largest gaps were
+# 2.8e-17 per branch probability, 1.2e-15 per fidelity and 4.4e-16 on a
+# success or failure total.
 BRANCH_PROBABILITY_GAP = 1e-15
 FIDELITY_GAP = 2e-15
-TOTAL_GAP = 4e-15
+TOTAL_GAP = 1e-15
 
 
 @pytest.mark.parametrize(
@@ -519,6 +527,8 @@ def test_cz_matches_the_joint_state_route(n, kind):
             assert abs(a.fidelity - b.fidelity) <= FIDELITY_GAP
         assert abs(got.success_probability - want.success_probability) <= TOTAL_GAP
         assert abs(got.failure_probability - want.failure_probability) <= TOTAL_GAP
+        kept = math.fsum(b.probability for b in got.branches)
+        assert abs(kept - got.success_probability) <= 1e-12
         assert abs(got.min_fidelity - want.min_fidelity) <= FIDELITY_GAP
         assert fidelity(got.output_qubits, want.output_qubits) >= 1 - 1e-12
 
@@ -526,6 +536,8 @@ def test_cz_matches_the_joint_state_route(n, kind):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
     # The benchmark's czgate span contract: two transforms, one measure.
+    # Only success terms are joined, already corrected, so every measured
+    # outcome is a kept branch and no phase is applied afterwards.
     transforms, measures = [], []
     qft, measure = teleport_module.apply_qft, SparseState.measure
 
@@ -534,16 +546,27 @@ def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
         return qft(state, modes)
 
     def counted_measure(self, modes):
-        measures.append(self.modes)
-        return measure(self, modes)
+        outcomes = measure(self, modes)
+        measures.append((self, outcomes))
+        return outcomes
+
+    def no_phase(self, mode, phi):
+        raise AssertionError("the CZ corrects its sides before the join")
 
     monkeypatch.setattr(teleport_module, "apply_qft", counted_qft)
     monkeypatch.setattr(SparseState, "measure", counted_measure)
+    monkeypatch.setattr(SparseState, "apply_phase", no_phase)
     ancilla = direct_oracle_pair(n, AmplitudeProfile.constant(n))
-    cz_via_double_teleportation(InputQubit.plus(), InputQubit.of(0.6, 0.8j), ancilla, n)
+    result = cz_via_double_teleportation(InputQubit.plus(), InputQubit.of(0.6, 0.8j), ancilla, n)
     side = (2 * n + 1, 2 * (n + 1), list(range(n + 1)))
     assert transforms == [side, side]
-    assert measures == [4 * n + 2]
+    assert [joint.modes for joint, _ in measures] == [4 * n + 2]
+    ((joint, outcomes),) = measures
+    totals = {(sum(key[: n + 1]), sum(key[2 * n + 1 : 3 * n + 2])) for key in joint.terms}
+    assert totals == {(k, kp) for k in range(1, n + 1) for kp in range(1, n + 1)}
+    assert [(b.counts, b.probability) for b in result.branches] == [
+        (o.counts, o.probability) for o in outcomes
+    ]
 
 
 def test_cz_refuses_an_off_pattern_ancilla(monkeypatch):
