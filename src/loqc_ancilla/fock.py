@@ -12,16 +12,15 @@ Keys and amplitudes are validated where data enters (the constructor,
 trusted ``_like``, which only prunes and refuses non-finite amplitudes.
 Three builds skip that amplitude scan and prune inline.  ``measure`` scales
 each residual amplitude a by 1/sqrt(p) with |a|^2 <= p, so every one stays
-within 1.  ``apply_phase`` multiplies by unit factors, and a NaN phase is
-refused by looking at the phase once.  The CZ's weighted join of its two
-corrected sides (``teleport``) refuses, before it starts, pair weights
-large enough for a product to overflow; the table phases on its sides'
-terms are unit factors, and its pi corrections negate a weight exactly.
-Four more skip both the scan and the prune: ``gates.controlled_sign``, the
-gated ``gates.conditional_transfer`` and the ``oracle`` entangling phase of
-``pipeline`` negate amplitudes, and the occupancy flip behind
-``cnot_logical`` and ``toffoli_logical`` moves them to distinct keys.  An
-input state is already pruned and finite, and none of the four changes a
+within 1.  The KLM feedforward (``teleport``) multiplies success terms by
+unit factors of finite table phases.  The CZ's weighted join of its two
+corrected sides refuses, before it starts, pair weights large enough for a
+product to overflow.  Five more skip both the scan and the prune:
+``gates.controlled_sign``, the gated ``gates.conditional_transfer`` and the
+``oracle`` entangling phase of ``pipeline`` negate amplitudes,
+``gates._fixup`` turns each by an exact quarter turn, and the occupancy flip
+behind ``cnot_logical`` and ``toffoli_logical`` moves them to distinct keys.
+An input state is already pruned and finite, and none of the five changes a
 modulus, so there is nothing to drop or refuse.
 No stored amplitude has a -0.0 part, since every build adds ``+ 0j``; a
 negation writes ``-a + 0j`` to keep it so.
@@ -134,9 +133,9 @@ class SparseState:
         comparison and would vanish silently, hence the finiteness check;
         ``+ 0j`` maps -0.0 to +0.0 as the public constructor's sum does.
 
-        ``measure`` and ``apply_phase`` write this prune inline, because a
-        helper call per residual costs a teleport about a tenth of its time;
-        the fast-path tests in ``test_fock`` hold both copies to this one."""
+        ``measure`` writes this prune inline, because a helper call per
+        residual costs a teleport about a tenth of its time; a fast-path test
+        in ``test_fock`` holds it to this one."""
         if not math.isfinite(sum(map(abs, terms.values()))):
             raise InvalidState("an operation produced a non-finite amplitude")
         return _state(
@@ -192,30 +191,7 @@ class SparseState:
     def apply_phase(self, mode: int, phi: float) -> "SparseState":
         """Phase shifter: each term gains exp(i*phi*count(mode))."""
         self._check_mode(mode)
-        # A term empty at ``mode`` would gain _cis(0) = 1, and a * (1+0j)
-        # differs from a only in the sign of a zero part, which ``+ 0j``
-        # clears; so it is not multiplied.  A single photon, the only count
-        # a register pattern holds, takes one factor made at its first use.
-        one = None
-        out: dict[Occupation, complex] = {}
-        for occ, a in self.terms.items():
-            count = occ[mode]
-            if count == 1:
-                if one is None:
-                    one = _cis(phi)
-                a *= one
-            elif count:
-                a *= _cis(phi * count)
-            if abs(a) >= PRUNE_TOLERANCE:
-                out[occ] = a + 0j
-        # A NaN factor fails the prune and would vanish silently.  _cis gives
-        # NaN only for a NaN argument and raises for an infinite one, so a
-        # non-finite phi that gets here is refused, whether or not a term
-        # met it (an infinite phase times 0 photons is NaN as well); a finite
-        # amplitude times a finite unit factor stays finite.
-        if self.terms and not math.isfinite(phi):
-            raise InvalidState("an operation produced a non-finite amplitude")
-        return _state(self.modes, out)
+        return self._like({occ: a * _cis(phi * occ[mode]) for occ, a in self.terms.items()})
 
     def apply_basis_phase(self, phase_fn: Callable[[Occupation], float]) -> "SparseState":
         """Diagonal unitary: each term gains exp(i*phase_fn(occ))."""

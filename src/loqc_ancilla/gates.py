@@ -15,8 +15,9 @@ empty.
 
 Controlled signs and occupancy flips are exact per-term conditions, with no
 float phase: a sign negates the amplitudes of the terms that meet its
-condition, and a flip relabels their keys.  Neither changes a modulus, and a
-0 <-> 1 flip maps distinct keys to distinct keys, so their results need
+condition, and a flip relabels their keys.  The canonical fixup likewise
+turns each amplitude by one exact quarter turn.  None changes a modulus, and
+a 0 <-> 1 flip maps distinct keys to distinct keys, so their results need
 neither the prune nor the finiteness scan of ``SparseState._like``.
 """
 
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModeOutOfRange, NonBinaryTarget, OutOfRange
-from .fock import Occupation, SparseState, _picker, _state
+from .fock import _QUARTER_TURNS, Occupation, SparseState, _picker, _state
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,16 @@ def transfer_gadget(
 
 
 def _fixup(state: SparseState, src: int, dst: int) -> SparseState:
-    # Canonical phases: pi per src photon cancels the gadget's -1 signs,
-    # -pi/2 per dst photon rotates 2iRT onto the positive real axis.
-    return state.apply_phase(src, math.pi).apply_phase(dst, -math.pi / 2)
+    # Canonical phases: (-1) per src photon cancels the gadget's -1 signs,
+    # (-i) per dst photon rotates 2iRT onto the positive real axis.  Each
+    # term takes one exact quarter turn, i^(2 c_src - c_dst).
+    return _state(
+        state.modes,
+        {
+            occ: a * _QUARTER_TURNS[(2 * occ[src] - occ[dst]) % 4] + 0j
+            for occ, a in state.terms.items()
+        },
+    )
 
 
 def conditional_transfer(

@@ -12,21 +12,23 @@ input 1 occupies Fourier inputs {0..k-1} and input 0 occupies {1..k}: a
 cyclic shift by one mode, which multiplies each output photon in mode m by
 w^m, w = exp(2 pi i/(n+1)).  So the two output amplitudes differ by the
 factor w^r f(k)/f(k-1), with r = sum_m m*c_m mod (n+1).  The correction is
-the phase 2 pi r/(n+1), plus pi where f(k) and f(k-1) have opposite signs
-(read off the ancilla's own amplitudes); for the constant profile the weight
-ratio is 1, so that phase restores the qubit exactly.
+the phase 2 pi r/(n+1) on y mode k-1, and a sign where f(k) and f(k-1)
+differ in sign (read off the ancilla's own amplitudes); for the constant
+profile the weight ratio is 1, so the correction restores the qubit
+exactly.  It is conditioned only on the measured counts, so it commutes
+with their measurement: ``_feedforward`` applies it to each success term of
+the mixed state, one factor per count pattern with the sign as an exact
+negation, and the measurement then yields corrected residuals.
 
 The controlled sign teleports two qubits at once through the entangled pair
 ancilla, whose terms sit at the register patterns (j, j') with weights
 w(j, j').  The two Fourier transforms never see the pair: each side mixes
-its qubit with a unit-weight single register on its own 2n+1 modes.  The
-feedforward is a phase conditioned on the measured counts, so it commutes
-with their measurement and is applied before the join: each side's success
-terms take their table phase, and the join negates exactly for the pi
-parts.  Only success terms are joined, each product weighted by w(j, j') at
-the register weights its y modes show, so measuring the joint state yields
-exactly the kept branches.  The success and failure totals come from each
-side's mass per register weight, not from the branches.
+its qubit with a unit-weight single register on its own 2n+1 modes and is
+corrected by the same ``_feedforward``.  Only success terms are joined,
+each product weighted by w(j, j') at the register weights its y modes show
+and negated exactly for the cross corrections, so measuring the joint state
+yields exactly the kept branches.  The success and failure totals come from
+each side's mass per register weight, not from the branches.
 
 Both routes enumerate every measurement outcome, so they refuse sizes whose
 outcome bound exceeds :data:`OUTCOMES_GUARD` before doing any work.
@@ -189,8 +191,42 @@ def _fourier_residue(counts: Occupation) -> int:
 
 def _sign_flips(weights: list[complex]) -> list[int]:
     """1 at each total k in 1..n where weights k and k-1 have opposite signs,
-    else 0 (also at k = 0); a pi phase per flip completes the correction."""
+    else 0 (also at k = 0); a negation per flip completes the correction."""
     return [0] + [int((w * v.conjugate()).real < 0) for v, w in zip(weights, weights[1:])]
+
+
+def _feedforward(qubit: InputQubit, register: SparseState, n: int, flips: list[int]) -> SparseState:
+    """Mix ``qubit`` with ``register`` and apply the KLM feedforward before
+    the measurement.
+
+    The state is modes [q, x, y]; the Fourier transform on q and x leaves
+    keys c + y.  A success term (total k in 1..n) whose y mode k-1 holds the
+    qubit's photon gains the table phase of its counts, negated where
+    ``flips[k]``: one factor per count pattern.  Negating the factor negates
+    each product exactly, where a float phase of pi would leave 1e-16 junk.
+    Terms a factor rounds below the prune tolerance are dropped.
+    """
+    table = feedforward_table(n)
+    state = apply_qft(qubit.state().tensor(register), list(range(n + 1)))
+    terms = state.terms  # fresh from the transform, so corrected in place
+    factors: dict[Occupation, complex] = {}
+    faint: list[Occupation] = []
+    for key, a in terms.items():
+        counts = key[: n + 1]
+        k = sum(counts)
+        if 1 <= k <= n and key[n + k]:
+            factor = factors.get(counts)
+            if factor is None:
+                factor = _cis(table[_fourier_residue(counts)])
+                factor = factors[counts] = -factor if flips[k] else factor
+            a *= factor
+            if abs(a) >= PRUNE_TOLERANCE:
+                terms[key] = a + 0j
+            else:
+                faint.append(key)
+    for key in faint:
+        del terms[key]
+    return state
 
 
 def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOutcome]:
@@ -210,30 +246,18 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
     stray = len(ancilla) - sum(1 for w in weights if w)
     if stray:
         raise ShapeMismatch(f"ancilla has {stray} terms off the register patterns for n={n}")
-    state = qubit.state().tensor(ancilla)
-    state = apply_qft(state, list(range(n + 1)))
-    table = feedforward_table(n)
-    flips = _sign_flips(weights)
+    state = _feedforward(qubit, ancilla, n, _sign_flips(weights))
     ideal = {k: _ideal_residual(qubit, n, k) for k in range(1, n + 1)}
 
     outcomes: list[TeleportOutcome] = []
     for mo in state.measure(range(n + 1)):
         k = sum(mo.counts)
+        record = (mo.counts, k, mo.probability)
         if 1 <= k <= n:
-            phi = table[_fourier_residue(mo.counts)] + math.pi * flips[k]
-            corrected = mo.residual.apply_phase(k - 1, phi)
-            fid = fidelity(corrected, ideal[k])
-            outcomes.append(
-                TeleportOutcome(
-                    mo.counts, k, mo.probability, Classification.SUCCESS, corrected, fid
-                )
-            )
+            fid = fidelity(mo.residual, ideal[k])
+            outcomes.append(TeleportOutcome(*record, Classification.SUCCESS, mo.residual, fid))
         else:
-            outcomes.append(
-                TeleportOutcome(
-                    mo.counts, k, mo.probability, Classification.FAILURE, None, None
-                )
-            )
+            outcomes.append(TeleportOutcome(*record, Classification.FAILURE, None, None))
     return outcomes
 
 
@@ -284,27 +308,18 @@ _SideGroups = list[dict[tuple[int, int], list[tuple[Occupation, complex]]]]
 
 
 def _corrected_side(
-    qubit: InputQubit, register: SparseState, n: int
+    qubit: InputQubit, register: SparseState, n: int, flips: list[int]
 ) -> tuple[_SideGroups, tuple[list[float], list[float]]]:
-    """Mix one CZ side and apply its table phases before the join.
+    """Mix and correct one CZ side (``_feedforward``) and group its terms.
 
-    The side is modes [q, x, y]; mixing q with x leaves keys c + y.  A
-    success term (total k in 1..n) gains the table phase of its counts when
-    y mode k-1 holds the qubit's photon: the feedforward is conditioned only
-    on the counts, so it commutes with their measurement.  Its pi parts are
-    left to the join.  Returns the success terms grouped as ``_SideGroups``
-    and, per weight j, the masses sum |s|^2 of all its terms and of its
-    failing ones.
+    Returns the success terms grouped as ``_SideGroups`` and, per weight j,
+    the masses sum |s|^2 of all its terms and of its failing ones.
     """
-    table = feedforward_table(n)
-    factors: dict[Occupation, complex] = {}  # per count pattern
-    side = apply_qft(qubit.state().tensor(register), list(range(n + 1)))
     groups: _SideGroups = [{} for _ in range(n + 1)]
     every: list[list[float]] = [[] for _ in range(n + 1)]
     failed: list[list[float]] = [[] for _ in range(n + 1)]
-    for key, s in side.terms.items():
-        counts = key[: n + 1]
-        k = sum(counts)
+    for key, s in _feedforward(qubit, register, n, flips).terms.items():
+        k = sum(key[: n + 1])
         j = n - sum(key[n + 1 :])
         mass = abs(s) ** 2
         every[j].append(mass)
@@ -312,11 +327,6 @@ def _corrected_side(
             failed[j].append(mass)
             continue
         occupied = key[n + k]  # y mode k-1
-        if occupied:
-            factor = factors.get(counts)
-            if factor is None:
-                factor = factors[counts] = _cis(table[_fourier_residue(counts)])
-            s *= factor
         part = groups[j].get((k, occupied))
         if part is None:
             part = groups[j][k, occupied] = []
@@ -368,18 +378,17 @@ def cz_via_double_teleportation(
 
     Each side's Fourier transform acts on its own (2n+1)-mode state, the
     qubit tensored with the unit-weight single register sum_j |x_j y_j>,
-    and each success term takes its table phase there (``_corrected_side``).
-    The joint state is the product of the two sides' success terms (both
-    photon totals in 1..n) with each term reweighted by the pair's amplitude
-    w(j, j') at the registers' weights, read off the y halves
-    (j = n - |y|).  No sum is lost: a side's output key fixes its register
-    weight, and its photon total then fixes the qubit count, so each joint
-    key has one product s1 s2 w(j, j').  The join also applies the
-    feedforward's pi parts, the profile's sign flips and the cross
-    corrections pi*k' on the unprimed output and pi*k on the primed one, as
-    exact negations.  Measuring the joint state then yields exactly the
-    kept branches, already corrected; each is the controlled-sign image of
-    the input product state.
+    and each success term takes its feedforward there (``_corrected_side``),
+    with the profile's sign flips read off the pair.  The joint state is the
+    product of the two sides' success terms (both photon totals in 1..n)
+    with each term reweighted by the pair's amplitude w(j, j') at the
+    registers' weights, read off the y halves (j = n - |y|).  No sum is
+    lost: a side's output key fixes its register weight, and its photon
+    total then fixes the qubit count, so each joint key has one product
+    s1 s2 w(j, j').  The join also applies the cross corrections, pi*k' on
+    the unprimed output and pi*k on the primed one, as exact negations.
+    Measuring the joint state then yields exactly the kept branches, already
+    corrected; each is the controlled-sign image of the input product state.
 
     Failing terms never enter the joint state: the success and failure
     totals come from the sides' masses per weight (``_cz_totals``).  An
@@ -415,15 +424,13 @@ def cz_via_double_teleportation(
     flips = _sign_flips([weights[j][row] * (-1) ** (j * row) for j in range(n + 1)])
 
     register = SparseState(2 * n, {single_register_pattern(n, j): 1.0 for j in range(n + 1)})
-    groups1, masses1 = _corrected_side(q, register, n)
-    groups2, masses2 = _corrected_side(qp, register, n)
+    groups1, masses1 = _corrected_side(q, register, n, flips)
+    groups2, masses2 = _corrected_side(qp, register, n, flips)
     total_success, total_failure = _cz_totals(weights, masses1, masses2)
 
-    # The feedforward's pi parts fall on y mode k-1 when b1 (flips[k] and the
-    # cross correction pi*k') and on y' mode k'-1 when b2 (flips[k'] and
-    # pi*k), so each pair of groups takes one sign.  Negating w negates each
-    # product exactly, as -a would, where a float phase of pi would leave
-    # 1e-16 junk.
+    # The cross corrections, pi*k' on y mode k-1 when b1 and pi*k on y' mode
+    # k'-1 when b2, give each pair of groups one sign.  Negating w negates
+    # each product exactly, as -a would.
     terms: dict[Occupation, complex] = {}
     for j, parts1 in enumerate(groups1):
         for jp, parts2 in enumerate(groups2):
@@ -432,7 +439,7 @@ def cz_via_double_teleportation(
                 continue
             for (k, b1), part1 in parts1.items():
                 for (kp, b2), part2 in parts2.items():
-                    v = -w if (b1 * (flips[k] + kp) + b2 * (flips[kp] + k)) % 2 else w
+                    v = -w if (b1 * kp + b2 * k) % 2 else w
                     for key1, s1 in part1:
                         for key2, s2 in part2:
                             a = s1 * s2 * v

@@ -356,13 +356,13 @@ PINNED_OUTPUTS = [
     (
         ["teleport", "--n", "4", "--input=0.3,0.1,-0.5,0.2", "--format", "json"],
         0,
-        "42b800d1510f9788c5789e117672987e9106af1243f99b397e74291be4091d51",
+        "ebb206b807070eba8dfe0a2e90f78c9b24b1a7edab9fe7ef9e6fd7015d0f547f",
         "failure_probability=0.19999999999999998\n",
     ),
     (
         ["czgate", "--n", "2", "--format", "json"],
         0,
-        "5497484fcd1e2ee752820ddde4db21a2dc8affb10e21db1b5a2c7b550c927b91",
+        "46d7ff79c7d410ba9d8de59c26ffe7b12dbf05e6f85f6c4ff432ccc4c337bcba",
         "",
     ),
     (

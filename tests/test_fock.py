@@ -620,7 +620,7 @@ def test_float_sums_add_left_to_right():
 
 
 # ----------------------------------------------------------------------
-# fast paths against their earlier bodies, bit for bit
+# measure's fast path and apply_phase against reference bodies, bit for bit
 # ----------------------------------------------------------------------
 
 
@@ -653,7 +653,9 @@ def reference_measure_body(state, modes):
 
 
 def reference_phase_body(state, mode, phi):
-    """``apply_phase`` as it was before it skipped ``_like``."""
+    """``apply_phase`` spelled out: one ``_cis`` factor per term, then
+    ``_like``.  The oracle of the phase tests below, which pin the faint-term
+    prune and the refusal of NaN and infinite phases."""
     state._check_mode(mode)
     out = {}
     for occ, a in state.terms.items():
@@ -733,6 +735,8 @@ def test_phase_fast_path_is_bit_identical_to_reference():
     ids=["empty", "count-0", "count-1", "mixed", "count-2-first"],
 )
 def test_phase_fast_path_refuses_as_reference_does(terms, phi):
+    # A NaN factor would fail the prune and vanish silently: whether or not
+    # a term meets the phase, a non-finite one is refused.
     state = SparseState(2, terms)
     try:
         want = exact_terms(reference_phase_body(state, 0, phi))

@@ -345,6 +345,43 @@ def test_gated_transfer_is_bit_identical_to_reference():
         assert got == result_of(reference_gated_transfer, state, src, dst, setting, control)
 
 
+def reference_fixup(state, src, dst):
+    """``_fixup`` as it was: phases pi on src and -pi/2 on dst through
+    ``apply_phase``."""
+    return state.apply_phase(src, math.pi).apply_phase(dst, -math.pi / 2)
+
+
+def test_fixup_is_bit_identical_to_two_phases_up_to_ten_photons():
+    rng = random.Random(12)
+    states = unnormalized_states(13, 40)
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            occ = tuple(rng.randint(0, 10) for _ in range(3))
+            terms[occ] = complex(rng.choice((0.0, rng.uniform(-3, 3))), rng.uniform(-3, 3))
+        states.append(SparseState(3, terms))
+    for state in states:
+        src, dst = rng.sample(range(state.modes), 2)
+        got = result_of(gates._fixup, state, src, dst)
+        assert got == result_of(reference_fixup, state, src, dst)
+
+
+def test_fixup_is_an_exact_quarter_turn_past_ten_photons():
+    # From 11 photons on, pi * c does not divide back to whole quarter turns
+    # and the two-phase form leaves parts near 1e-15; the fixup stays exact.
+    a = complex(0.6, -0.8)
+    inexact = 0
+    for c_src in range(41):
+        for c_dst in range(41):
+            state = SparseState(2, {(c_src, c_dst): a})
+            sign = -a if c_src % 2 else a
+            want = sign * (1, -1j, -1, 1j)[c_dst % 4] + 0j
+            got = gates._fixup(state, 0, 1).amplitude((c_src, c_dst))
+            assert repr(got) == repr(want)
+            inexact += reference_fixup(state, 0, 1).amplitude((c_src, c_dst)) != want
+    assert inexact
+
+
 @pytest.mark.parametrize(
     "gate, reference, args",
     [

@@ -24,7 +24,8 @@ from loqc_ancilla import (
     fidelity,
     teleport,
 )
-from loqc_ancilla.pipeline import pair_pattern
+from loqc_ancilla.fock import PRUNE_TOLERANCE
+from loqc_ancilla.pipeline import pair_pattern, single_register_pattern
 from loqc_ancilla.teleport import (
     OUTCOMES_GUARD,
     CzBranch,
@@ -231,6 +232,63 @@ def test_feedforward_pure_phase_suffices(n):
     assert successes  # at least one success outcome exists
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_teleport_corrects_before_its_one_measure(n, monkeypatch):
+    # The benchmark's teleport span contract: one transform, one measure.
+    # The feedforward corrects each success term before the measurement, so
+    # each success outcome keeps the measured residual and no phase is
+    # applied afterwards.
+    transforms, measures = [], []
+    qft, measure = teleport_module.apply_qft, SparseState.measure
+
+    def counted_qft(state, modes):
+        transforms.append((state.modes, len(state), list(modes)))
+        return qft(state, modes)
+
+    def counted_measure(self, modes):
+        outcomes = measure(self, modes)
+        measures.append(outcomes)
+        return outcomes
+
+    def no_phase(self, mode, phi):
+        raise AssertionError("teleport corrects its terms before the measurement")
+
+    monkeypatch.setattr(teleport_module, "apply_qft", counted_qft)
+    monkeypatch.setattr(SparseState, "measure", counted_measure)
+    monkeypatch.setattr(SparseState, "apply_phase", no_phase)
+    # Equal moduli with alternating signs: every success total takes a sign
+    # flip, and the corrected output is the qubit itself.
+    profile = AmplitudeProfile.from_values([(-1) ** j for j in range(n + 1)])
+    outcomes = teleport(InputQubit.of(0.6, 0.8j), direct_oracle_single(n, profile), n)
+    assert transforms == [(2 * n + 1, 2 * (n + 1), list(range(n + 1)))]
+    (measured,) = measures
+    assert [(o.counts, o.probability) for o in outcomes] == [
+        (mo.counts, mo.probability) for mo in measured
+    ]
+    successes = [(o, mo) for o, mo in zip(outcomes, measured) if 1 <= o.k <= n]
+    assert successes
+    for o, mo in successes:
+        assert o.output_state is mo.residual
+        assert o.fidelity >= 1 - 1e-12
+
+
+def test_feedforward_drops_terms_its_factors_round_below_the_prune_tolerance():
+    # A register weight near 3e-12 at j=1 leaves success terms of the mixed
+    # state just above PRUNE_TOLERANCE; a table phase can round one below.
+    n, qubit = 2, InputQubit.plus()
+    dropped = 0
+    for ulps in range(8):
+        weights = {single_register_pattern(n, j): 1.0 for j in range(n + 1)}
+        weights[single_register_pattern(n, 1)] = 3e-12 * (1 - ulps * 2.0**-52)
+        register = SparseState(2 * n, weights)
+        mixed = apply_qft(qubit.state().tensor(register), list(range(n + 1)))
+        corrected = teleport_module._feedforward(qubit, register, n, [0] * (n + 1))
+        assert set(corrected.terms) <= set(mixed.terms)
+        assert min(abs(a) for a in corrected.terms.values()) >= PRUNE_TOLERANCE
+        dropped += len(mixed) - len(corrected)
+    assert dropped
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_outcome_estimate_bounds_the_teleport_outcomes(n):
     ancilla = direct_oracle_single(n, AmplitudeProfile.constant(n))
@@ -348,8 +406,11 @@ def moduli_twin(values):
 
 @pytest.mark.parametrize("values", SIGNED_PROFILES)
 def test_signed_profile_teleports_like_its_moduli(values):
-    # The feedforward adds pi where f(k) f(k-1) < 0, so a signed profile
-    # teleports every outcome with the fidelity of its |f| profile.
+    # The feedforward negates where f(k) f(k-1) < 0, so a signed profile
+    # teleports every outcome with the fidelity of its |f| profile.  Each
+    # output term comes from one ancilla term, and the negation is exact, so
+    # every corrected residual is its twin's up to an exact global sign and
+    # every probability and fidelity is bit for bit the same.
     n = len(values) - 1
     signed, moduli = moduli_twin(values)
     rng = random.Random(40 + n)
@@ -357,13 +418,9 @@ def test_signed_profile_teleports_like_its_moduli(values):
         q = random_qubit(rng)
         got = teleport(q, direct_oracle_single(n, signed), n)
         want = teleport(q, direct_oracle_single(n, moduli), n)
-        assert [o.counts for o in got] == [o.counts for o in want]
-        for a, b in zip(got, want):
-            assert a.probability == pytest.approx(b.probability, abs=1e-12)
-            if b.fidelity is None:
-                assert a.fidelity is None
-            else:
-                assert abs(a.fidelity - b.fidelity) <= 1e-12
+        assert [(o.counts, o.probability, o.fidelity) for o in got] == [
+            (o.counts, o.probability, o.fidelity) for o in want
+        ]
 
 
 @pytest.mark.parametrize("values", [[1, -1, 1], [1, 2, -1, 1], [0.5, -1, 0.3, -0.2]])
