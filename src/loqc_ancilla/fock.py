@@ -2,20 +2,26 @@
 
 A state is a mapping from occupation vectors (one photon count per global
 mode) to complex amplitudes.  All operations are pure: inputs are never
-mutated and every method returns a fresh state.  Amplitudes with modulus
-below the fixed :data:`PRUNE_TOLERANCE` (1e-12) are dropped after each
-operation, which keeps the exact-cancellation junk of double precision out
-of the term set.
+mutated and every method returns a fresh state, whose dict only the code
+that built it edits in place.  Amplitudes with modulus below the fixed
+:data:`PRUNE_TOLERANCE` (1e-12) are dropped after each operation, which
+keeps the exact-cancellation junk of double precision out of the term set.
 
 Keys and amplitudes are validated where data enters (the constructor,
 ``basis``, ``from_json_dict``); operations derive new states through the
 trusted ``_like``, which only prunes and refuses non-finite amplitudes.
-Three builds skip that amplitude scan and prune inline.  ``measure`` scales
-each residual amplitude a by 1/sqrt(p) with |a|^2 <= p, so every one stays
-within 1.  The KLM feedforward (``teleport``) multiplies success terms by
-unit factors of finite table phases.  The CZ's weighted join of its two
-corrected sides refuses, before it starts, pair weights large enough for a
-product to overflow.  Five more skip both the scan and the prune:
+Three builds skip that amplitude scan and prune inline:
+
+* ``measure`` scales each outcome's bucket, a dict it built itself, in place
+  into the residual; each amplitude a goes to a/sqrt(p) with |a|^2 <= p, so
+  every one stays within 1.
+* the KLM feedforward (``teleport._feedforward``) multiplies the success
+  terms of the transform's fresh output in place by unit factors of finite
+  table phases;
+* the CZ's weighted join of its two corrected sides refuses, before it
+  starts, pair weights large enough for a product to overflow.
+
+Five more skip both the scan and the prune:
 ``gates.controlled_sign``, the gated ``gates.conditional_transfer`` and the
 ``oracle`` entangling phase of ``pipeline`` negate amplitudes,
 ``gates._fixup`` turns each by an exact quarter turn, and the occupancy flip
@@ -25,8 +31,10 @@ modulus, so there is nothing to drop or refuse.
 No stored amplitude has a -0.0 part, since every build adds ``+ 0j``; a
 negation writes ``-a + 0j`` to keep it so.
 
-Float sums go through ``_sum_in_order``, strictly left to right, so every
-printed digit is the same on every supported Python version.
+Float sums run strictly left to right, through ``_sum_in_order`` or, where
+a call per sum costs too much (``measure``'s outcome probabilities), an
+explicit loop from 0.0, so every printed digit is the same on every
+supported Python version.
 
 Global phase is deliberately never normalized away; state comparisons go
 through :func:`fidelity`, which is phase-insensitive.
@@ -133,9 +141,10 @@ class SparseState:
         comparison and would vanish silently, hence the finiteness check;
         ``+ 0j`` maps -0.0 to +0.0 as the public constructor's sum does.
 
-        ``measure`` writes this prune inline, because a helper call per
-        residual costs a teleport about a tenth of its time; a fast-path test
-        in ``test_fock`` holds it to this one."""
+        ``measure`` writes this prune inline while it scales each bucket in
+        place, because a helper call per residual costs a teleport about a
+        tenth of its time; a fast-path test in ``test_fock`` holds it to this
+        one."""
         if not math.isfinite(sum(map(abs, terms.values()))):
             raise InvalidState("an operation produced a non-finite amplitude")
         return _state(
@@ -240,7 +249,11 @@ class SparseState:
 
         rest_modes = [m for m in range(self.modes) if m not in mset]
         sub_of, rest_of = _picker(mlist), _picker(rest_modes)
-        # Output keys are rebuilt from rest + sub-occupation by one picker.
+        # An output key is its sub-occupation then the rest when the
+        # transformed modes lead in order (the teleport and CZ Fourier
+        # mixing); any other layout is rebuilt from rest + sub-occupation
+        # by one picker.
+        leading = mlist == list(range(n_sub))
         slot = {m: i for i, m in enumerate(rest_modes + mlist)}
         place = _picker([slot[m] for m in range(self.modes)])
 
@@ -257,7 +270,7 @@ class SparseState:
             rest = rest_of(occ)
             base = a / root_in
             for key, coeff, root_out in products:
-                full = place(rest + key)
+                full = key + rest if leading else place(rest + key)
                 out[full] = out.get(full, 0j) + base * coeff * root_out
         return self._like(out)
 
@@ -293,27 +306,30 @@ class SparseState:
             bucket[residual_of(occ)] = a
 
         results: list[MeasurementOutcome] = []
-        for outcome in sorted(grouped):
-            bucket = grouped[outcome]
+        for outcome, bucket in sorted(grouped.items()):
+            prob = 0.0  # summed left to right, as _sum_in_order does
             try:
-                prob = _sum_in_order(abs(a) ** 2 for a in bucket.values())
+                for a in bucket.values():
+                    prob += abs(a) ** 2
             except OverflowError:  # a modulus squared past the float range
                 prob = math.inf
             if prob == math.inf:
                 raise InvalidState(f"outcome {outcome} has a norm^2 past the float range")
             if prob <= _PRUNE_PROBABILITY:
                 continue
-            # |a| * scale <= 1, so the residual needs no finiteness scan.
+            # The bucket is this call's own dict, so it becomes the residual
+            # in place.  |a| * scale <= 1, so it needs no finiteness scan.
             scale = 1.0 / math.sqrt(prob)
-            residual = _state(
-                len(keep),
-                {
-                    k: b + 0j
-                    for k, a in bucket.items()
-                    if abs(b := a * scale) >= PRUNE_TOLERANCE
-                },
-            )
-            results.append(MeasurementOutcome(outcome, prob, residual))
+            faint = []
+            for k, a in bucket.items():
+                b = a * scale
+                if abs(b) >= PRUNE_TOLERANCE:
+                    bucket[k] = b + 0j
+                else:
+                    faint.append(k)
+            for k in faint:
+                del bucket[k]
+            results.append(MeasurementOutcome(outcome, prob, _state(len(keep), bucket)))
         return results
 
     # ------------------------------------------------------------------
@@ -408,7 +424,7 @@ def fidelity(a: SparseState, b: SparseState) -> float:
     """
     if a.modes != b.modes:
         raise DimensionMismatch(f"{a.modes} modes vs {b.modes} modes")
-    small, large = (a.terms, b.terms) if len(a) <= len(b) else (b.terms, a.terms)
+    small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     overlap = 0j
     for occ, amp in small.items():
         other = large.get(occ)

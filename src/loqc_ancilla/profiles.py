@@ -61,9 +61,12 @@ class AmplitudeProfile:
         """Parse ``{"n": ..., "f": [...]}``; malformed data raises InvalidProfile."""
         try:
             f = tuple(float(v) for v in data["f"])
-            n = int(data["n"])
+            raw_n = data["n"]
+            n = int(raw_n)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidProfile(f"malformed profile data: {exc!r}") from exc
+        if n != raw_n:
+            raise InvalidProfile(f"profile n {raw_n!r} is not an integer")
         if len(f) != n + 1:
             raise InvalidProfile(f"profile file: n={n} but {len(f)} values")
         return cls(n, f)

@@ -17,8 +17,8 @@ differ in sign (read off the ancilla's own amplitudes); for the constant
 profile the weight ratio is 1, so the correction restores the qubit
 exactly.  It is conditioned only on the measured counts, so it commutes
 with their measurement: ``_feedforward`` applies it to each success term of
-the mixed state, one factor per count pattern with the sign as an exact
-negation, and the measurement then yields corrected residuals.
+the mixed state, one unit factor per Fourier residue with the sign as an
+exact negation, and the measurement then yields corrected residuals.
 
 The controlled sign teleports two qubits at once through the entangled pair
 ancilla, whose terms sit at the register patterns (j, j') with weights
@@ -201,25 +201,22 @@ def _feedforward(qubit: InputQubit, register: SparseState, n: int, flips: list[i
 
     The state is modes [q, x, y]; the Fourier transform on q and x leaves
     keys c + y.  A success term (total k in 1..n) whose y mode k-1 holds the
-    qubit's photon gains the table phase of its counts, negated where
-    ``flips[k]``: one factor per count pattern.  Negating the factor negates
-    each product exactly, where a float phase of pi would leave 1e-16 junk.
-    Terms a factor rounds below the prune tolerance are dropped.
+    qubit's photon gains the unit factor of its counts' Fourier residue,
+    negated where ``flips[k]``: the n+1 factors are formed once per call.
+    Negating the factor negates each product exactly, where a float phase
+    of pi would leave 1e-16 junk.  Terms a factor rounds below the prune
+    tolerance are dropped.
     """
-    table = feedforward_table(n)
+    units = [_cis(phi) for phi in feedforward_table(n)]
     state = apply_qft(qubit.state().tensor(register), list(range(n + 1)))
     terms = state.terms  # fresh from the transform, so corrected in place
-    factors: dict[Occupation, complex] = {}
     faint: list[Occupation] = []
     for key, a in terms.items():
         counts = key[: n + 1]
         k = sum(counts)
         if 1 <= k <= n and key[n + k]:
-            factor = factors.get(counts)
-            if factor is None:
-                factor = _cis(table[_fourier_residue(counts)])
-                factor = factors[counts] = -factor if flips[k] else factor
-            a *= factor
+            factor = units[_fourier_residue(counts)]
+            a *= -factor if flips[k] else factor
             if abs(a) >= PRUNE_TOLERANCE:
                 terms[key] = a + 0j
             else:
@@ -250,14 +247,15 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
     ideal = {k: _ideal_residual(qubit, n, k) for k in range(1, n + 1)}
 
     outcomes: list[TeleportOutcome] = []
-    for mo in state.measure(range(n + 1)):
-        k = sum(mo.counts)
-        record = (mo.counts, k, mo.probability)
+    for counts, prob, residual in state.measure(range(n + 1)):
+        k = sum(counts)
         if 1 <= k <= n:
-            fid = fidelity(mo.residual, ideal[k])
-            outcomes.append(TeleportOutcome(*record, Classification.SUCCESS, mo.residual, fid))
+            fid = fidelity(residual, ideal[k])
+            outcomes.append(
+                TeleportOutcome(counts, k, prob, Classification.SUCCESS, residual, fid)
+            )
         else:
-            outcomes.append(TeleportOutcome(*record, Classification.FAILURE, None, None))
+            outcomes.append(TeleportOutcome(counts, k, prob, Classification.FAILURE, None, None))
     return outcomes
 
 

@@ -237,6 +237,7 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         (["build", "--n", "1", "--profile", "{bad}"], '{"n": 1}'),
         (["build", "--n", "1", "--profile", "{bad}"], '{"n": 1, "f": ["x", 1]}'),
         (["build", "--n", "1", "--profile", "{bad}"], '{"n": 1e400, "f": [1, 1]}'),
+        (["build", "--n", "2", "--profile", "{bad}"], '{"n": 2.5, "f": [1, 1, 1]}'),
         (["dots", "--n", "1", "--intra-coefficient", "nan"], None),
         (["czgate", "--n", "1", "--tolerance", "nan"], None),
         (["build", "--n", "1", "--tolerance", "nan"], None),
@@ -272,6 +273,7 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         "profile-no-f",
         "profile-string-value",
         "profile-infinite-n",
+        "profile-fractional-n",
         "dots-nan-intra-coefficient",
         "czgate-nan-tolerance",
         "build-nan-tolerance",

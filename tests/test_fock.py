@@ -386,6 +386,42 @@ def test_linear_transform_every_mode():
     assert_matches_reference(s, [2, 0, 1], random_matrix(rng, 3))
 
 
+def moved_block_transform(state, modes, matrix, front):
+    """The transform with its modes moved by ``permute_modes`` to the front
+    in order (``front``) or behind the other modes, then moved back."""
+    rest = [m for m in range(state.modes) if m not in modes]
+    perm = list(modes) + rest if front else rest + list(modes)
+    inverse = [perm.index(m) for m in range(state.modes)]
+    moved = state.permute_modes(perm).apply_linear_transform(
+        [perm.index(m) for m in modes], matrix
+    )
+    return moved.permute_modes(inverse)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_leading_block_keys_match_the_moved_block_route(n):
+    # Teleport's Fourier mixing on the leading modes 0..n of [q, x, y] builds
+    # each key as sub-occupation + rest; the same transform on the block
+    # moved behind the other modes takes the general route.  Keys, their
+    # order and every amplitude bit agree.
+    ancilla = direct_oracle_single(n, AmplitudeProfile.from_values(range(1, n + 2)))
+    state = InputQubit.of(0.6, 0.8j).state().tensor(ancilla)
+    modes, matrix = list(range(n + 1)), qft_matrix(n + 1)
+    got = state.apply_linear_transform(modes, matrix)
+    assert exact_terms(got) == exact_terms(moved_block_transform(state, modes, matrix, False))
+
+
+@pytest.mark.parametrize("modes", [[3, 1], [1, 0], [2, 4]], ids=str)
+def test_placed_keys_match_the_leading_block_route(modes):
+    # A beamsplitter off the leading block in order rebuilds its keys by a
+    # picker; moved to the front in order, it builds them as sub + rest.
+    rng = random.Random(12)
+    state = random_state(rng, 5, 3, n_terms=12)
+    matrix = beamsplitter_matrix(0.6)
+    got = state.apply_linear_transform(modes, matrix)
+    assert exact_terms(got) == exact_terms(moved_block_transform(state, modes, matrix, True))
+
+
 # ----------------------------------------------------------------------
 # expansion memo
 # ----------------------------------------------------------------------
@@ -711,6 +747,20 @@ def test_measure_fast_path_is_bit_identical_to_reference():
             ]
             for o, (_, _, residual) in zip(got, want):
                 assert exact_terms(o.residual) == exact_terms(residual)
+
+
+def test_measure_leaves_its_input_alone():
+    # Each residual is the bucket measure built for it, scaled in place: the
+    # input keeps its dict and every amplitude bit, and no two residuals or
+    # a residual and the input share a dict.
+    rng, states = fast_path_inputs()
+    for state in states:
+        terms, before = state.terms, exact_terms(state)
+        for size in range(1, state.modes + 1):
+            outcomes = state.measure(rng.sample(range(state.modes), size))
+            assert state.terms is terms and exact_terms(state) == before
+            dicts = {id(o.residual.terms) for o in outcomes}
+            assert len(dicts) == len(outcomes) and id(terms) not in dicts
 
 
 def test_phase_fast_path_is_bit_identical_to_reference():

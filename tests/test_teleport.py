@@ -38,7 +38,7 @@ from loqc_ancilla.teleport import (
     qft_matrix,
     success_probability,
 )
-from conftest import poly_two_mode_image, random_qubit, random_state
+from conftest import exact_terms, poly_two_mode_image, random_qubit, random_state
 
 # The package re-exports the function ``teleport`` under the module's name.
 teleport_module = sys.modules["loqc_ancilla.teleport"]
@@ -287,6 +287,38 @@ def test_feedforward_drops_terms_its_factors_round_below_the_prune_tolerance():
         assert min(abs(a) for a in corrected.terms.values()) >= PRUNE_TOLERANCE
         dropped += len(mixed) - len(corrected)
     assert dropped
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_feedforward_forms_one_unit_factor_per_fourier_residue(n, monkeypatch):
+    # At most n+1 factors per call, however many count patterns it corrects.
+    # Each success term holding the qubit's photon still gains its residue's
+    # factor, negated where flips[k], bit for bit.
+    rng = random.Random(100 + n)
+    qubit = random_qubit(rng)
+    signed = [rng.choice((-1, 1)) * rng.uniform(0.5, 1.5) for _ in range(n + 1)]
+    register = direct_oracle_single(n, AmplitudeProfile.from_values(signed))
+    flips = [0] + [rng.randint(0, 1) for _ in range(n)]
+    table = feedforward_table(n)
+    mixed = apply_qft(qubit.state().tensor(register), list(range(n + 1)))
+    want = {}
+    for key, a in mixed.terms.items():
+        k = sum(key[: n + 1])
+        if 1 <= k <= n and key[n + k]:
+            factor = teleport_module._cis(table[_fourier_residue(key[: n + 1])])
+            a *= -factor if flips[k] else factor
+        want[key] = a + 0j
+    calls = []
+    cis = teleport_module._cis
+
+    def counted_cis(phi):
+        calls.append(phi)
+        return cis(phi)
+
+    monkeypatch.setattr(teleport_module, "_cis", counted_cis)
+    corrected = teleport_module._feedforward(qubit, register, n, flips)
+    assert len(calls) <= n + 1
+    assert exact_terms(corrected) == exact_terms(SparseState(2 * n + 1, want))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
