@@ -252,6 +252,8 @@ def interaction_phase(
 
 def _correction_phase(phases: Sequence[float], n: int):
     """Phase function of a u-gate correction: phases[j] + phases[j'] per term."""
+    if len(phases) != n + 1:
+        raise ShapeMismatch(f"u-gate correction has {len(phases)} phases, n={n} needs {n + 1}")
 
     def phase(occ: Occupation) -> float:
         j, jp = _x_side_counts(occ, n)

@@ -39,12 +39,12 @@ supported Python version.
 Global phase is deliberately never normalized away; state comparisons go
 through :func:`fidelity`, which is phase-insensitive.
 
-The one thing kept across calls is a memo of linear-transform expansions,
-keyed by (sub-occupation, matrix).  An expansion is a deterministic function
-of its key and is stored as tuples, so results never depend on what ran
-before.  The memo retains at most :data:`_MEMO_ENTRIES` expansions and
-:data:`_MEMO_PRODUCTS` expansion products in total, evicting in insertion
-order, and never stores a larger expansion.
+The one thing kept across calls is the last transform's expansions: its
+matrix and a dict from sub-occupation to expansion (see
+:meth:`SparseState.apply_linear_transform`).  An expansion is a
+deterministic function of the sub-occupation and the matrix and is stored
+as tuples, so results never depend on what ran before.  A published dict is
+never edited, so threads share it without a lock.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import threading
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -68,20 +67,16 @@ Occupation = tuple[int, ...]
 PRUNE_TOLERANCE = 1e-12  # amplitudes with a smaller modulus are dropped
 _PRUNE_PROBABILITY = PRUNE_TOLERANCE**2  # outcomes and norms at most this are zero
 
-# Bounds on the linear-transform expansions retained across calls, about
-# 2 MB in all.  An n=6 teleport's Fourier transform needs 14 entries and
-# 5 147 products, so repeated teleports up to n=6 expand nothing after the
-# first.  The n=8 set (72 929 products, about 17 MB) would add a quarter to
-# the peak memory of an n=8 teleport, so larger sets are kept only in part.
-# Entries of a few products cost several times their products' memory in
-# keys and matrices (about 0.7 kB each); the entry bound keeps a stream of
-# one-off beamsplitters, whose expansions are reused only within a gate,
-# to about 0.2 MB.
+# The last transform's matrix and its expansions by sub-occupation.  A call
+# with an equal matrix starts from a copy of the dict, and publishes its own
+# when its expansions hold at most _MEMO_PRODUCTS products (about 2 MB).  An
+# n=6 teleport's Fourier transform expands 14 sub-occupations into 5 147
+# products, so repeated teleports up to n=6 expand nothing after the first,
+# and the second CZ side reuses what the first expanded.  The n=8 set (72 929 products,
+# about 17 MB) would add a quarter to the peak memory of an n=8 teleport, so
+# a larger set is not kept and leaves the slot as it was.
 _MEMO_PRODUCTS = 8_000
-_MEMO_ENTRIES = 256
-_memo: dict[tuple[Occupation, tuple], tuple[float, tuple]] = {}
-_memo_held = 0  # products in _memo
-_memo_lock = threading.Lock()
+_last_transform: tuple[tuple, dict[Occupation, tuple[float, tuple]]] = ((), {})
 
 
 class SparseState:
@@ -245,7 +240,7 @@ class SparseState:
         n_sub = len(mlist)
         if len(matrix) != n_sub or any(len(row) != n_sub for row in matrix):
             raise DimensionMismatch("matrix shape must match the mode list")
-        matrix = tuple(map(tuple, matrix))  # hashable: part of the memo key
+        matrix = tuple(map(tuple, matrix))  # compared with the last transform's
 
         rest_modes = [m for m in range(self.modes) if m not in mset]
         sub_of, rest_of = _picker(mlist), _picker(rest_modes)
@@ -258,20 +253,27 @@ class SparseState:
         place = _picker([slot[m] for m in range(self.modes)])
 
         # Terms that share a sub-occupation share its expansion, so each
-        # distinct pattern is looked up once per call.
-        expansions: dict[Occupation, tuple[float, tuple]] = {}
+        # distinct pattern is expanded once per call, or not at all when the
+        # last transform had an equal matrix and expanded it.
+        global _last_transform
+        last_matrix, last_expansions = _last_transform
+        expansions = dict(last_expansions) if last_matrix == matrix else {}
+        expanded = False
         out: dict[Occupation, complex] = {}
         for occ, a in self.terms.items():
             sub = sub_of(occ)
             expansion = expansions.get(sub)
             if expansion is None:
-                expansion = expansions[sub] = _memo_expand(sub, matrix)
+                expansion = expansions[sub] = _expand(sub, matrix)
+                expanded = True
             root_in, products = expansion
             rest = rest_of(occ)
             base = a / root_in
             for key, coeff, root_out in products:
                 full = key + rest if leading else place(rest + key)
                 out[full] = out.get(full, 0j) + base * coeff * root_out
+        if expanded and sum(len(e[1]) for e in expansions.values()) <= _MEMO_PRODUCTS:
+            _last_transform = (matrix, expansions)
         return self._like(out)
 
     # ------------------------------------------------------------------
@@ -462,27 +464,6 @@ def _picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
         (i,) = indices
         return lambda seq: (seq[i],)
     return lambda seq: ()
-
-
-def _memo_expand(
-    sub: Occupation, matrix: tuple[tuple[complex, ...], ...]
-) -> tuple[float, tuple[tuple[Occupation, complex, float], ...]]:
-    """:func:`_expand` through the memo shared by every call."""
-    global _memo_held
-    key = (sub, matrix)
-    expansion = _memo.get(key)
-    if expansion is not None:
-        return expansion
-    expansion = _expand(sub, matrix)
-    size = len(expansion[1])
-    if size <= _MEMO_PRODUCTS:
-        with _memo_lock:
-            if key not in _memo:
-                while len(_memo) >= _MEMO_ENTRIES or _memo_held + size > _MEMO_PRODUCTS:
-                    _memo_held -= len(_memo.pop(next(iter(_memo)))[1])
-                _memo[key] = expansion
-                _memo_held += size
-    return expansion
 
 
 def _expand(

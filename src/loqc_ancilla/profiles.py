@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,10 +38,17 @@ class AmplitudeProfile:
             )
         if not all(math.isfinite(v) for v in self.f):
             raise InvalidProfile("profile values must be finite")
-        norm = math.sqrt(_sum_in_order(v * v for v in self.f))
-        if norm == 0.0:
+        f, peak = self.f, max(map(abs, self.f))
+        norm2 = _sum_in_order(v * v for v in f)
+        if not sys.float_info.min <= norm2 < math.inf and peak > 0.0:
+            # Squares past the normal float range: divide by the largest |f|
+            # first.  Only such profiles take the detour; others keep their bits.
+            f = tuple(v / peak for v in f)
+            norm2 = _sum_in_order(v * v for v in f)
+        if norm2 == 0.0:
             raise InvalidProfile("profile cannot be all zero")
-        object.__setattr__(self, "f", tuple(v / norm for v in self.f))
+        norm = math.sqrt(norm2)
+        object.__setattr__(self, "f", tuple(v / norm for v in f))
 
     @classmethod
     def constant(cls, n: int) -> "AmplitudeProfile":

@@ -195,6 +195,19 @@ def _sign_flips(weights: list[complex]) -> list[int]:
     return [0] + [int((w * v.conjugate()).real < 0) for v, w in zip(weights, weights[1:])]
 
 
+def _pattern_weights(
+    ancilla: SparseState, patterns: list[Occupation], name: str, n: int
+) -> list[complex]:
+    """Amplitudes of ``ancilla`` at ``patterns``; a term elsewhere raises
+    ``ShapeMismatch``.  A stored amplitude is never 0, so the terms not read
+    here are the ones off the patterns."""
+    weights = [ancilla.amplitude(p) for p in patterns]
+    stray = len(ancilla) - sum(1 for w in weights if w)
+    if stray:
+        raise ShapeMismatch(f"{name} has {stray} terms off the register patterns for n={n}")
+    return weights
+
+
 def _feedforward(qubit: InputQubit, register: SparseState, n: int, flips: list[int]) -> SparseState:
     """Mix ``qubit`` with ``register`` and apply the KLM feedforward before
     the measurement.
@@ -237,12 +250,8 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
             f"ancilla has {ancilla.modes} modes, expected {2 * n} for n={n}"
         )
     _check_cost(n, 1)
-    # A stored amplitude is never 0, so the terms not read here are the ones
-    # off the register patterns.
-    weights = [ancilla.amplitude(single_register_pattern(n, j)) for j in range(n + 1)]
-    stray = len(ancilla) - sum(1 for w in weights if w)
-    if stray:
-        raise ShapeMismatch(f"ancilla has {stray} terms off the register patterns for n={n}")
+    patterns = [single_register_pattern(n, j) for j in range(n + 1)]
+    weights = _pattern_weights(ancilla, patterns, "ancilla", n)
     state = _feedforward(qubit, ancilla, n, _sign_flips(weights))
     ideal = {k: _ideal_residual(qubit, n, k) for k in range(1, n + 1)}
 
@@ -296,8 +305,10 @@ class CzGateResult:
 def _ideal_cz_residual(
     q: InputQubit, qp: InputQubit, n: int, k: int, kp: int
 ) -> SparseState:
-    ideal = _ideal_residual(q, n, k).tensor(_ideal_residual(qp, n, kp))
-    return ideal.apply_basis_phase(lambda occ: math.pi * occ[k - 1] * occ[n + kp - 1])
+    # The controlled sign negates the term holding both photons.
+    terms = _ideal_residual(q, n, k).tensor(_ideal_residual(qp, n, kp)).terms
+    signed = {occ: -a + 0j if occ[k - 1] and occ[n + kp - 1] else a for occ, a in terms.items()}
+    return _state(2 * n, signed)
 
 
 # One side's success terms by register weight j, then by (k, b): its photon
@@ -399,15 +410,9 @@ def cz_via_double_teleportation(
             f"pair ancilla has {ancilla_pair.modes} modes, expected {4 * n} for n={n}"
         )
     _check_cost(n, 2)
-    # A stored amplitude is never 0, so the terms not read here are the ones
-    # off the register patterns.
-    weights = [
-        [ancilla_pair.amplitude(pair_pattern(n, j, jp)) for jp in range(n + 1)]
-        for j in range(n + 1)
-    ]
-    stray = len(ancilla_pair) - sum(1 for row in weights for w in row if w)
-    if stray:
-        raise ShapeMismatch(f"pair ancilla has {stray} terms off the register patterns for n={n}")
+    patterns = [pair_pattern(n, j, jp) for j in range(n + 1) for jp in range(n + 1)]
+    flat = _pattern_weights(ancilla_pair, patterns, "pair ancilla", n)
+    weights = [flat[j * (n + 1) : (j + 1) * (n + 1)] for j in range(n + 1)]
     # Each side has norm^2 n+1, so |s1 s2| <= n+1, and each part of s1 s2 w
     # adds two products of at most (n+1) times w's largest part.  Under the
     # bound below (2 for the sum, 2 for rounding and the modulus) no part

@@ -82,9 +82,8 @@ def gate_calls(monkeypatch):
 
 
 def empty_memo(monkeypatch) -> None:
-    """Give ``fock`` an empty expansion memo; the shared one returns after the test."""
-    monkeypatch.setattr(fock, "_memo", {})
-    monkeypatch.setattr(fock, "_memo_held", 0)
+    """Give ``fock`` an empty last-transform slot; the shared one returns after the test."""
+    monkeypatch.setattr(fock, "_last_transform", ((), {}))
 
 
 # ----------------------------------------------------------------------

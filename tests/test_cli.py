@@ -152,6 +152,16 @@ def test_build_profile_file(tmp_path, capsys):
     assert fid >= 1 - 1e-10
 
 
+def test_build_profile_file_of_huge_values_is_the_constant_profile(tmp_path, capsys):
+    # Every f(j)^2 overflows; the profile still normalizes to constant weights.
+    huge, constant = tmp_path / "huge.json", tmp_path / "constant.json"
+    huge.write_text(json.dumps({"n": 2, "f": [1e200, 1e200, 1e200]}))
+    constant.write_text(json.dumps({"n": 2, "f": [1, 1, 1]}))
+    got = run_cli(["build", "--n", "2", "--profile", str(huge)], capsys)
+    assert got[0] == 0
+    assert got == run_cli(["build", "--n", "2", "--profile", str(constant)], capsys)
+
+
 @pytest.mark.parametrize("command", ["build", "teleport", "czgate", "dots"])
 def test_profile_mismatch_is_usage_error(tmp_path, capsys, command):
     profile_file = tmp_path / "p.json"
@@ -343,10 +353,11 @@ def test_outcome_guard_admits_teleport_n8(tmp_path, capsys):
     ids=["teleport", "czgate"],
 )
 def test_second_run_in_one_process_prints_the_same_bytes(argv, monkeypatch, capsys):
-    # The first run starts from an empty expansion memo, the second reuses it.
+    # The first run starts from an empty last-transform slot, the second
+    # reuses the expansions it left there.
     empty_memo(monkeypatch)
     first = run_cli(argv, capsys)
-    assert fock._memo
+    assert fock._last_transform[1]
     second = run_cli(argv, capsys)
     assert first[0] == 0
     assert second == first

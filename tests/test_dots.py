@@ -208,6 +208,18 @@ def test_execute_shape_check():
         execute(PulseSchedule(2, 1, ()), SparseState.vacuum(3))
 
 
+@pytest.mark.parametrize("drop, extra", [(1, 0), (2, 0), (0, 1)], ids=["short", "shorter", "long"])
+def test_execute_refuses_a_correction_table_of_the_wrong_length(drop, extra):
+    # One phase per register weight j = 0..n; the pair state has weights up
+    # to n on each side, so a shorter table would index past its end.
+    n = 2
+    phases = u_gate_corrections(n, 0.3)
+    phases = phases[: len(phases) - drop] + (0.0,) * extra
+    state = execute(compile_pair_schedule(n, AmplitudeProfile.constant(n)))
+    with pytest.raises(ShapeMismatch, match=f"{len(phases)} phases, n=2 needs 3"):
+        execute(PulseSchedule(n, 2, (UGateCorrection(phases),)), state)
+
+
 @pytest.mark.parametrize(
     "pulses",
     [(LoadFromReservoir(0),), (), (Thermalize(),)],

@@ -22,7 +22,7 @@ from loqc_ancilla import (
 )
 from loqc_ancilla import fock
 from loqc_ancilla.fock import PRUNE_TOLERANCE
-from loqc_ancilla.teleport import qft_matrix
+from loqc_ancilla.teleport import qft_matrix, teleport
 from conftest import (
     assert_dense_unitary,
     beamsplitter_matrix,
@@ -432,13 +432,26 @@ def bits(state):
     return [(occ, a.real.hex(), a.imag.hex()) for occ, a in state.terms.items()]
 
 
-def assert_memo_within_bounds(entries, products):
-    assert len(fock._memo) <= entries
-    assert sum(len(p) for _, p in fock._memo.values()) == fock._memo_held <= products
+def slot_products():
+    """Expansion products held in the last-transform slot."""
+    return sum(len(products) for _, products in fock._last_transform[1].values())
+
+
+def count_expansions(monkeypatch):
+    """List that grows by one entry, the product count, per ``fock._expand`` call."""
+    calls = []
+    original = fock._expand
+
+    def counted(sub, matrix):
+        expansion = original(sub, matrix)
+        calls.append(len(expansion[1]))
+        return expansion
+
+    monkeypatch.setattr(fock, "_expand", counted)
+    return calls
 
 
 def test_memo_second_call_is_bit_identical(monkeypatch):
-    empty_memo(monkeypatch)
     rng = random.Random(31)
     qft_input = random_state(rng, 6, 4, n_terms=12)
     split_input = random_state(rng, 3, 4, n_terms=8)
@@ -446,19 +459,43 @@ def test_memo_second_call_is_bit_identical(monkeypatch):
         lambda: qft_input.apply_linear_transform([4, 0, 2, 1, 5], qft_matrix(5)),
         lambda: split_input.apply_beamsplitter(2, 0, 0.37),
     ):
-        held = len(fock._memo)
+        empty_memo(monkeypatch)
         cold = run()
-        assert len(fock._memo) > held  # the first call filled the memo
+        assert fock._last_transform[1]  # the first call filled the slot
+        expanded = count_expansions(monkeypatch)
         assert bits(run()) == bits(cold)
+        assert not expanded
+
+
+def test_memo_spares_a_repeat_n6_teleport_every_expansion(monkeypatch):
+    empty_memo(monkeypatch)
+    expanded = count_expansions(monkeypatch)
+    ancilla = direct_oracle_single(6, AmplitudeProfile.constant(6))
+    qubit = InputQubit.of(0.6, 0.8j)
+
+    def run():
+        return [
+            (o.counts, o.probability.hex(), o.output_state and bits(o.output_state))
+            for o in teleport(qubit, ancilla, 6)
+        ]
+
+    cold = run()
+    # 2 qubit counts times 7 register weights, 5 147 products in all.
+    assert len(expanded) == 14 and sum(expanded) == 5147
+    expanded.clear()
+    assert run() == cold
+    assert not expanded
 
 
 def test_memo_entries_are_tuples(monkeypatch):
     empty_memo(monkeypatch)
     rng = random.Random(32)
     random_state(rng, 4, 4, n_terms=10).apply_linear_transform(range(4), qft_matrix(4))
-    assert fock._memo
-    for (sub, matrix), (root_in, products) in fock._memo.items():
-        assert isinstance(matrix, tuple) and all(isinstance(row, tuple) for row in matrix)
+    matrix, expansions = fock._last_transform
+    assert isinstance(matrix, tuple) and all(isinstance(row, tuple) for row in matrix)
+    assert expansions
+    for sub, (root_in, products) in expansions.items():
+        assert isinstance(sub, tuple)
         assert isinstance(root_in, float)
         assert isinstance(products, tuple)
         assert all(isinstance(p, tuple) and isinstance(p[0], tuple) for p in products)
@@ -470,18 +507,22 @@ def test_memo_bounds_hold_after_a_sweep_and_a_large_transform(monkeypatch):
     state = random_state(rng, 4, 4, n_terms=10)
     for _ in range(500):
         m1, m2 = rng.sample(range(4), 2)
-        state.apply_beamsplitter(m1, m2, rng.random())
-    assert len(fock._memo) == fock._MEMO_ENTRIES  # full: the sweep evicted
-    assert_memo_within_bounds(fock._MEMO_ENTRIES, fock._MEMO_PRODUCTS)
-    # An n=8 teleport's transform: 72 929 products over 18 sub-occupations;
-    # one photon in every Fourier input alone expands into C(17, 9) = 24 310,
-    # past the budget, so that entry is never stored.
+        t = rng.random()
+        state.apply_beamsplitter(m1, m2, t)
+        # Each sweep step holds only its own matrix's expansions.
+        ir = 1j * math.sqrt(1.0 - t * t)
+        assert fock._last_transform[0] == ((t, ir), (ir, t))
+        assert slot_products() <= fock._MEMO_PRODUCTS
+    held = fock._last_transform
+    # An n=8 teleport's transform: 72 929 products over 18 sub-occupations,
+    # past the bound, so the set is not kept and the sweep's last slot stays.
+    expanded = count_expansions(monkeypatch)
     teleport_input = InputQubit.plus().state().tensor(
         direct_oracle_single(8, AmplitudeProfile.constant(8))
     )
     teleport_input.apply_linear_transform(range(9), qft_matrix(9))
-    assert_memo_within_bounds(fock._MEMO_ENTRIES, fock._MEMO_PRODUCTS)
-    assert ((1,) * 9, tuple(map(tuple, qft_matrix(9)))) not in fock._memo
+    assert len(expanded) == 18 and sum(expanded) == 72929
+    assert fock._last_transform is held
 
 
 def test_memo_equal_matrices_of_other_types_give_identical_outputs(monkeypatch):
@@ -501,16 +542,19 @@ def test_memo_equal_matrices_of_other_types_give_identical_outputs(monkeypatch):
             empty_memo(monkeypatch)
             cold.append(bits(state.apply_linear_transform([0, 2], matrix)))
         assert all(c == cold[0] for c in cold)
-        # Warm: every matrix after the first hits the first one's entries.
+        # Warm: every matrix reuses the expansions of the equal one before it.
+        expanded = count_expansions(monkeypatch)
         for matrix in matrices:
             assert bits(state.apply_linear_transform([0, 2], matrix)) == cold[0]
+        assert not expanded
+        monkeypatch.undo()
 
 
 def test_memo_shared_by_threads_keeps_its_budget(monkeypatch):
-    # Small bounds force evictions while eight threads insert at once.
+    # The sets here hold 15, 21 or 24 products, so a bound of 20 publishes
+    # some and refuses others while eight threads read and replace the slot.
     empty_memo(monkeypatch)
-    monkeypatch.setattr(fock, "_MEMO_ENTRIES", 8)
-    monkeypatch.setattr(fock, "_MEMO_PRODUCTS", 40)
+    monkeypatch.setattr(fock, "_MEMO_PRODUCTS", 20)
     rng = random.Random(35)
     state = random_state(rng, 3, 4, n_terms=10)
     jobs = [
@@ -535,7 +579,7 @@ def test_memo_shared_by_threads_keeps_its_budget(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == expected
-    assert_memo_within_bounds(8, 40)
+    assert slot_products() <= 20
 
 
 # ----------------------------------------------------------------------

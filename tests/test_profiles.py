@@ -26,6 +26,15 @@ def test_profile_validation():
         AmplitudeProfile(0, (1.0,))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170, 5e-324])
+def test_profile_of_extreme_values_normalizes_like_its_scaled_copy(scale):
+    # Squares past the float range or below its normal floor are divided by
+    # the largest |f| first, so the profile keeps its shape.
+    for n in (1, 2, 5):
+        assert AmplitudeProfile(n, (scale,) * (n + 1)) == AmplitudeProfile.constant(n)
+    assert AmplitudeProfile(2, (-scale, 0.0, scale)).f == AmplitudeProfile(2, (-1.0, 0.0, 1.0)).f
+
+
 def test_constant_and_delta():
     c = AmplitudeProfile.constant(3)
     assert all(v == pytest.approx(0.5) for v in c.f)
