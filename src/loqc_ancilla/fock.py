@@ -21,13 +21,11 @@ Three builds skip that amplitude scan and prune inline:
 * the CZ's weighted join of its two corrected sides refuses, before it
   starts, pair weights large enough for a product to overflow.
 
-Five more skip both the scan and the prune:
-``gates.controlled_sign``, the gated ``gates.conditional_transfer`` and the
-``oracle`` entangling phase of ``pipeline`` negate amplitudes,
-``gates._fixup`` turns each by an exact quarter turn, and the occupancy flip
-behind ``cnot_logical`` and ``toffoli_logical`` moves them to distinct keys.
-An input state is already pruned and finite, and none of the five changes a
-modulus, so there is nothing to drop or refuse.
+Three more skip both the scan and the prune: ``gates.controlled_sign``, the
+transfer gadget's internal sign and the ``oracle`` entangling phase of
+``pipeline`` negate amplitudes, and the flip behind ``cnot_logical`` and
+``toffoli_logical`` moves them to distinct keys.  An input state is already
+pruned and finite, and none of the three changes a modulus.
 No stored amplitude has a -0.0 part, since every build adds ``+ 0j``; a
 negation writes ``-a + 0j`` to keep it so.
 
@@ -394,17 +392,21 @@ class SparseState:
             raw_modes = data["modes"]
             modes = int(raw_modes)
             rows = [
-                (t["occ"], tuple(int(c) for c in t["occ"]), complex(t["re"], t["im"]))
+                (t["occ"], tuple(int(c) for c in t["occ"]), (t["re"], t["im"]),
+                 complex(t["re"], t["im"]))
                 for t in data["terms"]
             ]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidState(f"malformed state data: {exc!r}") from exc
-        if modes != raw_modes:
+        # JSON true and false load as bools, which int() and complex() take as 1 and 0.
+        if modes != raw_modes or isinstance(raw_modes, bool):
             raise InvalidState(f"mode count {raw_modes!r} is not an integer")
         terms: dict[Occupation, complex] = {}
-        for raw, occ, amp in rows:
-            if occ != tuple(raw):
+        for raw, occ, parts, amp in rows:
+            if occ != tuple(raw) or any(isinstance(c, bool) for c in raw):
                 raise InvalidState(f"photon counts {raw} are not all integers")
+            if any(isinstance(x, bool) for x in parts):
+                raise InvalidState(f"amplitude parts {list(parts)} are not all numbers")
             if occ in terms:
                 raise InvalidState(f"occupation {list(occ)} is listed twice")
             terms[occ] = amp
@@ -507,8 +509,8 @@ _QUARTER_TURNS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
 def _cis(phi: float) -> complex:
-    # Exact values at integer multiples of pi/2 keep the canonical fixups
-    # and pi * count phases free of 1e-16 junk up to count 10 only:
+    # Exact values at integer multiples of pi/2 keep quarter-turn and
+    # pi * count phases free of 1e-16 junk up to count 10 only:
     # math.pi * c for c = 11, 13, 15, 22, 26, 30, ... does not divide back to
     # an integer, and cos/sin leave an imaginary part near 1e-15.  Exact
     # signs are therefore negations, never phases through here.  A small

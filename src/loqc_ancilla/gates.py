@@ -9,14 +9,14 @@ fixup after the gadget turns both branch amplitudes real non-negative
 produce superpositions with literal real weights.
 
 Both beamsplitters are the 2 x 2 case of the one linear-transform kernel.
-A gated transfer is the same gadget with its internal phase chosen per term
-by a controlled sign: 0 where the control mode is occupied, pi where it is
-empty.
+The internal phase is an exact sign on odd src counts: everywhere at phi =
+pi, and in a gated transfer where the control mode is empty.
+``conditional_transfer`` folds the fixup, (-1) per src photon and (-i) per
+dst photon, into its second beamsplitter's output columns.
 
 Controlled signs and occupancy flips are exact per-term conditions, with no
 float phase: a sign negates the amplitudes of the terms that meet its
-condition, and a flip relabels their keys.  The canonical fixup likewise
-turns each amplitude by one exact quarter turn.  None changes a modulus, and
+condition, and a flip relabels their keys.  Neither changes a modulus, and
 a 0 <-> 1 flip maps distinct keys to distinct keys, so their results need
 neither the prune nor the finiteness scan of ``SparseState._like``.
 """
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModeOutOfRange, NonBinaryTarget, OutOfRange
-from .fock import _QUARTER_TURNS, Occupation, SparseState, _picker, _state
+from .fock import Occupation, SparseState, _picker, _state
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,29 @@ def transmission_for_probability(p: float) -> TransferSetting:
     return TransferSetting(t=t, r=r, phi=0.0)
 
 
+def _first_half(
+    state: SparseState, src: int, dst: int, setting: TransferSetting, control: int | None
+) -> SparseState:
+    """First beamsplitter, then the internal phase pi per src photon: a sign
+    on odd counts wherever ``setting.phi`` is pi or the control is empty."""
+    if src == dst:
+        raise ModeOutOfRange("transfer needs distinct source and destination")
+    if control is not None:
+        state._check_mode(control)
+        if control in (src, dst):
+            raise ModeOutOfRange("control mode must differ from source and destination")
+        if setting.phi:
+            raise OutOfRange("a gated transfer takes its internal phase from the control")
+    out = state.apply_beamsplitter(src, dst, setting.t)
+    if control is None and not setting.phi:
+        return out
+    return _state(
+        out.modes,
+        {occ: -a + 0j if occ[src] & 1 and (control is None or not occ[control]) else a
+         for occ, a in out.terms.items()},
+    )
+
+
 def transfer_gadget(
     state: SparseState, src: int, dst: int, setting: TransferSetting
 ) -> SparseState:
@@ -71,24 +94,8 @@ def transfer_gadget(
     For one photon in src this reproduces the closed forms
     -(1-2T^2) stay + 2iRT go at phi = 0 and -1 stay at phi = pi.
     """
-    if src == dst:
-        raise ModeOutOfRange("transfer needs distinct source and destination")
-    out = state.apply_beamsplitter(src, dst, setting.t)
-    out = out.apply_phase(src, setting.phi)
+    out = _first_half(state, src, dst, setting, None)
     return out.apply_beamsplitter(src, dst, setting.t)
-
-
-def _fixup(state: SparseState, src: int, dst: int) -> SparseState:
-    # Canonical phases: (-1) per src photon cancels the gadget's -1 signs,
-    # (-i) per dst photon rotates 2iRT onto the positive real axis.  Each
-    # term takes one exact quarter turn, i^(2 c_src - c_dst).
-    return _state(
-        state.modes,
-        {
-            occ: a * _QUARTER_TURNS[(2 * occ[src] - occ[dst]) % 4] + 0j
-            for occ, a in state.terms.items()
-        },
-    )
 
 
 def conditional_transfer(
@@ -100,29 +107,16 @@ def conditional_transfer(
 ) -> SparseState:
     """Gadget plus canonical fixup, optionally gated by a control mode.
 
-    With ``control`` set, a controlled sign steers the internal phase: it is
-    0 (transfer) on terms whose control mode is occupied and pi (inhibited)
-    on the rest, one diagonal phase between the two beamsplitters.  After
-    the fixup the inhibited terms see exactly the identity on src, so
-    single-photon transfers leave real non-negative amplitudes: +sqrt(1-P)
-    stay and +sqrt(P) go.
+    With ``control`` set, the internal phase is 0 (transfer) on terms whose
+    control mode is occupied and pi (inhibited) on the rest; ``setting.phi``
+    must be 0.  After the fixup the inhibited terms see exactly the identity
+    on src, so single-photon transfers leave real non-negative amplitudes:
+    +sqrt(1-P) stay and +sqrt(P) go.
     """
-    if control is None:
-        return _fixup(transfer_gadget(state, src, dst, setting), src, dst)
-    state._check_mode(control)
-    if control in (src, dst):
-        raise ModeOutOfRange("control mode must differ from source and destination")
-    out = state.apply_beamsplitter(src, dst, setting.t)
-    # Internal phase pi per src photon where the control is empty: a sign on
-    # odd counts, which inhibits the transfer.
-    out = _state(
-        out.modes,
-        {
-            occ: -a + 0j if not occ[control] and occ[src] & 1 else a
-            for occ, a in out.terms.items()
-        },
-    )
-    return _fixup(out.apply_beamsplitter(src, dst, setting.t), src, dst)
+    out = _first_half(state, src, dst, setting, control)
+    t = setting.t
+    r = math.sqrt(1.0 - t * t)  # as apply_beamsplitter computes it
+    return out.apply_linear_transform((src, dst), ((-t, r), (-1j * r, -1j * t)))
 
 
 def controlled_sign(

@@ -68,13 +68,16 @@ class AmplitudeProfile:
     def from_json_dict(cls, data: dict) -> "AmplitudeProfile":
         """Parse ``{"n": ..., "f": [...]}``; malformed data raises InvalidProfile."""
         try:
-            f = tuple(float(v) for v in data["f"])
+            raw_f = tuple(data["f"])
+            f = tuple(float(v) for v in raw_f)
             raw_n = data["n"]
             n = int(raw_n)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidProfile(f"malformed profile data: {exc!r}") from exc
-        if n != raw_n:
+        if n != raw_n or isinstance(raw_n, bool):
             raise InvalidProfile(f"profile n {raw_n!r} is not an integer")
+        if any(isinstance(v, bool) for v in raw_f):
+            raise InvalidProfile(f"profile values {list(raw_f)} are not all numbers")
         if len(f) != n + 1:
             raise InvalidProfile(f"profile file: n={n} but {len(f)} values")
         return cls(n, f)

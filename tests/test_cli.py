@@ -227,6 +227,7 @@ def one_mode_state(occ, re):
 
 ONE_PHOTON = {"occ": [1], "re": 1.0, "im": 0.0}
 HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
+FALSE_IM_PHOTON = {"occ": [1], "re": 1.0, "im": False}  # JSON false, not a number
 
 
 @pytest.mark.parametrize(
@@ -266,6 +267,12 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         (["dots", "--n", "1", "--format", "csv"], None),
         (["build", "--n", "1", "--registers", "single", "--method", "oracle"], None),
         (["dots", "--n", "3", "--profile", "{bad}"], '{"n": 3, "f": [0.3, 0.1, 0.7, -0.3]}'),
+        (["verify", "{bad}", "{good}"], json.dumps({"modes": True, "terms": [ONE_PHOTON]})),
+        (["verify", "{bad}", "{good}"], one_mode_state(True, 1.0)),
+        (["verify", "{bad}", "{good}"], one_mode_state(1, True)),
+        (["verify", "{good}", "{bad}"], json.dumps({"modes": 1, "terms": [FALSE_IM_PHOTON]})),
+        (["build", "--n", "1", "--profile", "{bad}"], '{"n": true, "f": [1, 1]}'),
+        (["build", "--n", "1", "--profile", "{bad}"], '{"n": 1, "f": [true, false]}'),
     ],
     ids=[
         "teleport-three-values",
@@ -302,6 +309,12 @@ HUGE_PHOTON = {"occ": [1], "re": 1.7e308, "im": 1.7e308}  # modulus overflows
         "dots-format-flag",
         "build-single-method",
         "dots-signed-profile",
+        "verify-boolean-modes",
+        "verify-boolean-count",
+        "verify-boolean-re",
+        "verify-boolean-im",
+        "profile-boolean-n",
+        "profile-boolean-values",
     ],
 )
 def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):
@@ -390,13 +403,26 @@ PINNED_OUTPUTS = [
         "225c41216bc89688a704153d804c3951c7a3ba4619135c6d873a589ac7ed4593",
         "",
     ),
+    (
+        ["build", "--n", "3", "--method", "parity"],
+        0,
+        "357cc8d79be8917480c950cc69fb851f92389e263d57593e5d132b4512c29eb0",
+        "n=3 registers=pair method=parity terms=16 fidelity=0.9999999999999998\n",
+    ),
+    (
+        ["build", "--n", "3", "--registers", "single"],
+        0,
+        "cdadd25fbbed10e2a09720b664be68e379d853761fff355e21280ad48ff3e78b",
+        "n=3 registers=single terms=4 fidelity=1.0\n",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, code, digest, err",
     PINNED_OUTPUTS,
-    ids=["teleport-n4-json", "czgate-n2-json", "czgate-n3-csv", "czgate-n2-delta-json"],
+    ids=["teleport-n4-json", "czgate-n2-json", "czgate-n3-csv", "czgate-n2-delta-json",
+         "build-n3-parity", "build-n3-single"],
 )
 def test_output_bytes_are_pinned(argv, code, digest, err, tmp_path, capsys):
     got = run_cli(argv, capsys)

@@ -6,12 +6,16 @@ import random
 import pytest
 
 from loqc_ancilla import (
+    AmplitudeProfile,
     AncillaError,
     ModeOutOfRange,
     NonBinaryTarget,
     OutOfRange,
+    PhaseMethod,
     SparseState,
     TransferSetting,
+    build_entangled_pair,
+    build_single_register,
     cnot_logical,
     conditional_transfer,
     controlled_sign,
@@ -20,7 +24,7 @@ from loqc_ancilla import (
     transfer_gadget,
     transmission_for_probability,
 )
-from loqc_ancilla import gates
+from loqc_ancilla import dots, gates
 from conftest import exact_terms, random_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -272,9 +276,9 @@ def reference_gated_transfer(state, src, dst, setting, control):
     state._check_mode(control)
     if control in (src, dst):
         raise ModeOutOfRange("control mode must differ from source and destination")
-    out = state.apply_beamsplitter(src, dst, setting.t)
-    out = out.apply_basis_phase(lambda occ: 0.0 if occ[control] else math.pi * occ[src])
-    return gates._fixup(out.apply_beamsplitter(src, dst, setting.t), src, dst)
+    return reference_transfer(
+        state, src, dst, setting, control, quarter_turn_fixup, phase_internal
+    )
 
 
 def result_of(fn, *args):
@@ -346,40 +350,136 @@ def test_gated_transfer_is_bit_identical_to_reference():
 
 
 def reference_fixup(state, src, dst):
-    """``_fixup`` as it was: phases pi on src and -pi/2 on dst through
+    """``_fixup`` as it was first: phases pi on src and -pi/2 on dst through
     ``apply_phase``."""
     return state.apply_phase(src, math.pi).apply_phase(dst, -math.pi / 2)
 
 
+def quarter_turn_fixup(state, src, dst):
+    """``gates._fixup`` as it was last, a pass of its own: (-1) per src photon
+    and (-i) per dst photon, one exact quarter turn i^(2 c_src - c_dst) per
+    term."""
+    turns = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+    return SparseState(
+        state.modes,
+        {occ: a * turns[(2 * occ[src] - occ[dst]) % 4] + 0j for occ, a in state.terms.items()},
+    )
+
+
+def reference_transfer(state, src, dst, setting, control, fixup, internal):
+    """``conditional_transfer`` as a gadget followed by a ``fixup`` pass; the
+    gadget's internal phase, pi per src photon where ``setting.phi`` is pi or
+    the control is empty, goes through ``internal(state, inhibited)``."""
+    def inhibited(occ):
+        return setting.phi != 0.0 if control is None else not occ[control]
+
+    out = internal(state.apply_beamsplitter(src, dst, setting.t), src, inhibited)
+    return fixup(out.apply_beamsplitter(src, dst, setting.t), src, dst)
+
+
+def phase_internal(state, src, inhibited):
+    """The internal phase as a float pi * count(src) phase."""
+    return state.apply_basis_phase(lambda occ: math.pi * occ[src] if inhibited(occ) else 0.0)
+
+
+def sign_internal(state, src, inhibited):
+    """The internal phase as an exact sign on odd src counts."""
+    return SparseState(
+        state.modes,
+        {occ: -a if occ[src] % 2 and inhibited(occ) else a for occ, a in state.terms.items()},
+    )
+
+
+TRANSFER_SETTINGS = [
+    transmission_for_probability(0.0),
+    transmission_for_probability(1.0),
+    TransferSetting(0.0, 1.0, math.pi),
+    TransferSetting(INV_SQRT2, INV_SQRT2, math.pi),
+]
+
+
 def test_fixup_is_bit_identical_to_two_phases_up_to_ten_photons():
+    # Up to ten photons in src and dst together, every phase of the
+    # two-phase form is a whole number of quarter turns, so the transfer, its
+    # fixup folded into the second beamsplitter, gives that form's bits.
     rng = random.Random(12)
     states = unnormalized_states(13, 40)
     for _ in range(40):
         terms = {}
         for _ in range(rng.randint(1, 12)):
-            occ = tuple(rng.randint(0, 10) for _ in range(3))
+            c_src = rng.randint(0, 10)
+            occ = (c_src, rng.randint(0, 10 - c_src), rng.randint(0, 1))
             terms[occ] = complex(rng.choice((0.0, rng.uniform(-3, 3))), rng.uniform(-3, 3))
         states.append(SparseState(3, terms))
     for state in states:
-        src, dst = rng.sample(range(state.modes), 2)
-        got = result_of(gates._fixup, state, src, dst)
-        assert got == result_of(reference_fixup, state, src, dst)
+        src, dst, control = (0, 1, 2) if state.modes == 3 else rng.sample(range(state.modes), 3)
+        for setting in TRANSFER_SETTINGS + [transmission_for_probability(rng.random())]:
+            for ctl in (None, control) if setting.phi == 0.0 else (None,):
+                got = result_of(conditional_transfer, state, src, dst, setting, ctl)
+                want = result_of(
+                    reference_transfer, state, src, dst, setting, ctl, reference_fixup,
+                    phase_internal,
+                )
+                assert got == want
 
 
 def test_fixup_is_an_exact_quarter_turn_past_ten_photons():
     # From 11 photons on, pi * c does not divide back to whole quarter turns
-    # and the two-phase form leaves parts near 1e-15; the fixup stays exact.
+    # and the two-phase form leaves parts near 1e-15; the transfer matches
+    # the exact quarter-turn pass bit for bit up to 20 photons per mode.
     a = complex(0.6, -0.8)
     inexact = 0
-    for c_src in range(41):
-        for c_dst in range(41):
-            state = SparseState(2, {(c_src, c_dst): a})
-            sign = -a if c_src % 2 else a
-            want = sign * (1, -1j, -1, 1j)[c_dst % 4] + 0j
-            got = gates._fixup(state, 0, 1).amplitude((c_src, c_dst))
-            assert repr(got) == repr(want)
-            inexact += reference_fixup(state, 0, 1).amplitude((c_src, c_dst)) != want
+    for c_src in range(21):
+        for c_dst in (0, 1, 2, 3, 11, 20):
+            for setting in TRANSFER_SETTINGS:
+                # Ungated, then gated with the control empty and occupied.
+                gated = ((2, 0), (2, 1)) if setting.phi == 0.0 else ()
+                for ctl, c_ctl in ((None, 0),) + gated:
+                    args = (SparseState(3, {(c_src, c_dst, c_ctl): a}), 0, 1, setting, ctl)
+                    want = exact_terms(reference_transfer(*args, quarter_turn_fixup, sign_internal))
+                    assert exact_terms(conditional_transfer(*args)) == want
+                    two_phases = reference_transfer(*args, reference_fixup, sign_internal)
+                    inexact += exact_terms(two_phases) != want
     assert inexact
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_gadget_phase_pi_negates_exactly_past_ten_photons(t):
+    # At T = 0 or 1 each beamsplitter maps a term to one term, so the phi =
+    # pi gadget is the phi = 0 gadget with a sign wherever the src count
+    # between the beamsplitters is odd: the dst count at T = 0, the src count
+    # at T = 1.  A pi * count phase would leave parts near 1e-15 from 11 on.
+    r = math.sqrt(1.0 - t * t)
+    a = complex(0.6, -0.8)
+    for c_src in range(21):
+        for c_dst in range(21):
+            state = SparseState(2, {(c_src, c_dst): a})
+            open_ = transfer_gadget(state, 0, 1, TransferSetting(t, r, 0.0))
+            blocked = transfer_gadget(state, 0, 1, TransferSetting(t, r, math.pi))
+            between = c_src if t else c_dst
+            want = [(occ, repr(-b + 0j if between % 2 else b)) for occ, b in open_.terms.items()]
+            assert exact_terms(blocked) == (2, want)
+
+
+def test_gated_transfer_refuses_phi_pi():
+    # The control sets a gated transfer's internal phase; phi = pi would be
+    # ignored where the control is occupied and the photon would move.
+    s = SparseState.basis((1, 1, 0))
+    with pytest.raises(OutOfRange):
+        conditional_transfer(s, 1, 2, TransferSetting(0.6, 0.8, math.pi), control=0)
+
+
+def test_builds_call_no_apply_phase(monkeypatch):
+    def no_phase(self, mode, phi):
+        raise AssertionError("the transfer's internal phase is an exact sign")
+
+    monkeypatch.setattr(SparseState, "apply_phase", no_phase)
+    for n in (1, 2, 3):
+        for profile in (AmplitudeProfile.constant(n), AmplitudeProfile(n, (0.3,) * n + (0.9,))):
+            build_single_register(n, profile)
+            for method in PhaseMethod:
+                build_entangled_pair(n, profile, method)
+            dots.prepare_pair(n, profile)
 
 
 @pytest.mark.parametrize(
