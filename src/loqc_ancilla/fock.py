@@ -21,13 +21,15 @@ Three builds skip that amplitude scan and prune inline:
 * the CZ's weighted join of its two corrected sides refuses, before it
   starts, pair weights large enough for a product to overflow.
 
-Three more skip both the scan and the prune: ``gates.controlled_sign``, the
-transfer gadget's internal sign and the ``oracle`` entangling phase of
-``pipeline`` negate amplitudes, and the flip behind ``cnot_logical`` and
-``toffoli_logical`` moves them to distinct keys.  An input state is already
-pruned and finite, and none of the three changes a modulus.
-No stored amplitude has a -0.0 part, since every build adds ``+ 0j``; a
-negation writes ``-a + 0j`` to keep it so.
+Three more skip both the scan and the prune.  Every exact sign goes through
+``_negated``, which copies the term dict (``dict.copy``, so dict order is
+kept) and negates only the selected keys in place: ``gates.controlled_sign``,
+the transfer gadget's internal sign, the ``oracle`` entangling phase of
+``pipeline`` and the CZ's ideal output in ``teleport``.  The flip behind
+``cnot_logical`` and ``toffoli_logical`` moves amplitudes to distinct keys.
+An input state is already pruned and finite, and none of the three changes
+a modulus.  No stored amplitude has a -0.0 part, since every build adds
+``+ 0j``; a negation writes ``-a + 0j`` to keep it so.
 
 Float sums run strictly left to right, through ``_sum_in_order`` or, where
 a call per sum costs too much (``measure``'s outcome probabilities), an
@@ -95,14 +97,19 @@ class SparseState:
         self.modes = int(modes)
         self.terms: dict[Occupation, complex] = {}
         if terms:
-            for occ, amp in terms.items():
-                occ = tuple(int(c) for c in occ)
+            for raw, amp in terms.items():
+                try:  # int() takes 1.5 and "1" too, so the counts must equal it
+                    occ = tuple(map(int, raw))
+                except (TypeError, ValueError, OverflowError):
+                    occ = None
+                if occ is None or occ != tuple(raw):
+                    raise InvalidState(f"photon counts {raw} are not all integers")
                 if len(occ) != self.modes:
                     raise DimensionMismatch(
                         f"occupation {occ} has {len(occ)} entries, state has "
                         f"{self.modes} modes"
                     )
-                if any(c < 0 for c in occ):
+                if occ and min(occ) < 0:
                     raise InvalidState(f"negative photon count in {occ}")
                 amp = complex(amp)
                 try:
@@ -121,8 +128,7 @@ class SparseState:
     @classmethod
     def basis(cls, occ: Sequence[int]) -> "SparseState":
         """Single basis state |occ> with amplitude 1."""
-        occ = tuple(int(c) for c in occ)
-        return cls(len(occ), {occ: 1.0 + 0j})
+        return cls(len(occ), {tuple(occ): 1.0 + 0j})
 
     @classmethod
     def vacuum(cls, modes: int) -> "SparseState":
@@ -446,6 +452,17 @@ def _state(modes: int, terms: dict[Occupation, complex]) -> SparseState:
     return out
 
 
+def _negated(state: SparseState, keys: Iterable[Occupation]) -> SparseState:
+    """``state`` with the amplitude at each of ``keys`` negated, in dict order.
+
+    An exact sign changes no modulus, so the copy needs neither the prune nor
+    the finiteness scan; ``-a + 0j`` keeps -0.0 out of every part."""
+    terms = state.terms.copy()
+    for occ in keys:
+        terms[occ] = -terms[occ] + 0j
+    return _state(state.modes, terms)
+
+
 def _sum_in_order(values: Iterable[float]) -> float:
     """Float sum added strictly left to right from 0.0.
 
@@ -459,13 +476,14 @@ def _picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     """Function returning the entries at ``indices`` of a sequence as a tuple.
 
     ``operator.itemgetter`` returns a bare entry for one index and needs at
-    least one, so those two cases are spelled out."""
+    least one, so those two cases take a one- or zero-length slice, which
+    on a tuple is again a tuple and is still one C call."""
     if len(indices) > 1:
         return operator.itemgetter(*indices)
     if indices:
         (i,) = indices
-        return lambda seq: (seq[i],)
-    return lambda seq: ()
+        return operator.itemgetter(slice(i, i + 1))
+    return operator.itemgetter(slice(0, 0))
 
 
 def _expand(

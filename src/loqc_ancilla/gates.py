@@ -16,9 +16,12 @@ dst photon, into its second beamsplitter's output columns.
 
 Controlled signs and occupancy flips are exact per-term conditions, with no
 float phase: a sign negates the amplitudes of the terms that meet its
-condition, and a flip relabels their keys.  Neither changes a modulus, and
-a 0 <-> 1 flip maps distinct keys to distinct keys, so their results need
-neither the prune nor the finiteness scan of ``SparseState._like``.
+condition in a copy of the term dict (``fock._negated``), and a flip
+rewrites the target count in a list copy of each such key.  Neither changes
+a modulus, and a 0 <-> 1 flip maps distinct keys to distinct keys, so their
+results need neither the prune nor the finiteness scan of
+``SparseState._like``.  The count tests read the control and target modes
+through ``fock._picker``, one C call per term however many modes it reads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModeOutOfRange, NonBinaryTarget, OutOfRange
-from .fock import Occupation, SparseState, _picker, _state
+from .fock import Occupation, SparseState, _negated, _picker, _state
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,9 @@ class TransferSetting:
     phi: float = 0.0
 
     def __post_init__(self):
-        if abs(self.r**2 + self.t**2 - 1.0) > 1e-12:
+        if not 0.0 <= self.t <= 1.0:  # NaN fails the comparison
+            raise OutOfRange(f"transmission {self.t} outside [0, 1]")
+        if not abs(self.r**2 + self.t**2 - 1.0) <= 1e-12:  # so does a NaN R
             raise OutOfRange(f"R^2 + T^2 = {self.r**2 + self.t**2} != 1")
         if self.phi not in (0.0, math.pi):
             raise OutOfRange(f"phi must be exactly 0 or pi, got {self.phi}")
@@ -79,11 +84,8 @@ def _first_half(
     out = state.apply_beamsplitter(src, dst, setting.t)
     if control is None and not setting.phi:
         return out
-    return _state(
-        out.modes,
-        {occ: -a + 0j if occ[src] & 1 and (control is None or not occ[control]) else a
-         for occ, a in out.terms.items()},
-    )
+    signed = [occ for occ in out.terms if occ[src] & 1 and (control is None or not occ[control])]
+    return _negated(out, signed)
 
 
 def transfer_gadget(
@@ -129,10 +131,7 @@ def controlled_sign(
     if target_mode in controls:
         raise ModeOutOfRange("target must be disjoint from the controls")
     counts = _picker(controls + [target_mode])
-    return _state(
-        state.modes,
-        {occ: a if 0 in counts(occ) else -a + 0j for occ, a in state.terms.items()},
-    )
+    return _negated(state, [occ for occ in state.terms if 0 not in counts(occ)])
 
 
 def _flip(state: SparseState, controls: tuple[int, ...], target_mode: int) -> SparseState:
@@ -147,14 +146,15 @@ def _flip(state: SparseState, controls: tuple[int, ...], target_mode: int) -> Sp
     if len(set(modes)) != len(modes):
         raise ModeOutOfRange("controls and target must be distinct modes")
     counts = _picker(controls)
-    after = target_mode + 1
     terms: dict[Occupation, complex] = {}
     for occ, a in state.terms.items():
         held = occ[target_mode]
         if held > 1:
             raise NonBinaryTarget(f"target mode {target_mode} holds {held} photons")
         if 0 not in counts(occ):
-            occ = occ[:target_mode] + (1 - held,) + occ[after:]
+            flipped = list(occ)
+            flipped[target_mode] = 1 - held
+            occ = tuple(flipped)
         terms[occ] = a
     return _state(state.modes, terms)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 
 from .errors import AncillaNotDisentangled, InvalidProfile, ShapeMismatch
-from .fock import Occupation, SparseState, _state
+from .fock import Occupation, SparseState, _negated
 from .gates import (
     cnot_logical,
     conditional_transfer,
@@ -101,13 +101,8 @@ def apply_entangling_phase(state: SparseState, method: PhaseMethod) -> SparseSta
     x_modes, xp_modes = range(n), range(2 * n, 3 * n)
 
     if method is PhaseMethod.DIRECT_ORACLE:
-        return _state(
-            state.modes,
-            {
-                occ: -a + 0j if _occupied(occ, x_modes) * _occupied(occ, xp_modes) & 1 else a
-                for occ, a in state.terms.items()
-            },
-        )
+        odd = [occ for occ in state.terms if _occupied(occ, x_modes) * _occupied(occ, xp_modes) & 1]
+        return _negated(state, odd)
 
     if method is PhaseMethod.PAIRWISE_GATES:
         for a in x_modes:

@@ -51,6 +51,7 @@ from .fock import (
     Occupation,
     SparseState,
     _cis,
+    _negated,
     _state,
     _sum_in_order,
     fidelity,
@@ -306,9 +307,8 @@ def _ideal_cz_residual(
     q: InputQubit, qp: InputQubit, n: int, k: int, kp: int
 ) -> SparseState:
     # The controlled sign negates the term holding both photons.
-    terms = _ideal_residual(q, n, k).tensor(_ideal_residual(qp, n, kp)).terms
-    signed = {occ: -a + 0j if occ[k - 1] and occ[n + kp - 1] else a for occ, a in terms.items()}
-    return _state(2 * n, signed)
+    joint = _ideal_residual(q, n, k).tensor(_ideal_residual(qp, n, kp))
+    return _negated(joint, [occ for occ in joint.terms if occ[k - 1] and occ[n + kp - 1]])
 
 
 # One side's success terms by register weight j, then by (k, b): its photon

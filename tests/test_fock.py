@@ -920,3 +920,35 @@ def test_non_finite_amplitudes_rejected():
         SparseState(1, {(1,): float("nan")})
     with pytest.raises(ValueError):
         SparseState(1, {(1,): complex(0, math.inf)})
+
+
+@pytest.mark.parametrize("key", [(1.5,), ("1",), (None,), (math.nan,), (math.inf,), 5], ids=repr)
+def test_non_integral_photon_counts_rejected(key):
+    # int() would take 1.5 and "1" as the count 1; the constructor refuses
+    # them as from_json_dict does, and never with a bare TypeError.
+    with pytest.raises(InvalidState, match="are not all integers"):
+        SparseState(1, {key: 1.0})
+
+
+def test_integral_float_photon_counts_accepted():
+    assert SparseState(2, {(1.0, 0): 1.0}).terms == {(1, 0): 1.0 + 0j}
+
+
+def test_basis_refuses_non_integral_counts():
+    with pytest.raises(InvalidState, match=r"photon counts \(2.7, 0\) are not all integers"):
+        SparseState.basis((2.7, 0))
+    assert SparseState.basis([2.0, 0]).terms == {(2, 0): 1.0 + 0j}
+
+
+def test_negative_counts_and_wrong_lengths_still_rejected():
+    with pytest.raises(InvalidState, match="negative photon count"):
+        SparseState(2, {(1, -1): 1.0})
+    with pytest.raises(DimensionMismatch):
+        SparseState(2, {(1,): 1.0})
+
+
+def test_picker_returns_tuples_for_one_and_no_indices():
+    occ = (3, 1, 4)
+    assert fock._picker([1])(occ) == (1,)
+    assert fock._picker([])(occ) == ()
+    assert fock._picker([2, 0])(occ) == (4, 3)

@@ -14,6 +14,7 @@ from loqc_ancilla import (
     PhaseMethod,
     SparseState,
     TransferSetting,
+    apply_entangling_phase,
     build_entangled_pair,
     build_single_register,
     cnot_logical,
@@ -70,6 +71,21 @@ def test_setting_validation():
         TransferSetting(t=0.5, r=0.5)
     with pytest.raises(OutOfRange):
         TransferSetting(t=0.0, r=1.0, phi=0.3)
+
+
+@pytest.mark.parametrize(
+    "t, r",
+    [(-0.6, 0.8), (1.5, math.nan), (math.nan, math.nan), (0.6, math.nan), (math.inf, 0.0)],
+    ids=str,
+)
+def test_setting_refuses_t_outside_unit_interval_or_nan(t, r):
+    with pytest.raises(OutOfRange):
+        TransferSetting(t, r)
+
+
+@pytest.mark.parametrize("t, r", [(0.0, 1.0), (1.0, 0.0), (0.6, 0.8)], ids=str)
+def test_setting_accepts_t_on_the_unit_interval(t, r):
+    assert TransferSetting(t, r).t == t
 
 
 # ----------------------------------------------------------------------
@@ -505,3 +521,37 @@ def test_exact_conditions_refuse_as_reference_does(gate, reference, args):
     state = SparseState(3, {(1, 1, 1): 0.6, (0, 2, 1): 0.6j, (1, 0, 1): 0.5})
     got = result_of(gate, state, *args)
     assert isinstance(got[0], type) and got == result_of(reference, state, *args)
+
+
+def _copy_editing_gates():
+    """Each gate that edits a copy of its input's term dict, as a call on a
+    state of at least 4 modes with mode 3 binary."""
+    setting = transmission_for_probability(0.3)
+    inhibited = TransferSetting(setting.t, setting.r, math.pi)
+    return {
+        "controlled_sign": lambda s: controlled_sign(s, {0, 1}, 2),
+        "ungated-transfer": lambda s: conditional_transfer(s, 0, 1, setting),
+        "gated-transfer": lambda s: conditional_transfer(s, 0, 1, setting, control=2),
+        "gadget-phi-pi": lambda s: transfer_gadget(s, 1, 2, inhibited),
+        "cnot": lambda s: cnot_logical(s, 0, 3),
+        "toffoli": lambda s: toffoli_logical(s, 0, 1, 3),
+    }
+
+
+@pytest.mark.parametrize("gate", sorted(_copy_editing_gates()))
+def test_copy_editing_gates_leave_their_input_alone(gate):
+    apply = _copy_editing_gates()[gate]
+    for state in unnormalized_states(31, 30, target=3):
+        terms, before = state.terms, exact_terms(state)
+        out = apply(state)
+        assert state.terms is terms and exact_terms(state) == before
+        assert out.terms is not state.terms
+
+
+def test_oracle_phase_leaves_its_input_alone():
+    for n in (1, 2, 3):
+        profile = AmplitudeProfile(n, tuple(0.2 + 0.1 * j for j in range(n + 1)))
+        state = build_single_register(n, profile).tensor(build_single_register(n, profile))
+        before = exact_terms(state)
+        out = apply_entangling_phase(state, PhaseMethod.DIRECT_ORACLE)
+        assert exact_terms(state) == before and out.terms is not state.terms
