@@ -22,26 +22,32 @@ and its u-gate correction.  :func:`execute` runs any schedule literally on all i
 joins the two by a tensor product before the phases, the way
 ``pipeline.build_entangled_pair`` joins its register pairs.
 
+Both routes run the two phase pulses as one diagonal pass, one unit factor
+per pair of x-side counts (j, j'): the pi coupling as an exact -1 multiplied
+j j' times, and the intra-register term and its correction summed into one
+phase that cancels to exactly 0.0.  So the dot route's entangling sign
+(-1)^(j j') is exact, as it is for every method of ``pipeline``.
+
 Double occupancy is forbidden throughout; :func:`execute` checks the state
 it is given once, and no pulse can create it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     BlockadeViolation,
     DotOutOfRange,
     InvalidCoefficient,
-    InvalidProfile,
     ShapeMismatch,
 )
-from .fock import Occupation, SparseState
-from .profiles import AmplitudeProfile, schedule_from_profile
+from .fock import Occupation, SparseState, _cis, _sum_in_order
+from .profiles import AmplitudeProfile, _require_n, schedule_from_profile
 
 
 # ----------------------------------------------------------------------
@@ -224,42 +230,45 @@ def load_from_reservoir(state: SparseState, dot: int) -> SparseState:
 
 
 def _x_side_counts(occ: Occupation, n: int) -> tuple[int, int]:
-    j = sum(1 for d in range(0, n) if occ[d])
-    jp = sum(1 for d in range(2 * n, 3 * n) if occ[d])
-    return j, jp
+    # Dots hold 0 or 1 electrons, so a sum counts the occupied ones.
+    return sum(occ[:n]), sum(occ[2 * n : 3 * n])
 
 
-def interaction_phase(
-    state: SparseState, coupling_angle: float, intra_coefficient: float
-) -> SparseState:
-    """Charge-interaction phase between the two register pairs.
+def _pair_phases(state: SparseState, n: int, pulses: Iterable[Pulse]) -> SparseState:
+    """Run consecutive InteractionPhase and UGateCorrection pulses as one
+    diagonal pass over a two-register-pair state of n dots per register.
 
-    With coupling_angle = pi, followed by the :func:`u_gate_corrections`
-    table, the net factor per term is exactly (-1)^(j j').
+    Each term is multiplied once by the unit factor of its x-side counts
+    (j, j'): ``_cis`` of the per-register phases summed pulse by pulse (a
+    coupling pulse's c j(j-1)/2 + c j'(j'-1)/2, a correction's phases[j] +
+    phases[j']), times every coupling's ``_cis`` raised to j j' by repeated
+    multiplication.  Complex ``**`` would not do: past exponent 100 it goes
+    through polar form, and (-1+0j)**101 has an imaginary part of 8.8e-15.
+    :func:`u_gate_corrections` writes exactly the negated intra terms, so
+    the compiled pair schedule's per-register phases sum to 0.0 and its
+    factor is the exact sign (-1)^(j j').
     """
-    if state.modes == 0 or state.modes % 4 != 0:
-        raise ShapeMismatch(f"{state.modes} dots is not a two-register-pair shape")
-    n = state.modes // 4
-
-    def phase(occ: Occupation) -> float:
+    couplings, tables = [], []
+    for pulse in pulses:
+        if isinstance(pulse, InteractionPhase):
+            couplings.append(_cis(pulse.coupling_angle))
+            c = pulse.intra_coefficient
+            tables.append([c * j * (j - 1) / 2 for j in range(n + 1)])
+        elif len(pulse.phases) != n + 1:
+            raise ShapeMismatch(
+                f"u-gate correction has {len(pulse.phases)} phases, n={n} needs {n + 1}"
+            )
+        else:
+            tables.append(pulse.phases)
+    terms: dict[Occupation, complex] = {}
+    for occ, a in state.terms.items():
         j, jp = _x_side_counts(occ, n)
-        total = coupling_angle * j * jp
-        total += intra_coefficient * (j * (j - 1) / 2 + jp * (jp - 1) / 2)
-        return total
-
-    return state.apply_basis_phase(phase)
-
-
-def _correction_phase(phases: Sequence[float], n: int):
-    """Phase function of a u-gate correction: phases[j] + phases[j'] per term."""
-    if len(phases) != n + 1:
-        raise ShapeMismatch(f"u-gate correction has {len(phases)} phases, n={n} needs {n + 1}")
-
-    def phase(occ: Occupation) -> float:
-        j, jp = _x_side_counts(occ, n)
-        return phases[j] + phases[jp]
-
-    return phase
+        factor = _cis(_sum_in_order(table[j] + table[jp] for table in tables))
+        for unit in couplings:
+            for _ in range(j * jp):
+                factor *= unit
+        terms[occ] = a * factor
+    return state._like(terms)
 
 
 def u_gate_corrections(n: int, intra_coefficient: float) -> tuple[float, ...]:
@@ -293,8 +302,7 @@ def _register_pulses(n: int, probabilities: Sequence[float], offset: int) -> lis
 
 def _transfer_probabilities(n: int, profile: AmplitudeProfile) -> tuple[float, ...]:
     """Per-round transfer probabilities of one register pair of n dots."""
-    if profile.n != n:
-        raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
+    _require_n(profile, n)
     return schedule_from_profile(profile).probabilities
 
 
@@ -313,9 +321,10 @@ def compile_pair_schedule(
     """Pulse program for both register pairs plus the entangling interaction.
 
     Refuses an intra coefficient whose largest phase, |c| n(n-1) at
-    j = j' = n, reaches 2**32 rad: the float spacing there is 2**-20 rad,
-    so the interaction phase and its u-gate correction round apart and no
-    longer cancel.
+    j = j' = n, reaches 2**32 rad, where the float spacing is 2**-20 rad.
+    The simulated pulses cancel the intra term against its u-gate
+    correction exactly at any finite coefficient; the bound is on the
+    phases a device applies one after the other.
     """
     if not abs(intra_coefficient) * n * (n - 1) < 2**32:  # NaN fails too
         raise InvalidCoefficient(
@@ -345,8 +354,10 @@ def scheduled_pulse_count(n: int, pairs: int = 1) -> int:
 def execute(schedule: PulseSchedule, state: SparseState | None = None) -> SparseState:
     """Run a schedule from ``state`` (all dots empty when omitted).
 
-    Every pulse acts on the whole state.  With a full pair schedule this is
-    the literal route, the oracle :func:`prepare_pair` is tested against.
+    Every pulse acts on the whole state; each run of consecutive phase
+    pulses is one diagonal pass (:func:`_pair_phases`).  With a full pair
+    schedule this is the literal route, the oracle :func:`prepare_pair` is
+    tested against.
     A given state is checked once for double occupancy; no pulse creates it:
     rabi moves a lone electron within its pair and refuses a doubly occupied
     pair, a load fills only an empty dot, phases keep the keys, thermalize
@@ -360,23 +371,22 @@ def execute(schedule: PulseSchedule, state: SparseState | None = None) -> Sparse
         )
     else:
         _check_binary(state)
-    for pulse in schedule.pulses:
-        if isinstance(pulse, Thermalize):
-            state = SparseState.vacuum(state.modes)
-        elif isinstance(pulse, LoadFromReservoir):
-            state = load_from_reservoir(state, pulse.dot)
-        elif isinstance(pulse, RabiPulse):
-            state = rabi(state, pulse.src, pulse.dst, pulse.theta, pulse.only_if)
-        elif isinstance(pulse, (InteractionPhase, UGateCorrection)) and (
-            schedule.pairs != 2 or schedule.n < 1
-        ):
-            raise ShapeMismatch(f"{pulse!r} needs two non-empty register pairs")
-        elif isinstance(pulse, InteractionPhase):
-            state = interaction_phase(state, pulse.coupling_angle, pulse.intra_coefficient)
-        elif isinstance(pulse, UGateCorrection):
-            state = state.apply_basis_phase(_correction_phase(pulse.phases, schedule.n))
+    phase_kinds = (InteractionPhase, UGateCorrection)
+    for is_phase, run in itertools.groupby(schedule.pulses, lambda p: isinstance(p, phase_kinds)):
+        if not is_phase:
+            for pulse in run:
+                if isinstance(pulse, Thermalize):
+                    state = SparseState.vacuum(state.modes)
+                elif isinstance(pulse, LoadFromReservoir):
+                    state = load_from_reservoir(state, pulse.dot)
+                elif isinstance(pulse, RabiPulse):
+                    state = rabi(state, pulse.src, pulse.dst, pulse.theta, pulse.only_if)
+                else:
+                    raise ValueError(f"unknown pulse {pulse!r}")
+        elif schedule.pairs != 2 or schedule.n < 1:
+            raise ShapeMismatch(f"{next(run)!r} needs two non-empty register pairs")
         else:
-            raise ValueError(f"unknown pulse {pulse!r}")
+            state = _pair_phases(state, schedule.n, run)
     return state
 
 
@@ -404,15 +414,17 @@ def prepare_pair(
     pair's block as the first's shifted by 2n dots, so the block runs once
     per pair and the device still applies 2n^2 Rabi pulses.  The exact
     tensor product of the two pairs then gets the interaction phase and its
-    u-gate correction.  No pulse of one pair touches the other's dots, so
-    this is the state ``execute(schedule)`` gives, up to the last bits (each
-    amplitude is now one product of the two pairs' amplitudes), with each
-    pulse seeing at most n+1 terms instead of up to (n+1)^2.
+    u-gate correction in one exact pass, which gives bit for bit the
+    ``DIRECT_ORACLE`` sign of ``pipeline``.  No pulse of one pair touches
+    the other's dots, so this is the state ``execute(schedule)`` gives, up
+    to the last bits (each amplitude is now one product of the two pairs'
+    amplitudes), with each pulse seeing at most n+1 terms instead of up to
+    (n+1)^2.
     """
     schedule = compile_pair_schedule(n, profile, intra_coefficient=intra_coefficient)
     block = scheduled_pulse_count(n)
     register_block = PulseSchedule(n, 1, schedule.pulses[:block])
     first = execute(register_block)
     second = execute(register_block)
-    final = execute(PulseSchedule(n, 2, schedule.pulses[-2:]), first.tensor(second))
+    final = _pair_phases(first.tensor(second), n, schedule.pulses[-2:])
     return emit_photons(final, n), schedule

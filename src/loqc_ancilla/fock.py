@@ -98,11 +98,13 @@ class SparseState:
         self.terms: dict[Occupation, complex] = {}
         if terms:
             for raw, amp in terms.items():
-                try:  # int() takes 1.5 and "1" too, so the counts must equal it
-                    occ = tuple(map(int, raw))
+                try:  # only counts that are not ints need converting
+                    kinds = set(map(type, raw))
+                    occ = tuple(map(int, raw)) if kinds - {int} else tuple(raw)
                 except (TypeError, ValueError, OverflowError):
                     occ = None
-                if occ is None or occ != tuple(raw):
+                # int() takes 1.5, "1" and True too: a count must equal it and not be a bool
+                if occ is None or bool in kinds or occ != tuple(raw):
                     raise InvalidState(f"photon counts {raw} are not all integers")
                 if len(occ) != self.modes:
                     raise DimensionMismatch(
@@ -393,24 +395,25 @@ class SparseState:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SparseState":
-        """Parse the JSON state schema; malformed data raises InvalidState."""
+        """Parse the JSON state schema; malformed data raises InvalidState.
+
+        Photon counts are the constructor's to check; ``[1]`` and ``[1.0]``
+        are one key, so listing both is listing one occupation twice."""
         try:
             raw_modes = data["modes"]
             modes = int(raw_modes)
             rows = [
-                (t["occ"], tuple(int(c) for c in t["occ"]), (t["re"], t["im"]),
-                 complex(t["re"], t["im"]))
+                (tuple(t["occ"]), (t["re"], t["im"]), complex(t["re"], t["im"]))
                 for t in data["terms"]
             ]
+            hash(tuple(occ for occ, _, _ in rows))  # a list inside occ cannot be a key
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidState(f"malformed state data: {exc!r}") from exc
         # JSON true and false load as bools, which int() and complex() take as 1 and 0.
         if modes != raw_modes or isinstance(raw_modes, bool):
             raise InvalidState(f"mode count {raw_modes!r} is not an integer")
         terms: dict[Occupation, complex] = {}
-        for raw, occ, parts, amp in rows:
-            if occ != tuple(raw) or any(isinstance(c, bool) for c in raw):
-                raise InvalidState(f"photon counts {raw} are not all integers")
+        for occ, parts, amp in rows:
             if any(isinstance(x, bool) for x in parts):
                 raise InvalidState(f"amplitude parts {list(parts)} are not all numbers")
             if occ in terms:

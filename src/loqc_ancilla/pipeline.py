@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import AncillaNotDisentangled, InvalidProfile, ShapeMismatch
+from .errors import AncillaNotDisentangled, ShapeMismatch
 from .fock import Occupation, SparseState, _negated
 from .gates import (
     cnot_logical,
@@ -33,7 +33,7 @@ from .gates import (
     toffoli_logical,
     transmission_for_probability,
 )
-from .profiles import AmplitudeProfile, schedule_from_profile
+from .profiles import AmplitudeProfile, _require_n, schedule_from_profile
 
 
 class PhaseMethod(enum.Enum):
@@ -52,8 +52,7 @@ def build_single_register(n: int, profile: AmplitudeProfile) -> SparseState:
     gated on x_{k-1} being occupied, which is what consumes one controlled
     sign gate each.
     """
-    if profile.n != n:
-        raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
+    _require_n(profile, n)
     state = SparseState.basis(single_register_pattern(n, 0))
     for k, p in enumerate(schedule_from_profile(profile).probabilities, start=1):
         setting = transmission_for_probability(p)
@@ -69,8 +68,7 @@ def single_register_pattern(n: int, j: int) -> Occupation:
 
 def direct_oracle_single(n: int, profile: AmplitudeProfile) -> SparseState:
     """The target single-register state written down literally."""
-    if profile.n != n:
-        raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
+    _require_n(profile, n)
     terms = {
         single_register_pattern(n, j): complex(profile.f[j])
         for j in range(n + 1)
@@ -156,8 +154,7 @@ def pair_pattern(n: int, j: int, jp: int) -> Occupation:
 
 def direct_oracle_pair(n: int, profile: AmplitudeProfile) -> SparseState:
     """The entangled pair state written down literally, sign factor included."""
-    if profile.n != n:
-        raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
+    _require_n(profile, n)
     terms: dict[Occupation, complex] = {}
     for j in range(n + 1):
         for jp in range(n + 1):

@@ -78,8 +78,6 @@ class AmplitudeProfile:
             raise InvalidProfile(f"profile n {raw_n!r} is not an integer")
         if any(isinstance(v, bool) for v in raw_f):
             raise InvalidProfile(f"profile values {list(raw_f)} are not all numbers")
-        if len(f) != n + 1:
-            raise InvalidProfile(f"profile file: n={n} but {len(f)} values")
         return cls(n, f)
 
     @classmethod
@@ -101,6 +99,12 @@ class AmplitudeProfile:
     @property
     def is_nonnegative(self) -> bool:
         return all(v >= 0.0 for v in self.f)
+
+
+def _require_n(profile: AmplitudeProfile, n: int) -> None:
+    """Refuse a profile made for another register size than ``n``."""
+    if profile.n != n:
+        raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
 
 
 @dataclass(frozen=True)

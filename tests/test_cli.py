@@ -578,10 +578,11 @@ def test_dots_report_and_schedule(tmp_path, capsys):
 
 # sha256 of the dots report, written schedule and photonic state, pinned so
 # that no change to the pulses or their execution moves a byte unnoticed.
+# The phase pulses run as one exact pass, so the state has no imaginary part.
 PINNED_DOTS = (
     "96d048f4ffd57dabec8f1f74796319ac791cba1962649954586b5ecfef7e86f2",
     "2e7a3e3048bc025bfd6b0b37958e32899d9ceb0c53ad00453a927eb48e75638a",
-    "57218b2a961640565c2a43beca6484196babdfdd738e0fb14749dacbab1bc006",
+    "ad6e43d10794e52fe2775dc00e25c81d63ca93b5b19cbf4890df56f6c8bc9e8c",
 )
 
 

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library and itself."""
+"""Static checks of the package source: it imports nothing outside the
+standard library and itself, and applies no sign as a float phase."""
 
 import ast
 import pathlib
@@ -46,3 +47,40 @@ def test_import_check_sees_every_import_form(tmp_path):
         "    import mpmath as mp\n"
     )
     assert list(foreign_imports(module)) == [(2, "numpy"), (6, "scipy"), (7, "mpmath")]
+
+
+PHASE_METHODS = {"apply_phase", "apply_basis_phase"}
+
+
+def phase_calls(path):
+    """(line, method) of every call of a phase method of ``SparseState``;
+    the methods stay for callers outside the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in PHASE_METHODS
+        ):
+            yield node.lineno, node.func.attr
+
+
+def test_package_applies_no_phase_through_sparse_state():
+    # Signs are exact negations and the dot-array phases one exact pass.
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = [f"{p.name}:{line}: {name}" for p in modules for line, name in phase_calls(p)]
+    assert found == []
+
+
+def test_phase_check_sees_every_call_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def apply_phase(state):\n"
+        "    return state\n"
+        "s = state.apply_phase(0, 1.0)\n"
+        "t = f(state).apply_basis_phase(\n"
+        "    lambda occ: 0.0)\n"
+        "u = apply_phase(state)\n"
+        "v = SparseState.apply_phase\n"
+    )
+    assert list(phase_calls(module)) == [(3, "apply_phase"), (4, "apply_basis_phase")]

@@ -13,8 +13,10 @@ from loqc_ancilla import (
     DotOutOfRange,
     InvalidCoefficient,
     InvalidProfile,
+    PhaseMethod,
     ShapeMismatch,
     SparseState,
+    apply_entangling_phase,
     build_entangled_pair,
     build_single_register,
     direct_oracle_pair,
@@ -33,7 +35,6 @@ from loqc_ancilla.dots import (
     compile_schedule,
     emit_photons,
     execute,
-    interaction_phase,
     load_from_reservoir,
     prepare_pair,
     rabi,
@@ -280,16 +281,47 @@ def test_rotated_patterns_literal_n2():
 # ----------------------------------------------------------------------
 
 
+def pair_basis(n, j, jp):
+    """Two-register-pair dot state with j and j' electrons on the x sides."""
+    x, xp = (1,) * j + (0,) * (n - j), (1,) * jp + (0,) * (n - jp)
+    return SparseState.basis(x + (0,) * n + xp + (0,) * n)
+
+
+def phases_only(n, state, *pulses):
+    """``execute`` of a pair schedule holding only phase pulses."""
+    return execute(PulseSchedule(n, 2, pulses), state)
+
+
+def term_bits(state):
+    """Every key and amplitude part, -0.0 told from 0.0, in dict order."""
+    return [(occ, a.real.hex(), a.imag.hex()) for occ, a in state.terms.items()]
+
+
 def test_interaction_phase_odd_odd_sign():
-    state = SparseState.basis((1, 0, 0, 1, 1, 0, 0, 1))  # j = 1, j' = 1 at n = 2
-    out = interaction_phase(state, math.pi, 0.0)
-    assert out.amplitude((1, 0, 0, 1, 1, 0, 0, 1)) == pytest.approx(-1.0)
+    # j j' = 121 at n = 11: complex ** would leave an imaginary part of 1e-14.
+    for n, j, jp in ((2, 1, 1), (5, 3, 5), (11, 11, 11), (12, 11, 9)):
+        state = pair_basis(n, j, jp)
+        out = phases_only(n, state, InteractionPhase(math.pi, 0.0))
+        assert term_bits(out) == [(*state.terms, (-1.0).hex(), (0.0).hex())]
 
 
 def test_interaction_phase_even_product_unchanged():
-    state = SparseState.basis((1, 1, 0, 0, 1, 0, 0, 1))  # j = 2, j' = 1
-    out = interaction_phase(state, math.pi, 0.0)
-    assert out.amplitude((1, 1, 0, 0, 1, 0, 0, 1)) == pytest.approx(1.0)
+    for n, j, jp in ((2, 2, 1), (4, 3, 4), (12, 10, 11), (12, 12, 12)):
+        state = pair_basis(n, j, jp)
+        out = phases_only(n, state, InteractionPhase(math.pi, 0.0))
+        assert term_bits(out) == term_bits(state)
+
+
+def test_interaction_phase_of_any_angle_is_its_formula():
+    rng = random.Random(41)
+    n, theta, intra = 3, 0.3, -0.2
+    state = binary_random_state(rng, 4 * n, n_terms=8)
+    out = phases_only(n, state, InteractionPhase(theta, intra))
+    for occ, a in state.terms.items():
+        j, jp = sum(occ[:n]), sum(occ[2 * n : 3 * n])
+        phase = theta * j * jp + intra * (j * (j - 1) + jp * (jp - 1)) / 2
+        want = a * complex(math.cos(phase), math.sin(phase))
+        assert out.amplitude(occ) == pytest.approx(want, abs=1e-15)
 
 
 def test_intra_register_term_cancelled_by_corrections():
@@ -297,18 +329,16 @@ def test_intra_register_term_cancelled_by_corrections():
     n = 3
     state = binary_random_state(rng, 4 * n, n_terms=6)
     lam = 0.7
-    plain = interaction_phase(state, math.pi, 0.0)
+    plain = phases_only(n, state, InteractionPhase(math.pi, 0.0))
     # The interaction pulse, then its u-gate correction, as execute runs them.
     pulses = (InteractionPhase(math.pi, lam), UGateCorrection(u_gate_corrections(n, lam)))
     corrected = execute(PulseSchedule(n, 2, pulses), state)
-    assert fidelity(plain, corrected) == pytest.approx(1.0, abs=1e-12)
-    for occ, amp in plain.terms.items():
-        assert corrected.amplitude(occ) == pytest.approx(amp, abs=1e-12)
+    assert term_bits(corrected) == term_bits(plain)
 
 
 def test_interaction_phase_shape_check():
     with pytest.raises(ShapeMismatch):
-        interaction_phase(SparseState.vacuum(6), math.pi, 0.0)
+        phases_only(2, SparseState.vacuum(6), InteractionPhase(math.pi, 0.0))
     # A one-pair schedule of 4 dots has a 4n shape but no second pair.
     for pulse in (InteractionPhase(math.pi, 0.0), UGateCorrection((0.0, 0.0, 0.0))):
         with pytest.raises(ShapeMismatch):
@@ -318,11 +348,13 @@ def test_interaction_phase_shape_check():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: interaction_phase(SparseState.vacuum(0), math.pi, 0.0),
+        lambda: phases_only(
+            0, SparseState.vacuum(0), InteractionPhase(math.pi, 0.0), UGateCorrection((0.0,))
+        ),
         lambda: execute(PulseSchedule(0, 2, (InteractionPhase(math.pi, 0.0),))),
         lambda: execute(PulseSchedule(0, 2, (UGateCorrection((0.0,)),))),
     ],
-    ids=["interaction_phase", "execute-interaction", "execute-u-gate"],
+    ids=["execute-phase-run", "execute-interaction", "execute-u-gate"],
 )
 def test_zero_dot_pair_is_refused(run):
     # 0 is a multiple of 4, but no register pair has zero dots.
@@ -427,6 +459,22 @@ def test_prepare_pair_matches_the_literal_schedule(n):
             assert photonic.terms.keys() == literal.terms.keys()
             for key, a in literal.terms.items():
                 assert abs(photonic.terms[key] - a) <= 1e-15
+                assert a.imag.hex() == photonic.terms[key].imag.hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("intra", [0.0, 0.37, -1.7, 0.4])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_prepare_pair_is_the_exact_oracle_sign_bit_for_bit(n, intra):
+    # The pi coupling is -1 multiplied j j' times and the intra term cancels
+    # its correction to 0.0, so the two phase pulses are the exact sign.
+    rng = random.Random(1000 + n)
+    for profile in (AmplitudeProfile.constant(n), random_profile(rng, n)):
+        photonic, schedule = prepare_pair(n, profile, intra)
+        register = execute(PulseSchedule(n, 1, schedule.pulses[: scheduled_pulse_count(n)]))
+        joint = emit_photons(register.tensor(register), n)
+        oracle = apply_entangling_phase(joint, PhaseMethod.DIRECT_ORACLE)
+        assert term_bits(photonic) == term_bits(oracle)
+        assert all(a.imag.hex() == (0.0).hex() for a in photonic.terms.values())
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

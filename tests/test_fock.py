@@ -922,12 +922,32 @@ def test_non_finite_amplitudes_rejected():
         SparseState(1, {(1,): complex(0, math.inf)})
 
 
-@pytest.mark.parametrize("key", [(1.5,), ("1",), (None,), (math.nan,), (math.inf,), 5], ids=repr)
+@pytest.mark.parametrize(
+    "key", [(1.5,), ("1",), (None,), (math.nan,), (math.inf,), 5, (True,), (False,)], ids=repr
+)
 def test_non_integral_photon_counts_rejected(key):
-    # int() would take 1.5 and "1" as the count 1; the constructor refuses
-    # them as from_json_dict does, and never with a bare TypeError.
+    # int() would take 1.5, "1" and True as the count 1; the constructor
+    # refuses them, from_json_dict relies on it, and never with a bare TypeError.
     with pytest.raises(InvalidState, match="are not all integers"):
         SparseState(1, {key: 1.0})
+
+
+@pytest.mark.parametrize(
+    "occs, match",
+    [
+        ([[1.5]], "are not all integers"),
+        ([["1"]], "are not all integers"),
+        ([[True]], r"photon counts \(True,\) are not all integers"),
+        ([[[1]]], "malformed state data"),
+        ([1], "malformed state data"),
+        ([[1], [1.0]], r"occupation \[1.0\] is listed twice"),
+    ],
+    ids=["fraction", "string", "bool", "nested-list", "not-a-list", "int-and-float"],
+)
+def test_json_photon_counts_refused_at_the_constructor(occs, match):
+    rows = [{"occ": occ, "re": 0.6, "im": 0.0} for occ in occs]
+    with pytest.raises(InvalidState, match=match):
+        SparseState.from_json_dict({"modes": 1, "terms": rows})
 
 
 def test_integral_float_photon_counts_accepted():

@@ -19,7 +19,7 @@ from loqc_ancilla import (
     failure_probability,
     teleport,
 )
-from loqc_ancilla.dots import interaction_phase, prepare_pair, rabi
+from loqc_ancilla.dots import InteractionPhase, PulseSchedule, execute, prepare_pair, rabi
 from conftest import random_qubit
 
 
@@ -70,7 +70,8 @@ def test_trusted_operations_refuse_nan_and_keep_valid_keys():
     with pytest.raises(InvalidState):
         rabi(SparseState.basis((1, 0)), 0, 1, math.nan)
     with pytest.raises(InvalidState):
-        interaction_phase(SparseState.basis((1, 0, 1, 0)), math.pi, math.nan)
+        pulses = (InteractionPhase(math.pi, math.nan),)
+        execute(PulseSchedule(1, 2, pulses), SparseState.basis((1, 0, 1, 0)))
 
     n = 3
     profile = AmplitudeProfile.constant(n)

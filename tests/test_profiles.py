@@ -48,7 +48,7 @@ def test_profile_file_round_trip(tmp_path):
     path.write_text(json.dumps(p.to_json_dict()))
     loaded = AmplitudeProfile.load(str(path))
     assert loaded == p
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidProfile, match="profile for n=3 needs 4 values, got 2"):
         AmplitudeProfile.from_json_dict({"n": 3, "f": [1.0, 1.0]})
 
 
