@@ -9,7 +9,9 @@ keeps the exact-cancellation junk of double precision out of the term set.
 
 Keys and amplitudes are validated where data enters (the constructor,
 ``basis``, ``from_json_dict``); operations derive new states through the
-trusted ``_like``, which only prunes and refuses non-finite amplitudes.
+trusted ``_like``, which only prunes and refuses non-finite amplitudes.  So
+do the ``pipeline`` oracles, whose keys are joined register patterns and
+whose amplitudes are products of a validated profile's weights.
 Three builds skip that amplitude scan and prune inline:
 
 * ``measure`` scales each outcome's bucket, a dict it built itself, in place
@@ -205,10 +207,7 @@ class SparseState:
 
     def apply_basis_phase(self, phase_fn: Callable[[Occupation], float]) -> "SparseState":
         """Diagonal unitary: each term gains exp(i*phase_fn(occ))."""
-        out: dict[Occupation, complex] = {}
-        for occ, a in self.terms.items():
-            out[occ] = a * _cis(phase_fn(occ))
-        return self._like(out)
+        return self._like({occ: a * _cis(phase_fn(occ)) for occ, a in self.terms.items()})
 
     def apply_beamsplitter(self, m1: int, m2: int, t: float) -> "SparseState":
         """Exact beamsplitter on modes (m1, m2), in-place convention.
@@ -240,23 +239,20 @@ class SparseState:
         mlist = [int(m) for m in modes]
         for m in mlist:
             self._check_mode(m)
-        mset = set(mlist)
-        if len(mset) != len(mlist):
+        if len(set(mlist)) != len(mlist):
             raise ModeOutOfRange("transform modes must be distinct")
         n_sub = len(mlist)
         if len(matrix) != n_sub or any(len(row) != n_sub for row in matrix):
             raise DimensionMismatch("matrix shape must match the mode list")
         matrix = tuple(map(tuple, matrix))  # compared with the last transform's
 
-        rest_modes = [m for m in range(self.modes) if m not in mset]
-        sub_of, rest_of = _picker(mlist), _picker(rest_modes)
-        # An output key is its sub-occupation then the rest when the
-        # transformed modes lead in order (the teleport and CZ Fourier
-        # mixing); any other layout is rebuilt from rest + sub-occupation
-        # by one picker.
+        sub_of = _picker(mlist)
+        # An output key is its sub-occupation then the input key's tail when
+        # the transformed modes lead in order (the teleport and CZ Fourier
+        # mixing); any other layout writes each product's counts into one
+        # list copy of the input key, whose transformed entries every product
+        # overwrites.
         leading = mlist == list(range(n_sub))
-        slot = {m: i for i, m in enumerate(rest_modes + mlist)}
-        place = _picker([slot[m] for m in range(self.modes)])
 
         # Terms that share a sub-occupation share its expansion, so each
         # distinct pattern is expanded once per call, or not at all when the
@@ -273,10 +269,15 @@ class SparseState:
                 expansion = expansions[sub] = _expand(sub, matrix)
                 expanded = True
             root_in, products = expansion
-            rest = rest_of(occ)
             base = a / root_in
+            rest, counts = occ[n_sub:], list(occ)
             for key, coeff, root_out in products:
-                full = key + rest if leading else place(rest + key)
+                if leading:
+                    full = key + rest
+                else:
+                    for m, c in zip(mlist, key):
+                        counts[m] = c
+                    full = tuple(counts)
                 out[full] = out.get(full, 0j) + base * coeff * root_out
         if expanded and sum(len(e[1]) for e in expansions.values()) <= _MEMO_PRODUCTS:
             _last_transform = (matrix, expansions)
@@ -346,14 +347,15 @@ class SparseState:
 
     def tensor(self, other: "SparseState") -> "SparseState":
         """Tensor product; this state's modes come first."""
-        terms: dict[Occupation, complex] = {}
-        for occ1, a1 in self.terms.items():
-            for occ2, a2 in other.terms.items():
-                terms[occ1 + occ2] = a1 * a2
+        outer, inner = self.terms.items(), other.terms.items()
+        terms = {occ1 + occ2: a1 * a2 for occ1, a1 in outer for occ2, a2 in inner}
         return self._like(terms, self.modes + other.modes)
 
     def extend(self, extra_modes: int) -> "SparseState":
-        """Append ``extra_modes`` vacuum modes."""
+        """Append ``extra_modes`` vacuum modes; a negative count raises
+        ModeOutOfRange."""
+        if extra_modes < 0:
+            raise ModeOutOfRange(f"cannot append {extra_modes} modes")
         pad = (0,) * extra_modes
         terms = {occ + pad: a for occ, a in self.terms.items()}
         return self._like(terms, self.modes + extra_modes)
@@ -365,6 +367,8 @@ class SparseState:
         helpers); counts on them are discarded, not measured.
         """
         mset = set(modes)
+        for m in mset:
+            self._check_mode(m)
         keep = [m for m in range(self.modes) if m not in mset]
         pick = _picker(keep)
         terms: dict[Occupation, complex] = {}

@@ -70,11 +70,9 @@ def direct_oracle_single(n: int, profile: AmplitudeProfile) -> SparseState:
     """The target single-register state written down literally."""
     _require_n(profile, n)
     terms = {
-        single_register_pattern(n, j): complex(profile.f[j])
-        for j in range(n + 1)
-        if profile.f[j] != 0.0
+        single_register_pattern(n, j): complex(f) for j, f in enumerate(profile.f) if f != 0.0
     }
-    return SparseState(2 * n, terms).normalized()
+    return SparseState(2 * n)._like(terms).normalized()
 
 
 def _occupied(occ: Occupation, modes: range | list[int]) -> int:
@@ -153,12 +151,16 @@ def pair_pattern(n: int, j: int, jp: int) -> Occupation:
 
 
 def direct_oracle_pair(n: int, profile: AmplitudeProfile) -> SparseState:
-    """The entangled pair state written down literally, sign factor included."""
+    """The entangled pair state written down literally, sign factor included.
+
+    Each key joins two single-register patterns; the sign (-1)^(j j') is a
+    negation, the same bits as a product with -1.0."""
     _require_n(profile, n)
+    patterns = [single_register_pattern(n, j) for j in range(n + 1)]
     terms: dict[Occupation, complex] = {}
-    for j in range(n + 1):
-        for jp in range(n + 1):
-            amp = profile.f[j] * profile.f[jp] * (-1.0) ** (j * jp)
+    for j, (first, f) in enumerate(zip(patterns, profile.f)):
+        for jp, (second, fp) in enumerate(zip(patterns, profile.f)):
+            amp = f * fp
             if amp != 0.0:
-                terms[pair_pattern(n, j, jp)] = complex(amp)
-    return SparseState(4 * n, terms).normalized()
+                terms[first + second] = complex(-amp if j * jp & 1 else amp)
+    return SparseState(4 * n)._like(terms).normalized()

@@ -413,13 +413,77 @@ def test_leading_block_keys_match_the_moved_block_route(n):
 
 @pytest.mark.parametrize("modes", [[3, 1], [1, 0], [2, 4]], ids=str)
 def test_placed_keys_match_the_leading_block_route(modes):
-    # A beamsplitter off the leading block in order rebuilds its keys by a
-    # picker; moved to the front in order, it builds them as sub + rest.
+    # A beamsplitter off the leading block in order writes its counts into a
+    # copy of each input key; moved to the front in order, it builds them as
+    # sub + rest.
     rng = random.Random(12)
     state = random_state(rng, 5, 3, n_terms=12)
     matrix = beamsplitter_matrix(0.6)
     got = state.apply_linear_transform(modes, matrix)
     assert exact_terms(got) == exact_terms(moved_block_transform(state, modes, matrix, True))
+
+
+def reference_picker_transform(state, modes, matrix):
+    """``apply_linear_transform`` as it was, every output key built from the
+    untransformed counts plus the sub-occupation by pickers laid out per call."""
+    mlist = [int(m) for m in modes]
+    for m in mlist:
+        state._check_mode(m)
+    mset = set(mlist)
+    if len(mset) != len(mlist):
+        raise ModeOutOfRange("transform modes must be distinct")
+    n_sub = len(mlist)
+    if len(matrix) != n_sub or any(len(row) != n_sub for row in matrix):
+        raise DimensionMismatch("matrix shape must match the mode list")
+    matrix = tuple(map(tuple, matrix))
+    rest_modes = [m for m in range(state.modes) if m not in mset]
+    sub_of, rest_of = fock._picker(mlist), fock._picker(rest_modes)
+    leading = mlist == list(range(n_sub))
+    slot = {m: i for i, m in enumerate(rest_modes + mlist)}
+    place = fock._picker([slot[m] for m in range(state.modes)])
+    last_matrix, last_expansions = fock._last_transform
+    expansions = dict(last_expansions) if last_matrix == matrix else {}
+    expanded = False
+    out = {}
+    for occ, a in state.terms.items():
+        sub = sub_of(occ)
+        expansion = expansions.get(sub)
+        if expansion is None:
+            expansion = expansions[sub] = fock._expand(sub, matrix)
+            expanded = True
+        root_in, products = expansion
+        rest = rest_of(occ)
+        base = a / root_in
+        for key, coeff, root_out in products:
+            full = key + rest if leading else place(rest + key)
+            out[full] = out.get(full, 0j) + base * coeff * root_out
+    if expanded and sum(len(e[1]) for e in expansions.values()) <= fock._MEMO_PRODUCTS:
+        fock._last_transform = (matrix, expansions)
+    return state._like(out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transform_keys_match_the_picker_layout_reference(monkeypatch, seed):
+    # Leading blocks, blocks off the front in order, unsorted mode lists and
+    # the whole register, on states of up to four photons per mode list;
+    # both kernels start from an empty memo, so each expands on its own.
+    rng = random.Random(400 + seed)
+    mode_lists = [[0], [0, 1], [0, 1, 2], [1, 2], [2, 4], [3, 1], [4, 0, 2], [1, 0, 3, 2]]
+    mode_lists += [rng.sample(range(5), rng.randint(1, 4)) for _ in range(6)]
+    for modes in mode_lists:
+        state = random_state(rng, 5, 4, n_terms=rng.randint(1, 12))
+        matrix = random_matrix(rng, len(modes))
+        empty_memo(monkeypatch)
+        want = exact_terms(reference_picker_transform(state, modes, matrix))
+        empty_memo(monkeypatch)
+        assert exact_terms(state.apply_linear_transform(modes, matrix)) == want, modes
+    # The beamsplitters of a pair build: two modes, counts above one.
+    state = random_state(rng, 6, 4, n_terms=10)
+    for m1, m2 in ((5, 0), (1, 4), (0, 1), (3, 2)):
+        empty_memo(monkeypatch)
+        want = exact_terms(reference_picker_transform(state, (m1, m2), beamsplitter_matrix(0.37)))
+        empty_memo(monkeypatch)
+        assert exact_terms(state.apply_beamsplitter(m1, m2, 0.37)) == want
 
 
 # ----------------------------------------------------------------------
@@ -888,6 +952,19 @@ def test_tensor_and_extend_and_drop():
     assert padded.amplitude((1, 0, 0)) == pytest.approx(1.0)
     dropped = ab.drop_modes([1])
     assert dropped.amplitude((1, 1)) == pytest.approx(1.0)
+
+
+def test_extend_refuses_a_negative_count():
+    s = SparseState(2, {(1, 0): 1})
+    with pytest.raises(ModeOutOfRange):
+        s.extend(-1)
+    assert exact_terms(s.extend(0)) == exact_terms(s)
+
+
+@pytest.mark.parametrize("modes", [[5], [-1], [0, 2]], ids=str)
+def test_drop_modes_refuses_a_mode_out_of_range(modes):
+    with pytest.raises(ModeOutOfRange):
+        SparseState(2, {(1, 0): 1}).drop_modes(modes)
 
 
 def test_permute_modes():

@@ -336,3 +336,58 @@ def test_pair_transfers_run_on_one_pair(n, monkeypatch):
     build_entangled_pair(n, AmplitudeProfile.constant(n), PhaseMethod.PARITY_ANCILLA)
     assert len(seen) == 2 * n
     assert all(modes == 2 * n and terms <= n + 1 for modes, terms in seen), seen
+
+
+# ----------------------------------------------------------------------
+# oracles written from patterns against the validating constructor route
+# ----------------------------------------------------------------------
+
+
+def reference_oracle_single(n, profile):
+    """``direct_oracle_single`` as it was, through the validating constructor."""
+    terms = {
+        single_register_pattern(n, j): complex(profile.f[j])
+        for j in range(n + 1)
+        if profile.f[j] != 0.0
+    }
+    return SparseState(2 * n, terms).normalized()
+
+
+def reference_oracle_pair(n, profile):
+    """``direct_oracle_pair`` as it was: each key from ``pair_pattern``, the
+    sign a product with (-1.0) ** (j j'), then the validating constructor."""
+    terms = {}
+    for j in range(n + 1):
+        for jp in range(n + 1):
+            amp = profile.f[j] * profile.f[jp] * (-1.0) ** (j * jp)
+            if amp != 0.0:
+                terms[pair_pattern(n, j, jp)] = complex(amp)
+    return SparseState(4 * n, terms).normalized()
+
+
+def oracle_profiles(rng, n):
+    """Constant, delta, random and signed profiles, one with zero weights
+    whose terms are skipped and one with a weight below the prune."""
+    signed = [rng.uniform(0.05, 1.0) * rng.choice((-1.0, 1.0)) for _ in range(n + 1)]
+    zero_weights = [0.0 if j % 2 else rng.uniform(0.05, 1.0) for j in range(n + 1)]
+    faint = [1e-13] + [rng.uniform(0.05, 1.0) for _ in range(n)]
+    return [
+        AmplitudeProfile.constant(n),
+        AmplitudeProfile.delta(n),
+        random_profile(rng, n),
+        AmplitudeProfile.from_values(signed),
+        AmplitudeProfile.from_values(zero_weights),
+        AmplitudeProfile.from_values(faint),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_oracles_match_the_constructor_route_bit_for_bit(n):
+    rng = random.Random(5000 + n)
+    for profile in oracle_profiles(rng, n):
+        single = direct_oracle_single(n, profile)
+        pair = direct_oracle_pair(n, profile)
+        assert exact_terms(single) == exact_terms(reference_oracle_single(n, profile))
+        assert exact_terms(pair) == exact_terms(reference_oracle_pair(n, profile))
+        skipped = sum(1 for f in profile.f if abs(f) < 1e-12)
+        assert len(single) == n + 1 - skipped
