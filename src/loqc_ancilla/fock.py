@@ -12,7 +12,10 @@ Keys and amplitudes are validated where data enters (the constructor,
 trusted ``_like``, which only prunes and refuses non-finite amplitudes.  So
 do the ``pipeline`` oracles, whose keys are joined register patterns and
 whose amplitudes are products of a validated profile's weights.
-Three builds skip that amplitude scan and prune inline:
+``apply_linear_transform`` runs the same scan but prunes its fresh output
+dict in place, deleting the faint keys, instead of rebuilding it through
+``_like``: a rebuild hashes every kept key again, and a tuple does not cache
+its hash.  Three builds skip that amplitude scan and prune inline:
 
 * ``measure`` scales each outcome's bucket, a dict it built itself, in place
   into the residual; each amplitude a goes to a/sqrt(p) with |a|^2 <= p, so
@@ -30,8 +33,9 @@ the transfer gadget's internal sign, the ``oracle`` entangling phase of
 ``pipeline`` and the CZ's ideal output in ``teleport``.  The flip behind
 ``cnot_logical`` and ``toffoli_logical`` moves amplitudes to distinct keys.
 An input state is already pruned and finite, and none of the three changes
-a modulus.  No stored amplitude has a -0.0 part, since every build adds
-``+ 0j``; a negation writes ``-a + 0j`` to keep it so.
+a modulus.  No stored amplitude has a -0.0 part: every build adds ``+ 0j``
+or, as the transform does, sums each amplitude from ``0j``, and no addition
+to +0.0 gives -0.0; a negation writes ``-a + 0j`` to keep it so.
 
 Float sums run strictly left to right, through ``_sum_in_order`` or, where
 a call per sum costs too much (``measure``'s outcome probabilities), an
@@ -144,10 +148,12 @@ class SparseState:
         comparison and would vanish silently, hence the finiteness check;
         ``+ 0j`` maps -0.0 to +0.0 as the public constructor's sum does.
 
-        ``measure`` writes this prune inline while it scales each bucket in
-        place, because a helper call per residual costs a teleport about a
-        tenth of its time; a fast-path test in ``test_fock`` holds it to this
-        one."""
+        ``measure`` and ``apply_linear_transform`` write this prune inline,
+        each on a dict it built itself: ``measure`` while it scales each
+        bucket in place, because a helper call per residual costs a teleport
+        about a tenth of its time, and the transform by deleting the faint
+        keys of its output after this finiteness check.  Reference tests in
+        ``test_fock`` hold both to this one, bit for bit and in dict order."""
         if not math.isfinite(sum(map(abs, terms.values()))):
             raise InvalidState("an operation produced a non-finite amplitude")
         return _state(
@@ -186,6 +192,11 @@ class SparseState:
         return sorted(self.terms.items())
 
     def _check_mode(self, mode: int) -> None:
+        """Refuse a mode index that is not an int in 0..modes-1.  A float or
+        a bool is refused, not read through ``int()``, which truncates 0.7
+        to mode 0."""
+        if not _is_int(mode):
+            raise ModeOutOfRange(f"mode index {mode!r} is not an integer")
         if not 0 <= mode < self.modes:
             raise ModeOutOfRange(f"mode {mode} not in 0..{self.modes - 1}")
 
@@ -236,7 +247,7 @@ class SparseState:
         Exact for any photon numbers; unitary input matrices preserve
         the norm.
         """
-        mlist = [int(m) for m in modes]
+        mlist = list(modes)
         for m in mlist:
             self._check_mode(m)
         if len(set(mlist)) != len(mlist):
@@ -251,7 +262,7 @@ class SparseState:
         # the transformed modes lead in order (the teleport and CZ Fourier
         # mixing); any other layout writes each product's counts into one
         # list copy of the input key, whose transformed entries every product
-        # overwrites.
+        # overwrites.  Each layout has its own product loop.
         leading = mlist == list(range(n_sub))
 
         # Terms that share a sub-occupation share its expansion, so each
@@ -270,18 +281,29 @@ class SparseState:
                 expanded = True
             root_in, products = expansion
             base = a / root_in
-            rest, counts = occ[n_sub:], list(occ)
-            for key, coeff, root_out in products:
-                if leading:
+            if leading:
+                rest = occ[n_sub:]
+                for key, coeff, root_out in products:
                     full = key + rest
-                else:
+                    out[full] = out.get(full, 0j) + base * coeff * root_out
+            else:
+                counts = list(occ)
+                for key, coeff, root_out in products:
                     for m, c in zip(mlist, key):
                         counts[m] = c
                     full = tuple(counts)
-                out[full] = out.get(full, 0j) + base * coeff * root_out
+                    out[full] = out.get(full, 0j) + base * coeff * root_out
         if expanded and sum(len(e[1]) for e in expansions.values()) <= _MEMO_PRODUCTS:
             _last_transform = (matrix, expansions)
-        return self._like(out)
+        # ``out`` is this call's own dict, so it is pruned in place.  Every
+        # value is a sum started at 0j, which no addition turns into -0.0,
+        # so the ``+ 0j`` of ``_like`` would change no bit.
+        if not math.isfinite(sum(map(abs, out.values()))):
+            raise InvalidState("an operation produced a non-finite amplitude")
+        faint = [full for full, a in out.items() if abs(a) < PRUNE_TOLERANCE]
+        for full in faint:
+            del out[full]
+        return _state(self.modes, out)
 
     # ------------------------------------------------------------------
     # measurement
@@ -295,7 +317,7 @@ class SparseState:
         Probabilities sum to 1 for a normalized input.  An outcome whose
         norm^2 exceeds the float range raises InvalidState.
         """
-        mlist = [int(m) for m in modes]
+        mlist = list(modes)
         for m in mlist:
             self._check_mode(m)
         mset = set(mlist)
@@ -354,8 +376,8 @@ class SparseState:
     def extend(self, extra_modes: int) -> "SparseState":
         """Append ``extra_modes`` vacuum modes; a negative count raises
         ModeOutOfRange."""
-        if extra_modes < 0:
-            raise ModeOutOfRange(f"cannot append {extra_modes} modes")
+        if not _is_int(extra_modes) or extra_modes < 0:
+            raise ModeOutOfRange(f"cannot append {extra_modes!r} modes")
         pad = (0,) * extra_modes
         terms = {occ + pad: a for occ, a in self.terms.items()}
         return self._like(terms, self.modes + extra_modes)
@@ -379,6 +401,8 @@ class SparseState:
 
     def permute_modes(self, perm: Sequence[int]) -> "SparseState":
         """Relabel modes: new mode i holds old mode perm[i]'s count."""
+        for m in perm:
+            self._check_mode(m)
         if sorted(perm) != list(range(self.modes)):
             raise ModeOutOfRange("perm must be a permutation of all modes")
         pick = _picker(perm)
@@ -480,17 +504,24 @@ def _sum_in_order(values: Iterable[float]) -> float:
 
 
 def _picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """Function returning the entries at ``indices`` of a sequence as a tuple.
+    """Function returning the entries at ``indices`` (non-negative) of a
+    sequence as a tuple.
 
-    ``operator.itemgetter`` returns a bare entry for one index and needs at
-    least one, so those two cases take a one- or zero-length slice, which
-    on a tuple is again a tuple and is still one C call."""
-    if len(indices) > 1:
-        return operator.itemgetter(*indices)
-    if indices:
-        (i,) = indices
-        return operator.itemgetter(slice(i, i + 1))
-    return operator.itemgetter(slice(0, 0))
+    A run of consecutive ascending indices, one index included, is one
+    slice; ``operator.itemgetter`` of several indices fetches each entry on
+    its own, and returns a bare entry for one index.  No indices take an
+    empty slice.  Each is one C call, and each slice of a tuple is a tuple."""
+    if not indices:
+        return operator.itemgetter(slice(0, 0))
+    first = indices[0]
+    if list(indices) == list(range(first, first + len(indices))):
+        return operator.itemgetter(slice(first, first + len(indices)))
+    return operator.itemgetter(*indices)
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool (a mode index or count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _expand(
@@ -509,7 +540,10 @@ def _expand(
     poly: dict[int, complex] = {0: 1.0 + 0j}
     norm_in = 1.0
     for l, count in enumerate(sub):
-        norm_in *= math.factorial(count)
+        if not count:  # an empty mode adds no factor; 0! and 1! are 1
+            continue
+        if count > 1:
+            norm_in *= math.factorial(count)
         row = [(radix**m, cm) for m, cm in enumerate(matrix[l]) if cm != 0]
         for _ in range(count):
             nxt: dict[int, complex] = {}
@@ -525,7 +559,8 @@ def _expand(
         for _ in sub:
             code, c = divmod(code, radix)
             key.append(c)
-            norm_out *= math.factorial(c)
+            if c > 1:
+                norm_out *= math.factorial(c)
         products.append((tuple(key), coeff, math.sqrt(norm_out)))
     return math.sqrt(norm_in), tuple(products)
 

@@ -20,8 +20,12 @@ condition in a copy of the term dict (``fock._negated``), and a flip
 rewrites the target count in a list copy of each such key.  Neither changes
 a modulus, and a 0 <-> 1 flip maps distinct keys to distinct keys, so their
 results need neither the prune nor the finiteness scan of
-``SparseState._like``.  The count tests read the control and target modes
-through ``fock._picker``, one C call per term however many modes it reads.
+``SparseState._like``.  A sign selects its terms with one list filter per
+mode, controls then the target, each testing ``occ[m]`` directly; no tuple
+of counts is built per term.  The flip reads its controls through
+``fock._picker``, one C call per term however many controls it reads.
+Every mode index must be an int: a float or bool is refused with
+``ModeOutOfRange``, not truncated.
 """
 
 from __future__ import annotations
@@ -125,13 +129,17 @@ def controlled_sign(
     state: SparseState, control_modes: set[int] | frozenset[int], target_mode: int
 ) -> SparseState:
     """Flip the sign of terms where every control and the target are occupied."""
-    controls = sorted(int(m) for m in control_modes)
-    for m in controls + [target_mode]:
+    modes = [*control_modes, target_mode]
+    for m in modes:
         state._check_mode(m)
-    if target_mode in controls:
+    if target_mode in modes[:-1]:
         raise ModeOutOfRange("target must be disjoint from the controls")
-    counts = _picker(controls + [target_mode])
-    return _negated(state, [occ for occ in state.terms if 0 not in counts(occ)])
+    # One filter per mode, controls then the target, keeps the dict order
+    # of the terms it passes.
+    signed = state.terms
+    for m in modes:
+        signed = [occ for occ in signed if occ[m]]
+    return _negated(state, signed)
 
 
 def _flip(state: SparseState, controls: tuple[int, ...], target_mode: int) -> SparseState:

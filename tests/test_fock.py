@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 import sys
 import threading
@@ -486,6 +487,148 @@ def test_transform_keys_match_the_picker_layout_reference(monkeypatch, seed):
         assert exact_terms(state.apply_beamsplitter(m1, m2, 0.37)) == want
 
 
+def reference_expand(sub, matrix):
+    """``fock._expand`` as it was: every mode's row laid out and every count's
+    factorial taken, 0 and 1 included."""
+    radix = sum(sub) + 1
+    poly = {0: 1.0 + 0j}
+    norm_in = 1.0
+    for l, count in enumerate(sub):
+        norm_in *= math.factorial(count)
+        row = [(radix**m, cm) for m, cm in enumerate(matrix[l]) if cm != 0]
+        for _ in range(count):
+            nxt = {}
+            for code, coeff in poly.items():
+                for step, cm in row:
+                    key = code + step
+                    nxt[key] = nxt.get(key, 0j) + coeff * cm
+            poly = nxt
+    products = []
+    for code, coeff in poly.items():
+        key = []
+        norm_out = 1.0
+        for _ in sub:
+            code, c = divmod(code, radix)
+            key.append(c)
+            norm_out *= math.factorial(c)
+        products.append((tuple(key), coeff, math.sqrt(norm_out)))
+    return math.sqrt(norm_in), tuple(products)
+
+
+def reference_like_transform(state, modes, matrix):
+    """``apply_linear_transform`` as it was: one product loop testing the key
+    layout per product, the old ``_expand``, and the output rebuilt and
+    pruned through ``_like``."""
+    mlist = list(modes)
+    n_sub = len(mlist)
+    matrix = tuple(map(tuple, matrix))
+    leading = mlist == list(range(n_sub))
+    expansions = {}
+    out = {}
+    for occ, a in state.terms.items():
+        sub = tuple(occ[m] for m in mlist)
+        if sub not in expansions:
+            expansions[sub] = reference_expand(sub, matrix)
+        root_in, products = expansions[sub]
+        base = a / root_in
+        rest, counts = occ[n_sub:], list(occ)
+        for key, coeff, root_out in products:
+            if leading:
+                full = key + rest
+            else:
+                for m, c in zip(mlist, key):
+                    counts[m] = c
+                full = tuple(counts)
+            out[full] = out.get(full, 0j) + base * coeff * root_out
+    return state._like(out)
+
+
+def deep_state(rng, modes, max_per_mode, n_terms):
+    """Random state with each mode's count drawn from 0..max_per_mode."""
+    keys = {tuple(rng.randint(0, max_per_mode) for _ in range(modes)) for _ in range(n_terms)}
+    terms = {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in keys}
+    return SparseState(modes, terms).normalized()
+
+
+def has_negative_zero(state):
+    return any(
+        x == 0 and math.copysign(1.0, x) < 0 for a in state.terms.values() for x in (a.real, a.imag)
+    )
+
+
+def test_expand_matches_its_reference_bit_for_bit():
+    # Empty modes, single photons and up to 20 photons per mode, real and
+    # complex matrices with zero entries: the same products in the same
+    # order, every bit of each coefficient and root.
+    rng = random.Random(2450)
+    subs = [(0,), (1,), (20,), (0, 0), (1, 0), (0, 20), (20, 20), (1, 1, 0), (0, 3, 1, 2)]
+    subs += [tuple(rng.randint(0, 20) for _ in range(rng.randint(1, 2))) for _ in range(8)]
+    subs += [tuple(rng.randint(0, 5) for _ in range(rng.randint(3, 4))) for _ in range(8)]
+    for sub in subs:
+        for matrix in (random_matrix(rng, len(sub)), qft_matrix(len(sub))):
+            matrix = tuple(map(tuple, matrix))
+            if len(sub) > 1:  # a zero entry drops a step from the row
+                matrix = (matrix[0][:-1] + (0j,),) + matrix[1:]
+            assert repr(fock._expand(sub, matrix)) == repr(reference_expand(sub, matrix)), sub
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_transform_matches_the_like_reference_bit_for_bit(seed):
+    # Leading blocks, blocks off the front in order and unsorted lists, on
+    # states with signed zeros and with up to 20 photons per mode: the
+    # output keys in the same order, every amplitude bit equal, and no
+    # part -0.0 although the in-place prune adds no 0j.
+    rng = random.Random(2460 + seed)
+    mode_lists = [[0], [0, 1], [0, 1, 2], [1], [1, 2], [2, 3, 4], [3, 1], [4, 0, 2], [1, 0, 3, 2]]
+    mode_lists += [rng.sample(range(5), rng.randint(1, 4)) for _ in range(6)]
+    signed_inputs = 0
+    for modes in mode_lists:
+        depth = 20 if len(modes) <= 2 else 4
+        states = [
+            deep_state(rng, 5, depth, rng.randint(1, 10)),
+            signed_zero_state(rng, 5, 4),
+            random_state(rng, 5, 4, n_terms=12),
+        ]
+        signed_inputs += has_negative_zero(states[1])
+        for state in states:
+            matrix = random_matrix(rng, len(modes))
+            got = state.apply_linear_transform(modes, matrix)
+            assert exact_terms(got) == exact_terms(reference_like_transform(state, modes, matrix))
+            assert not has_negative_zero(got), modes
+    assert signed_inputs >= 3
+
+
+def test_transform_prunes_as_the_like_reference_does():
+    # Faint outputs: a balanced beamsplitter cancels |1,1> to exactly 0 on
+    # two-photon input, and a near-singular matrix leaves terms just above
+    # and below the prune tolerance.
+    hom = SparseState(2, {(1, 1): 1.0})
+    half = beamsplitter_matrix(INV_SQRT2)
+    assert (1, 1) not in hom.apply_linear_transform([0, 1], half).terms
+    rng = random.Random(2470)
+    for _ in range(40):
+        state = random_state(rng, 3, 3, n_terms=6)
+        scale = PRUNE_TOLERANCE * rng.uniform(0.5, 4.0)
+        matrix = [[scale * complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)] for _ in range(2)]
+        got = state.apply_linear_transform([2, 0], matrix)
+        want = reference_like_transform(state, [2, 0], matrix)
+        assert exact_terms(got) == exact_terms(want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf), 1e308])
+def test_transform_still_refuses_a_non_finite_output(bad):
+    # A NaN or infinite input amplitude, or a product past the float range,
+    # is refused as the reference refuses it, not pruned away.
+    state = SparseState(2, {(1, 0): 0.6, (0, 1): 0.8})
+    state.terms[(1, 1)] = complex(bad)
+    matrix = [[10.0, 1.0], [1.0, 10.0]]
+    for modes in ([0, 1], [1, 0]):
+        with pytest.raises(InvalidState, match="non-finite"):
+            reference_like_transform(state, modes, matrix)
+        with pytest.raises(InvalidState, match="non-finite"):
+            state.apply_linear_transform(modes, matrix)
+
+
 # ----------------------------------------------------------------------
 # expansion memo
 # ----------------------------------------------------------------------
@@ -967,6 +1110,47 @@ def test_drop_modes_refuses_a_mode_out_of_range(modes):
         SparseState(2, {(1, 0): 1}).drop_modes(modes)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: s.measure([0.7]),
+        lambda s: s.measure([True]),
+        lambda s: s.apply_linear_transform((0.9, 1.2), [[0, 1], [1, 0]]),
+        lambda s: s.apply_linear_transform((0, True), [[0, 1], [1, 0]]),
+        lambda s: s.apply_beamsplitter(0, 2.0, 0.5),
+        lambda s: s.apply_phase(1.0, 0.3),
+        lambda s: s.drop_modes([1.5]),
+        lambda s: s.drop_modes([False]),
+        lambda s: s.permute_modes([2, 1, 0.0]),
+        lambda s: s.permute_modes([2, True, 0]),
+        lambda s: s.permute_modes(["0", 1, 2]),
+    ],
+    ids=[
+        "measure-float",
+        "measure-bool",
+        "transform-floats",
+        "transform-bool",
+        "beamsplitter-float",
+        "phase-float",
+        "drop-float",
+        "drop-bool",
+        "permute-float",
+        "permute-bool",
+        "permute-str",
+    ],
+)
+def test_mode_indices_must_be_ints(call):
+    # int() would truncate 0.7 to mode 0 and read True as mode 1.
+    with pytest.raises(ModeOutOfRange, match="not an integer"):
+        call(SparseState(3, {(1, 0, 2): 0.6, (0, 1, 1): 0.8}))
+
+
+@pytest.mark.parametrize("extra", [1.5, 2.0, True, "1"], ids=repr)
+def test_extend_refuses_a_count_that_is_not_an_int(extra):
+    with pytest.raises(ModeOutOfRange):
+        SparseState(2, {(1, 0): 1}).extend(extra)
+
+
 def test_permute_modes():
     s = SparseState(3, {(2, 1, 0): 1.0})
     out = s.permute_modes([2, 1, 0])
@@ -1049,3 +1233,15 @@ def test_picker_returns_tuples_for_one_and_no_indices():
     assert fock._picker([1])(occ) == (1,)
     assert fock._picker([])(occ) == ()
     assert fock._picker([2, 0])(occ) == (4, 3)
+
+
+def test_picker_takes_a_run_of_indices_as_one_slice():
+    occ = (3, 1, 4, 1, 5)
+    assert fock._picker([1, 2, 3])(occ) == (1, 4, 1)
+    assert fock._picker(range(2, 5))(occ) == (4, 1, 5)
+    assert repr(fock._picker([0, 1])) == repr(operator.itemgetter(slice(0, 2)))
+    assert repr(fock._picker([3])) == repr(operator.itemgetter(slice(3, 4)))
+    # Descending, gapped or repeated indices pick entry by entry.
+    for indices in ([1, 0], [0, 2], [1, 1], [4, 3, 2]):
+        assert fock._picker(indices)(occ) == tuple(occ[i] for i in indices)
+        assert "slice" not in repr(fock._picker(indices))

@@ -25,7 +25,7 @@ from loqc_ancilla import (
     transfer_gadget,
     transmission_for_probability,
 )
-from loqc_ancilla import dots, gates
+from loqc_ancilla import dots, fock, gates
 from conftest import exact_terms, random_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -192,6 +192,39 @@ def test_controlled_sign_rejects_overlap():
         controlled_sign(SparseState.basis((1, 1)), {0}, 0)
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [
+        lambda s: controlled_sign(s, {0.2}, 1),
+        lambda s: controlled_sign(s, {0}, 1.0),
+        lambda s: controlled_sign(s, {True}, 2),
+        lambda s: cnot_logical(s, 0.5, 1),
+        lambda s: cnot_logical(s, 0, True),
+        lambda s: toffoli_logical(s, 0, 1.0, 2),
+        lambda s: conditional_transfer(s, 0.0, 1, transmission_for_probability(0.5)),
+        lambda s: conditional_transfer(s, 0, 1, transmission_for_probability(0.5), control=2.0),
+        lambda s: conditional_transfer(s, 0, 1, transmission_for_probability(0.5), control=True),
+        lambda s: transfer_gadget(s, 1, 0.9, TransferSetting(0.0, 1.0, math.pi)),
+    ],
+    ids=[
+        "sign-float-control",
+        "sign-float-target",
+        "sign-bool-control",
+        "cnot-float-control",
+        "cnot-bool-target",
+        "toffoli-float-control",
+        "transfer-float-src",
+        "transfer-float-control",
+        "transfer-bool-control",
+        "gadget-float-dst",
+    ],
+)
+def test_gates_refuse_mode_indices_that_are_not_ints(gate):
+    # int() would read 0.2 as mode 0 and True as mode 1.
+    with pytest.raises(ModeOutOfRange, match="not an integer"):
+        gate(SparseState(3, {(1, 1, 1): 0.6, (1, 0, 1): 0.8}))
+
+
 def test_cnot_truth_table():
     assert cnot_logical(SparseState.basis((1, 0)), 0, 1).amplitude((1, 1)) == 1.0
     assert cnot_logical(SparseState.basis((0, 1)), 0, 1).amplitude((0, 1)) == 1.0
@@ -343,6 +376,36 @@ def test_controlled_sign_is_bit_identical_to_reference():
             controls, target = set(modes[:-1]), modes[-1]
             got = result_of(controlled_sign, state, controls, target)
             assert got == result_of(reference_controlled_sign, state, controls, target)
+
+
+def reference_picker_sign(state, control_modes, target_mode):
+    """``controlled_sign`` as it was before its filters: a ``fock._picker``
+    tuple of the control and target counts per term, negated where it holds
+    no 0."""
+    controls = sorted(int(m) for m in control_modes)
+    for m in controls + [target_mode]:
+        state._check_mode(m)
+    if target_mode in controls:
+        raise ModeOutOfRange("target must be disjoint from the controls")
+    counts = fock._picker(controls + [target_mode])
+    return fock._negated(state, [occ for occ in state.terms if 0 not in counts(occ)])
+
+
+def test_controlled_sign_selects_the_terms_of_the_picker_reference():
+    # Zero to three controls, as a set and as a list in random order, on
+    # unnormalized states with counts up to 3 and on the joint state of a
+    # pair build: the same keys negated, in dict order, every amplitude bit
+    # equal.
+    rng = random.Random(2480)
+    first = build_single_register(4, AmplitudeProfile.constant(4))
+    second = build_single_register(4, AmplitudeProfile.from_values([0.2, 0.9, 0.1, 0.5, 0.3]))
+    for state in unnormalized_states(12, 60) + [first.tensor(second)]:
+        for n_controls in (0, 1, 2, 3):
+            modes = rng.sample(range(state.modes), n_controls + 1)
+            controls, target = modes[:-1], modes[-1]
+            want = result_of(reference_picker_sign, state, set(controls), target)
+            assert result_of(controlled_sign, state, set(controls), target) == want
+            assert result_of(controlled_sign, state, controls, target) == want
 
 
 def test_flip_is_bit_identical_to_reference():

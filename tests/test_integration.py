@@ -1,5 +1,6 @@
 """Whole-system chains: states built by one route consumed by another."""
 
+import hashlib
 import math
 import random
 
@@ -15,6 +16,7 @@ from loqc_ancilla import (
     build_entangled_pair,
     build_single_register,
     cz_via_double_teleportation,
+    direct_oracle_pair,
     direct_oracle_single,
     failure_probability,
     teleport,
@@ -88,3 +90,54 @@ def test_trusted_operations_refuse_nan_and_keep_valid_keys():
             assert type(occ) is tuple and len(occ) == state.modes
             assert all(type(c) is int and c >= 0 for c in occ)
             assert type(amp) is complex
+
+
+def _feed_state(h, state):
+    h.update(repr(state.modes).encode())
+    for occ, a in state.terms.items():
+        h.update(f"{occ}{a.real.hex()}{a.imag.hex()}".encode())
+
+
+# sha256 over every key and amplitude bit, in dict order, of the builders'
+# and the teleports' outputs on seeded inputs, so that no change to the
+# kernels moves a bit of any of them (or the order of their terms) unseen.
+# It reads the same on each supported Python version: every float the
+# package sums is added left to right.
+BUILD_AND_TELEPORT_DIGEST = "e7edb1d6ac362bcf15e1d008306465804fb719c810f178840301447e95832679"
+
+
+def test_build_and_teleport_outputs_match_their_pinned_digest():
+    rng = random.Random(2401)
+    h = hashlib.sha256()
+
+    def profile(n, signed=False):
+        values = [rng.uniform(0.1, 1.0) * (rng.choice((-1, 1)) if signed else 1) for _ in range(n + 1)]
+        return AmplitudeProfile.from_values(values)
+
+    # Single and pair builds by each entangling-phase method, n = 1..8.
+    for n in range(1, 9):
+        p = profile(n)
+        _feed_state(h, build_single_register(n, p))
+        for method in PhaseMethod:
+            _feed_state(h, build_entangled_pair(n, p, method))
+    # Dot-array pairs with a random intra coefficient, n = 1..6.
+    for n in range(1, 7):
+        state, _ = prepare_pair(n, profile(n), rng.uniform(-1, 1))
+        _feed_state(h, state)
+    # Teleports through signed registers, n = 1..6: every outcome.
+    for n in range(1, 7):
+        for o in teleport(random_qubit(rng), direct_oracle_single(n, profile(n, True)), n):
+            h.update(f"{o.counts}{o.k}{o.probability.hex()}{o.classification.value}".encode())
+            if o.output_state is not None:
+                h.update(o.fidelity.hex().encode())
+                _feed_state(h, o.output_state)
+    # CZs through signed pairs, n = 1..3: totals, output and every branch.
+    for n in range(1, 4):
+        qa, qb = random_qubit(rng), random_qubit(rng)
+        r = cz_via_double_teleportation(qa, qb, direct_oracle_pair(n, profile(n, True)), n)
+        probabilities = (r.success_probability, r.failure_probability, r.min_fidelity)
+        h.update("".join(x.hex() for x in probabilities).encode())
+        _feed_state(h, r.output_qubits)
+        for b in r.branches:
+            h.update(f"{b.counts}{b.k}{b.kp}{b.probability.hex()}{b.fidelity.hex()}".encode())
+    assert h.hexdigest() == BUILD_AND_TELEPORT_DIGEST
