@@ -46,13 +46,24 @@ from .errors import (
     InvalidCoefficient,
     ShapeMismatch,
 )
-from .fock import Occupation, SparseState, _cis, _sum_in_order
+from .fock import Occupation, SparseState, _cis, _is_int, _sum_in_order
 from .profiles import AmplitudeProfile, _require_n, schedule_from_profile
 
 
 # ----------------------------------------------------------------------
 # pulse grammar
 # ----------------------------------------------------------------------
+
+
+def _check_dots(dots: Iterable[int], count: int | None = None) -> None:
+    """Refuse a dot index that is not an int, or, given ``count``, not in
+    0..count-1.  A float or a bool is refused, not read as a dot: True
+    would name dot 1."""
+    for d in dots:
+        if not _is_int(d):
+            raise DotOutOfRange(f"dot index {d!r} is not an integer")
+        if count is not None and not 0 <= d < count:
+            raise DotOutOfRange(f"dot {d} not in 0..{count - 1}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,9 @@ class LoadFromReservoir:
     """Deterministic 0 -> 1 fill of one dot; a second electron cannot enter."""
 
     dot: int
+
+    def __post_init__(self):
+        _check_dots((self.dot,))
 
     def to_json_dict(self) -> dict:
         return {"op": "load", "args": [self.dot]}
@@ -88,6 +102,8 @@ class RabiPulse:
     only_if: int | None = None
 
     def __post_init__(self):
+        dots = (self.src, self.dst)
+        _check_dots(dots if self.only_if is None else dots + (self.only_if,))
         if self.src == self.dst:
             raise DotOutOfRange("Rabi pulse needs two distinct dots")
         if not 0.0 <= self.theta <= math.pi / 2 + 1e-12:
@@ -172,12 +188,9 @@ def rabi(
     real non-negative); doubly occupied and empty pairs are untouched, and
     so is every term whose ``only_if`` dot (when given) is empty.
     """
+    _check_dots((dot_i, dot_j) if only_if is None else (dot_i, dot_j, only_if), state.modes)
     if dot_i == dot_j:
         raise DotOutOfRange("Rabi coupling needs two distinct dots")
-    checked = (dot_i, dot_j) if only_if is None else (dot_i, dot_j, only_if)
-    for d in checked:
-        if not 0 <= d < state.modes:
-            raise DotOutOfRange(f"dot {d} not in 0..{state.modes - 1}")
     c, s = math.cos(theta), math.sin(theta)
     terms: dict[Occupation, complex] = {}
 
@@ -211,8 +224,7 @@ def load_from_reservoir(state: SparseState, dot: int) -> SparseState:
     reservoir record keeps them physically distinguishable, so the classical
     reservoir model cannot represent that situation.
     """
-    if not 0 <= dot < state.modes:
-        raise DotOutOfRange(f"dot {dot} not in 0..{state.modes - 1}")
+    _check_dots((dot,), state.modes)
     occupancies = {occ[dot] for occ in state.terms}
     if occupancies == {0, 1}:
         raise BlockadeViolation(

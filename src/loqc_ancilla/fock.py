@@ -15,16 +15,17 @@ whose amplitudes are products of a validated profile's weights.
 ``apply_linear_transform`` runs the same scan but prunes its fresh output
 dict in place, deleting the faint keys, instead of rebuilding it through
 ``_like``: a rebuild hashes every kept key again, and a tuple does not cache
-its hash.  Three builds skip that amplitude scan and prune inline:
+its hash.  Two builds skip that amplitude scan and prune inline:
 
 * ``measure`` scales each outcome's bucket, a dict it built itself, in place
   into the residual; each amplitude a goes to a/sqrt(p) with |a|^2 <= p, so
   every one stays within 1.
-* the KLM feedforward (``teleport._feedforward``) multiplies the success
-  terms of the transform's fresh output in place by unit factors of finite
-  table phases;
 * the CZ's weighted join of its two corrected sides refuses, before it
   starts, pair weights large enough for a product to overflow.
+
+The KLM feedforward (``teleport._feedforward``) needs no prune of its own:
+it moves and negates the input terms of the Fourier transform exactly, and
+the transform prunes its output as above.
 
 Three more skip both the scan and the prune.  Every exact sign goes through
 ``_negated``, which copies the term dict (``dict.copy``, so dict order is
@@ -76,11 +77,11 @@ _PRUNE_PROBABILITY = PRUNE_TOLERANCE**2  # outcomes and norms at most this are z
 # The last transform's matrix and its expansions by sub-occupation.  A call
 # with an equal matrix starts from a copy of the dict, and publishes its own
 # when its expansions hold at most _MEMO_PRODUCTS products (about 2 MB).  An
-# n=6 teleport's Fourier transform expands 14 sub-occupations into 5 147
+# n=6 teleport's Fourier transform expands 8 sub-occupations into 3 432
 # products, so repeated teleports up to n=6 expand nothing after the first,
-# and the second CZ side reuses what the first expanded.  The n=8 set (72 929 products,
-# about 17 MB) would add a quarter to the peak memory of an n=8 teleport, so
-# a larger set is not kept and leaves the slot as it was.
+# and the second CZ side reuses what the first expanded.  A larger set, as
+# at n=7 (12 870 products) or n=8 (48 620, about 11 MB), is not kept and
+# leaves the slot as it was.
 _MEMO_PRODUCTS = 8_000
 _last_transform: tuple[tuple, dict[Occupation, tuple[float, tuple]]] = ((), {})
 
@@ -91,7 +92,9 @@ class SparseState:
     Parameters
     ----------
     modes : int
-        Number of global modes; every occupation key has this length.
+        Number of global modes; every occupation key has this length.  A
+        float equal to an int is read as it; 2.7 or a bool raises
+        ``InvalidState``.
     terms : mapping, optional
         Occupation vector -> complex amplitude.  Copied; amplitudes with
         modulus below ``PRUNE_TOLERANCE`` are dropped.
@@ -100,7 +103,15 @@ class SparseState:
     __slots__ = ("modes", "terms")
 
     def __init__(self, modes: int, terms: Mapping[Occupation, complex] | None = None):
-        self.modes = int(modes)
+        if type(modes) is not int:  # int() takes 2.7, "2" and True too
+            try:
+                whole = int(modes)
+            except (TypeError, ValueError, OverflowError):
+                whole = None
+            if whole is None or whole != modes or isinstance(modes, bool):
+                raise InvalidState(f"mode count {modes!r} is not an integer")
+            modes = whole
+        self.modes = modes
         self.terms: dict[Occupation, complex] = {}
         if terms:
             for raw, amp in terms.items():
@@ -360,7 +371,9 @@ class SparseState:
                     faint.append(k)
             for k in faint:
                 del bucket[k]
-            results.append(MeasurementOutcome(outcome, prob, _state(len(keep), bucket)))
+            # tuple.__new__ skips the named tuple's Python-level __new__.
+            row = (outcome, prob, _state(len(keep), bucket))
+            results.append(tuple.__new__(MeasurementOutcome, row))
         return results
 
     # ------------------------------------------------------------------
@@ -425,11 +438,11 @@ class SparseState:
     def from_json_dict(cls, data: Mapping) -> "SparseState":
         """Parse the JSON state schema; malformed data raises InvalidState.
 
-        Photon counts are the constructor's to check; ``[1]`` and ``[1.0]``
-        are one key, so listing both is listing one occupation twice."""
+        The mode count and the photon counts are the constructor's to check;
+        ``[1]`` and ``[1.0]`` are one key, so listing both is listing one
+        occupation twice."""
         try:
-            raw_modes = data["modes"]
-            modes = int(raw_modes)
+            modes = data["modes"]
             rows = [
                 (tuple(t["occ"]), (t["re"], t["im"]), complex(t["re"], t["im"]))
                 for t in data["terms"]
@@ -437,11 +450,9 @@ class SparseState:
             hash(tuple(occ for occ, _, _ in rows))  # a list inside occ cannot be a key
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidState(f"malformed state data: {exc!r}") from exc
-        # JSON true and false load as bools, which int() and complex() take as 1 and 0.
-        if modes != raw_modes or isinstance(raw_modes, bool):
-            raise InvalidState(f"mode count {raw_modes!r} is not an integer")
         terms: dict[Occupation, complex] = {}
         for occ, parts, amp in rows:
+            # JSON true and false load as bools, which complex() takes as 1 and 0.
             if any(isinstance(x, bool) for x in parts):
                 raise InvalidState(f"amplitude parts {list(parts)} are not all numbers")
             if occ in terms:

@@ -21,9 +21,9 @@ rewrites the target count in a list copy of each such key.  Neither changes
 a modulus, and a 0 <-> 1 flip maps distinct keys to distinct keys, so their
 results need neither the prune nor the finiteness scan of
 ``SparseState._like``.  A sign selects its terms with one list filter per
-mode, controls then the target, each testing ``occ[m]`` directly; no tuple
-of counts is built per term.  The flip reads its controls through
-``fock._picker``, one C call per term however many controls it reads.
+mode, controls then the target, and the flip tests each term's controls in
+turn; both test ``occ[m]`` directly, and no tuple of counts is built per
+term.
 Every mode index must be an int: a float or bool is refused with
 ``ModeOutOfRange``, not truncated.
 """
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModeOutOfRange, NonBinaryTarget, OutOfRange
-from .fock import Occupation, SparseState, _negated, _picker, _state
+from .fock import Occupation, SparseState, _negated, _state
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,15 @@ def _flip(state: SparseState, controls: tuple[int, ...], target_mode: int) -> Sp
         state._check_mode(m)
     if len(set(modes)) != len(modes):
         raise ModeOutOfRange("controls and target must be distinct modes")
-    counts = _picker(controls)
     terms: dict[Occupation, complex] = {}
     for occ, a in state.terms.items():
         held = occ[target_mode]
         if held > 1:
             raise NonBinaryTarget(f"target mode {target_mode} holds {held} photons")
-        if 0 not in counts(occ):
+        for m in controls:
+            if not occ[m]:
+                break
+        else:  # every control occupied
             flipped = list(occ)
             flipped[target_mode] = 1 - held
             occ = tuple(flipped)

@@ -16,9 +16,13 @@ the phase 2 pi r/(n+1) on y mode k-1, and a sign where f(k) and f(k-1)
 differ in sign (read off the ancilla's own amplitudes); for the constant
 profile the weight ratio is 1, so the correction restores the qubit
 exactly.  It is conditioned only on the measured counts, so it commutes
-with their measurement: ``_feedforward`` applies it to each success term of
-the mixed state, one unit factor per Fourier residue with the sign as an
-exact negation, and the measurement then yields corrected residuals.
+with their measurement, and the photon total and the y modes it reads
+pass through the transform unchanged.  So ``_feedforward`` applies it
+before the transform, as that same shift: each input term holding the
+qubit's photon has its Fourier counts moved one mode up, cyclically, and
+is negated where the sign flips.  The transform then yields each corrected
+amplitude directly, with no phase factor rounded into it, and the
+measurement yields corrected residuals.
 
 The controlled sign teleports two qubits at once through the entangled pair
 ancilla, whose terms sit at the register patterns (j, j') with weights
@@ -40,7 +44,6 @@ import cmath
 import enum
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -50,7 +53,6 @@ from .fock import (
     PRUNE_TOLERANCE,
     Occupation,
     SparseState,
-    _cis,
     _negated,
     _state,
     _sum_in_order,
@@ -177,17 +179,15 @@ def _ideal_residual(qubit: InputQubit, n: int, k: int) -> SparseState:
 def feedforward_table(n: int) -> tuple[float, ...]:
     """Phase correction 2 pi r/(n+1) for each Fourier residue r in 0..n.
 
-    A success outcome with counts c on the n+1 Fourier modes is corrected
-    by the entry at ``_fourier_residue(c)``.  The table does not depend on
-    the input qubit or the profile; the sign of f(k)/f(k-1) is added per
-    call from the ancilla's amplitudes (see ``_sign_flips``).
+    The closed form of the feedforward, read by the reference route that
+    corrects a success outcome with counts c on the n+1 Fourier modes by
+    the entry at residue sum_m m*c_m mod (n+1), after the transform.  The
+    package corrects before the transform, by the input shift these phases
+    equal (see ``_feedforward``), and reads no entry.  The table does not
+    depend on the input qubit or the profile; the sign of f(k)/f(k-1) is
+    added per call from the ancilla's amplitudes (see ``_sign_flips``).
     """
     return tuple(2 * math.pi * r / (n + 1) for r in range(n + 1))
-
-
-def _fourier_residue(counts: Occupation) -> int:
-    """sum_m m * c_m modulo the number of Fourier modes."""
-    return sum(map(operator.mul, range(len(counts)), counts)) % len(counts)
 
 
 def _sign_flips(weights: list[complex]) -> list[int]:
@@ -210,34 +210,30 @@ def _pattern_weights(
 
 
 def _feedforward(qubit: InputQubit, register: SparseState, n: int, flips: list[int]) -> SparseState:
-    """Mix ``qubit`` with ``register`` and apply the KLM feedforward before
-    the measurement.
+    """Mix ``qubit`` with ``register``, the KLM feedforward applied to the
+    mixing's input, so that measuring the result yields corrected residuals.
 
     The state is modes [q, x, y]; the Fourier transform on q and x leaves
-    keys c + y.  A success term (total k in 1..n) whose y mode k-1 holds the
-    qubit's photon gains the unit factor of its counts' Fourier residue,
-    negated where ``flips[k]``: the n+1 factors are formed once per call.
-    Negating the factor negates each product exactly, where a float phase
-    of pi would leave 1e-16 junk.  Terms a factor rounds below the prune
-    tolerance are dropped.
+    keys c + y.  A term with photon total k in 1..n on the Fourier modes
+    whose y mode k-1 is occupied holds the qubit's photon: its Fourier
+    counts are shifted cyclically by one mode (mode m to m+1, mode n to 0),
+    which multiplies its output at counts c by exactly w^r, and it is
+    negated where ``flips[k]``.  The shift keeps k and y, so within one
+    (k, y) class every term is shifted or none is, and no two keys merge:
+    amplitudes only move and change sign before the one transform, which
+    rounds and prunes them as any other.  A shifted term's Fourier pattern
+    {1..k} is the one the qubit's empty term at weight k has, so the
+    transform expands n fewer patterns.
     """
-    units = [_cis(phi) for phi in feedforward_table(n)]
-    state = apply_qft(qubit.state().tensor(register), list(range(n + 1)))
-    terms = state.terms  # fresh from the transform, so corrected in place
-    faint: list[Occupation] = []
-    for key, a in terms.items():
-        counts = key[: n + 1]
-        k = sum(counts)
+    terms: dict[Occupation, complex] = {}
+    for key, a in qubit.state().tensor(register).terms.items():
+        k = sum(key[: n + 1])
         if 1 <= k <= n and key[n + k]:
-            factor = units[_fourier_residue(counts)]
-            a *= -factor if flips[k] else factor
-            if abs(a) >= PRUNE_TOLERANCE:
-                terms[key] = a + 0j
-            else:
-                faint.append(key)
-    for key in faint:
-        del terms[key]
-    return state
+            key = key[n : n + 1] + key[:n] + key[n + 1 :]
+            if flips[k]:
+                a = -a + 0j
+        terms[key] = a
+    return apply_qft(_state(2 * n + 1, terms), list(range(n + 1)))
 
 
 def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOutcome]:
@@ -256,16 +252,17 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
     state = _feedforward(qubit, ancilla, n, _sign_flips(weights))
     ideal = {k: _ideal_residual(qubit, n, k) for k in range(1, n + 1)}
 
+    # Each outcome is built by tuple.__new__, as ``_state`` builds a state by
+    # object.__new__: the named tuple's own __new__ is a Python-level call.
     outcomes: list[TeleportOutcome] = []
     for counts, prob, residual in state.measure(range(n + 1)):
         k = sum(counts)
         if 1 <= k <= n:
             fid = fidelity(residual, ideal[k])
-            outcomes.append(
-                TeleportOutcome(counts, k, prob, Classification.SUCCESS, residual, fid)
-            )
+            row = (counts, k, prob, Classification.SUCCESS, residual, fid)
         else:
-            outcomes.append(TeleportOutcome(counts, k, prob, Classification.FAILURE, None, None))
+            row = (counts, k, prob, Classification.FAILURE, None, None)
+        outcomes.append(tuple.__new__(TeleportOutcome, row))
     return outcomes
 
 
@@ -463,7 +460,7 @@ def cz_via_double_teleportation(
     for mo in joint.measure(measured):
         k, kp = sum(mo.counts[: n + 1]), sum(mo.counts[n + 1 :])
         fid = fidelity(mo.residual, ideal[k, kp])
-        branches.append(CzBranch(mo.counts, k, kp, mo.probability, fid))
+        branches.append(tuple.__new__(CzBranch, (mo.counts, k, kp, mo.probability, fid)))
         if best is None or mo.probability > best[0]:
             best = (mo.probability, mo.residual, k, kp)
 

@@ -382,13 +382,13 @@ PINNED_OUTPUTS = [
     (
         ["teleport", "--n", "4", "--input=0.3,0.1,-0.5,0.2", "--format", "json"],
         0,
-        "ebb206b807070eba8dfe0a2e90f78c9b24b1a7edab9fe7ef9e6fd7015d0f547f",
+        "20f6423a9747a343b4b9f863fc47c01e58c2c9f7e4c1c8ba498dfc4b6206d554",
         "failure_probability=0.19999999999999998\n",
     ),
     (
         ["czgate", "--n", "2", "--format", "json"],
         0,
-        "46d7ff79c7d410ba9d8de59c26ffe7b12dbf05e6f85f6c4ff432ccc4c337bcba",
+        "37958f3c570c771b1f064d9ccd05a359d766555244f48dd43fc6d892ddbb1cb3",
         "",
     ),
     (

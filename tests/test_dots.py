@@ -105,6 +105,26 @@ def test_rabi_errors():
         rabi(SparseState.basis((2, 0)), 0, 1, 0.3)
 
 
+@pytest.mark.parametrize("dot", [True, False, 0.5, 1.0, "1"], ids=repr)
+def test_dot_indices_must_be_ints(dot):
+    # True would name dot 1 and 0.5 would raise a bare TypeError at a key.
+    state = SparseState(3, {(1, 0, 0): 1.0})
+    with pytest.raises(DotOutOfRange, match="is not an integer"):
+        rabi(state, dot, 2, 0.3)
+    with pytest.raises(DotOutOfRange, match="is not an integer"):
+        rabi(state, 2, dot, 0.3)
+    with pytest.raises(DotOutOfRange, match="is not an integer"):
+        rabi(state, 0, 2, 0.3, only_if=dot)
+    with pytest.raises(DotOutOfRange, match="is not an integer"):
+        load_from_reservoir(state, dot)
+    with pytest.raises(DotOutOfRange, match="is not an integer"):
+        RabiPulse(dot, 2, 0.3)
+    with pytest.raises(DotOutOfRange, match="is not an integer"):
+        RabiPulse(2, 0, 0.3, only_if=dot)
+    with pytest.raises(DotOutOfRange, match="is not an integer"):
+        LoadFromReservoir(dot)
+
+
 def test_load_sets_and_saturates():
     s = load_from_reservoir(SparseState.vacuum(2), 0)
     assert s.amplitude((1, 0)) == 1.0

@@ -687,8 +687,10 @@ def test_memo_spares_a_repeat_n6_teleport_every_expansion(monkeypatch):
         ]
 
     cold = run()
-    # 2 qubit counts times 7 register weights, 5 147 products in all.
-    assert len(expanded) == 14 and sum(expanded) == 5147
+    # The 7 register weights with no qubit photon, then all 7 with it:
+    # the feedforward shifts the qubit's photon at weights 0..5 onto the
+    # Fourier pattern of weight j+1, so 8 patterns, 3 432 products in all.
+    assert len(expanded) == 8 and sum(expanded) == 3432
     expanded.clear()
     assert run() == cold
     assert not expanded
@@ -721,8 +723,9 @@ def test_memo_bounds_hold_after_a_sweep_and_a_large_transform(monkeypatch):
         assert fock._last_transform[0] == ((t, ir), (ir, t))
         assert slot_products() <= fock._MEMO_PRODUCTS
     held = fock._last_transform
-    # An n=8 teleport's transform: 72 929 products over 18 sub-occupations,
-    # past the bound, so the set is not kept and the sweep's last slot stays.
+    # The n=8 teleport mix without the feedforward's input shift: 72 929
+    # products over 18 sub-occupations, past the bound, so the set is not
+    # kept and the sweep's last slot stays.
     expanded = count_expansions(monkeypatch)
     teleport_input = InputQubit.plus().state().tensor(
         direct_oracle_single(8, AmplitudeProfile.constant(8))
@@ -1209,6 +1212,20 @@ def test_json_photon_counts_refused_at_the_constructor(occs, match):
     rows = [{"occ": occ, "re": 0.6, "im": 0.0} for occ in occs]
     with pytest.raises(InvalidState, match=match):
         SparseState.from_json_dict({"modes": 1, "terms": rows})
+
+
+@pytest.mark.parametrize("modes", [2.7, True, False, "2", None, math.nan, math.inf], ids=repr)
+def test_non_integral_mode_counts_rejected(modes):
+    # int() would build a 2-mode state from 2.7 and a 1-mode one from True.
+    with pytest.raises(InvalidState, match="is not an integer"):
+        SparseState(modes, {(1, 0): 1.0})
+    with pytest.raises(InvalidState, match="is not an integer"):
+        SparseState(modes)
+
+
+def test_integral_float_mode_count_accepted():
+    state = SparseState(2.0, {(1, 0): 1.0})
+    assert state.modes == 2 and type(state.modes) is int
 
 
 def test_integral_float_photon_counts_accepted():

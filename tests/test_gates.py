@@ -408,6 +408,58 @@ def test_controlled_sign_selects_the_terms_of_the_picker_reference():
             assert result_of(controlled_sign, state, controls, target) == want
 
 
+def reference_picker_flip(state, controls, target_mode):
+    """``gates._flip`` as it was before its direct count tests: a
+    ``fock._picker`` tuple of the control counts per term, flipped where it
+    holds no 0."""
+    modes = controls + (target_mode,)
+    for m in modes:
+        state._check_mode(m)
+    if len(set(modes)) != len(modes):
+        raise ModeOutOfRange("controls and target must be distinct modes")
+    counts = fock._picker(controls)
+    terms = {}
+    for occ, a in state.terms.items():
+        held = occ[target_mode]
+        if held > 1:
+            raise NonBinaryTarget(f"target mode {target_mode} holds {held} photons")
+        if 0 not in counts(occ):
+            flipped = list(occ)
+            flipped[target_mode] = 1 - held
+            occ = tuple(flipped)
+        terms[occ] = a
+    return fock._state(state.modes, terms)
+
+
+def test_flip_flips_the_terms_of_the_picker_reference(monkeypatch):
+    # Zero to three controls in random order, on unnormalized states with
+    # counts up to 3 and on the work states of a parity pair build: the same
+    # keys flipped, in dict order, every amplitude bit equal.
+    rng = random.Random(2490)
+    work_states = []
+    flip = gates._flip
+
+    def recorded(state, controls, target_mode):
+        work_states.append((state, controls, target_mode))
+        return flip(state, controls, target_mode)
+
+    monkeypatch.setattr(gates, "_flip", recorded)
+    profile = AmplitudeProfile.from_values([0.2, 0.9, 0.1, 0.5])
+    build_entangled_pair(3, profile, PhaseMethod.PARITY_ANCILLA)
+    assert {len(controls) for _, controls, _ in work_states} == {1, 2}  # cnots and toffolis
+    for state, controls, target in work_states:
+        assert result_of(flip, state, controls, target) == result_of(
+            reference_picker_flip, state, controls, target
+        )
+    for target in (0, 3):
+        for state in unnormalized_states(14 + target, 40, target):
+            others = [m for m in range(state.modes) if m != target]
+            for n_controls in (0, 1, 2, 3):
+                controls = tuple(rng.sample(others, n_controls))
+                want = result_of(reference_picker_flip, state, controls, target)
+                assert result_of(flip, state, controls, target) == want
+
+
 def test_flip_is_bit_identical_to_reference():
     rng = random.Random(7)
     for target in (0, 2):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 import random
 import sys
 
@@ -24,13 +25,13 @@ from loqc_ancilla import (
     fidelity,
     teleport,
 )
+from loqc_ancilla import fock
 from loqc_ancilla.fock import PRUNE_TOLERANCE
 from loqc_ancilla.pipeline import pair_pattern, single_register_pattern
 from loqc_ancilla.teleport import (
     OUTCOMES_GUARD,
     CzBranch,
     CzGateResult,
-    _fourier_residue,
     _ideal_cz_residual,
     _sign_flips,
     feedforward_table,
@@ -272,6 +273,37 @@ def test_teleport_corrects_before_its_one_measure(n, monkeypatch):
         assert o.fidelity >= 1 - 1e-12
 
 
+# ----------------------------------------------------------------------
+# the feedforward: input shift against the per-output phase route
+# ----------------------------------------------------------------------
+
+
+def _fourier_residue(counts):
+    """sum_m m * c_m modulo the number of Fourier modes."""
+    return sum(map(operator.mul, range(len(counts)), counts)) % len(counts)
+
+
+def reference_phase_feedforward(qubit, register, n, flips):
+    """The feedforward as a phase after the transform: each success term
+    holding the qubit's photon gains the unit factor of its counts' Fourier
+    residue, negated where ``flips[k]``, one factor per residue per call;
+    terms a factor rounds below the prune tolerance are dropped."""
+    units = [fock._cis(phi) for phi in feedforward_table(n)]
+    state = apply_qft(qubit.state().tensor(register), list(range(n + 1)))
+    terms = dict(state.terms)
+    for key, a in state.terms.items():
+        counts = key[: n + 1]
+        k = sum(counts)
+        if 1 <= k <= n and key[n + k]:
+            factor = units[_fourier_residue(counts)]
+            a *= -factor if flips[k] else factor
+            if abs(a) >= PRUNE_TOLERANCE:
+                terms[key] = a + 0j
+            else:
+                del terms[key]
+    return fock._state(state.modes, terms)
+
+
 def test_feedforward_drops_terms_its_factors_round_below_the_prune_tolerance():
     # A register weight near 3e-12 at j=1 leaves success terms of the mixed
     # state just above PRUNE_TOLERANCE; a table phase can round one below.
@@ -282,18 +314,22 @@ def test_feedforward_drops_terms_its_factors_round_below_the_prune_tolerance():
         weights[single_register_pattern(n, 1)] = 3e-12 * (1 - ulps * 2.0**-52)
         register = SparseState(2 * n, weights)
         mixed = apply_qft(qubit.state().tensor(register), list(range(n + 1)))
-        corrected = teleport_module._feedforward(qubit, register, n, [0] * (n + 1))
+        corrected = reference_phase_feedforward(qubit, register, n, [0] * (n + 1))
         assert set(corrected.terms) <= set(mixed.terms)
         assert min(abs(a) for a in corrected.terms.values()) >= PRUNE_TOLERANCE
         dropped += len(mixed) - len(corrected)
+        # The input shift leaves the prune to the transform, as for any term.
+        shifted = teleport_module._feedforward(qubit, register, n, [0] * (n + 1))
+        assert min(abs(a) for a in shifted.terms.values()) >= PRUNE_TOLERANCE
     assert dropped
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_feedforward_forms_one_unit_factor_per_fourier_residue(n, monkeypatch):
-    # At most n+1 factors per call, however many count patterns it corrects.
-    # Each success term holding the qubit's photon still gains its residue's
-    # factor, negated where flips[k], bit for bit.
+    # The reference route forms at most n+1 factors per call, however many
+    # count patterns it corrects.  Each success term holding the qubit's
+    # photon still gains its residue's factor, negated where flips[k], bit
+    # for bit.
     rng = random.Random(100 + n)
     qubit = random_qubit(rng)
     signed = [rng.choice((-1, 1)) * rng.uniform(0.5, 1.5) for _ in range(n + 1)]
@@ -305,20 +341,145 @@ def test_feedforward_forms_one_unit_factor_per_fourier_residue(n, monkeypatch):
     for key, a in mixed.terms.items():
         k = sum(key[: n + 1])
         if 1 <= k <= n and key[n + k]:
-            factor = teleport_module._cis(table[_fourier_residue(key[: n + 1])])
+            factor = fock._cis(table[_fourier_residue(key[: n + 1])])
             a *= -factor if flips[k] else factor
         want[key] = a + 0j
     calls = []
-    cis = teleport_module._cis
+    cis = fock._cis
 
     def counted_cis(phi):
         calls.append(phi)
         return cis(phi)
 
-    monkeypatch.setattr(teleport_module, "_cis", counted_cis)
-    corrected = teleport_module._feedforward(qubit, register, n, flips)
+    monkeypatch.setattr(fock, "_cis", counted_cis)
+    corrected = reference_phase_feedforward(qubit, register, n, flips)
     assert len(calls) <= n + 1
     assert exact_terms(corrected) == exact_terms(SparseState(2 * n + 1, want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_feedforward_relabels_its_input_and_forms_no_phase(n, monkeypatch):
+    # The transform gets as many terms as the mixed input has, at the same
+    # photon totals and y patterns and with the same moduli: the shift and
+    # the sign flips only move amplitudes and negate them exactly.
+    rng = random.Random(200 + n)
+    qubit = random_qubit(rng)
+    signed = [rng.choice((-1, 1)) * rng.uniform(0.5, 1.5) for _ in range(n + 1)]
+    register = direct_oracle_single(n, AmplitudeProfile.from_values(signed))
+    flips = [0] + [rng.randint(0, 1) for _ in range(n)]
+    inputs = []
+    qft = teleport_module.apply_qft
+
+    def recorded_qft(state, modes):
+        inputs.append(state)
+        return qft(state, modes)
+
+    def no_cis(phi):
+        raise AssertionError("the feedforward forms no unit factor")
+
+    monkeypatch.setattr(teleport_module, "apply_qft", recorded_qft)
+    monkeypatch.setattr(fock, "_cis", no_cis)
+    corrected = teleport_module._feedforward(qubit, register, n, flips)
+    assert not hasattr(teleport_module, "_cis")
+    mixed = qubit.state().tensor(register)
+    (shifted,) = inputs
+    assert len(shifted) == len(mixed)
+
+    def classes(state):
+        return sorted((sum(key[: n + 1]), key[n + 1 :], abs(a)) for key, a in state.terms.items())
+
+    assert classes(shifted) == classes(mixed)
+    moved = 0
+    for key, a in mixed.terms.items():
+        k = sum(key[: n + 1])
+        if 1 <= k <= n and key[n + k]:
+            key = key[n : n + 1] + key[:n] + key[n + 1 :]
+            a = -a if flips[k] else a
+            moved += 1
+        assert shifted.terms[key] == a
+    assert moved == n  # the qubit's photon on register weights 0..n-1
+    assert corrected.modes == 2 * n + 1
+    # A real qubit through flips at every k: the negated real amplitudes
+    # keep a +0.0 imaginary part.
+    teleport_module._feedforward(InputQubit.of(0.6, 0.8), register, n, [0] + [1] * n)
+    parts = [x for a in inputs[-1].terms.values() for x in (a.real, a.imag)]
+    assert all(math.copysign(1.0, x) > 0 for x in parts if x == 0)
+
+
+def reference_phase_teleport(qubit, ancilla, n, monkeypatch):
+    """``teleport`` with its feedforward taken by the per-output phase route."""
+    with monkeypatch.context() as m:
+        m.setattr(teleport_module, "_feedforward", reference_phase_feedforward)
+        return teleport(qubit, ancilla, n)
+
+
+def profile_of(kind, n, rng):
+    values = [rng.uniform(0.1, 1.0) for _ in range(n + 1)]
+    if kind == "constant":
+        values = [1.0] * (n + 1)
+    elif kind == "signed":
+        values = [v * rng.choice((-1, 1)) for v in values]
+    elif kind == "zero-weight":
+        values[rng.randrange(n + 1)] = 0.0
+    return AmplitudeProfile.from_values(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_input_shift_matches_the_phase_route(n, monkeypatch):
+    # Same outcomes in the same order, the same residual keys in the same
+    # dict order, and every probability within 1e-13 of the phase route's.
+    # The residual amplitudes are compared before their normalization, as
+    # amp * sqrt(p): the phase route's rounding, 1e-16 on the mixed state,
+    # grows by 1/sqrt(p) on a faint outcome (2.9e-13 at n=6 normalized).
+    rng = random.Random(300 + n)
+    for kind in ("constant", "random", "signed", "zero-weight"):
+        ancilla = direct_oracle_single(n, profile_of(kind, n, rng))
+        qubit = random_qubit(rng)
+        got = teleport(qubit, ancilla, n)
+        want = reference_phase_teleport(qubit, ancilla, n, monkeypatch)
+        assert [(o.counts, o.k, o.classification) for o in got] == [
+            (o.counts, o.k, o.classification) for o in want
+        ]
+        for a, b in zip(got, want):
+            assert abs(a.probability - b.probability) <= 1e-13
+            if a.output_state is None:
+                assert b.output_state is None
+                continue
+            assert list(a.output_state.terms) == list(b.output_state.terms)
+            root = math.sqrt(a.probability)
+            for key, amp in a.output_state.terms.items():
+                assert abs(amp - b.output_state.terms[key]) * root <= 1e-15
+
+
+def closed_form_fidelity(qubit, f_k, f_km1):
+    """(|a|^2 |f(k)| + |b|^2 |f(k-1)|)^2 / (|a f(k)|^2 + |b f(k-1)|^2): the
+    corrected residual is a |f(k)| |0> + b |f(k-1)| |1> up to a global phase."""
+    a2, b2 = abs(qubit.alpha) ** 2, abs(qubit.beta) ** 2
+    f0, f1 = abs(f_k), abs(f_km1)
+    return (a2 * f0 + b2 * f1) ** 2 / (a2 * f0 * f0 + b2 * f1 * f1)
+
+
+# Over 12 random signed profiles and qubits per n (4 at n=8), the phase
+# route missed the closed form by up to 5.6e-14 at n=6 and 1.0e-12 at n=8:
+# its float factor rounds into every corrected amplitude.  The input shift
+# stayed within 1.1e-15 at every n in 1..8.
+CLOSED_FORM_GAP = 4e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_success_fidelities_match_the_closed_form(n):
+    rng = random.Random(500 + n)
+    for _ in range(2 if n == 8 else 4):
+        values = [rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) for _ in range(n + 1)]
+        ancilla = direct_oracle_single(n, AmplitudeProfile.from_values(values))
+        qubit = random_qubit(rng)
+        successes = 0
+        for o in teleport(qubit, ancilla, n):
+            if o.classification is Classification.SUCCESS:
+                want = closed_form_fidelity(qubit, values[o.k], values[o.k - 1])
+                assert abs(o.fidelity - want) <= CLOSED_FORM_GAP
+                successes += 1
+        assert successes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
