@@ -103,12 +103,9 @@ class SparseState:
     __slots__ = ("modes", "terms")
 
     def __init__(self, modes: int, terms: Mapping[Occupation, complex] | None = None):
-        if type(modes) is not int:  # int() takes 2.7, "2" and True too
-            try:
-                whole = int(modes)
-            except (TypeError, ValueError, OverflowError):
-                whole = None
-            if whole is None or whole != modes or isinstance(modes, bool):
+        if type(modes) is not int:
+            whole = _whole_number(modes)
+            if whole is None:
                 raise InvalidState(f"mode count {modes!r} is not an integer")
             modes = whole
         self.modes = modes
@@ -163,8 +160,11 @@ class SparseState:
         each on a dict it built itself: ``measure`` while it scales each
         bucket in place, because a helper call per residual costs a teleport
         about a tenth of its time, and the transform by deleting the faint
-        keys of its output after this finiteness check.  Reference tests in
-        ``test_fock`` hold both to this one, bit for bit and in dict order."""
+        keys of its output after this finiteness check.  What holds them to
+        it: ``check_state`` in ``tests/invariants.py`` on every output, the
+        pinned sha256 digests of their bits in dict order, and one reference
+        each in ``test_fock``, the permanent formula for the transform and
+        the enumerating ``reference_measure``."""
         if not math.isfinite(sum(map(abs, terms.values()))):
             raise InvalidState("an operation produced a non-finite amplitude")
         return _state(
@@ -528,6 +528,20 @@ def _picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     if list(indices) == list(range(first, first + len(indices))):
         return operator.itemgetter(slice(first, first + len(indices)))
     return operator.itemgetter(*indices)
+
+
+def _whole_number(value) -> int | None:
+    """``value`` as an int when it equals one and is not a bool, else None:
+    2.0 reads as 2, and 2.7, True, "2", NaN and infinity give None (``int()``
+    would take 2.7, "2" and True).  A mode count and a profile's register
+    size follow this rule."""
+    if isinstance(value, bool):
+        return None
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
 
 
 def _is_int(value) -> bool:

@@ -19,26 +19,42 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidProfile
-from .fock import _sum_in_order
+from .fock import _sum_in_order, _whole_number
 
 
 @dataclass(frozen=True)
 class AmplitudeProfile:
-    """Normalized weights f(0)..f(n); sum of squares is 1 on construction."""
+    """Normalized weights f(0)..f(n); sum of squares is 1 on construction.
+
+    ``n`` follows ``SparseState``'s mode-count rule: 2.0 reads as 2, and 2.5
+    or a bool raises ``InvalidProfile``.  Each value must be a real number:
+    a bool, a string or a complex number raises ``InvalidProfile``.
+    """
 
     n: int
     f: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidProfile(f"need n >= 1, got {self.n}")
-        if len(self.f) != self.n + 1:
-            raise InvalidProfile(
-                f"profile for n={self.n} needs {self.n + 1} values, got {len(self.f)}"
-            )
-        if not all(math.isfinite(v) for v in self.f):
+        n = _whole_number(self.n)
+        if n is None:
+            raise InvalidProfile(f"profile n {self.n!r} is not an integer")
+        if n < 1:
+            raise InvalidProfile(f"need n >= 1, got {n}")
+        try:
+            values = tuple(self.f)
+            f = tuple(map(float, values))
+        except (TypeError, ValueError):  # complex, None or a list, say
+            values = None
+        except OverflowError:  # an int past the float range
+            raise InvalidProfile("profile values must be finite") from None
+        # float() takes True, "1" and b"1" too.
+        if values is None or any(isinstance(v, (bool, str, bytes)) for v in values):
+            raise InvalidProfile(f"profile values {self.f!r} are not all numbers")
+        if len(f) != n + 1:
+            raise InvalidProfile(f"profile for n={n} needs {n + 1} values, got {len(f)}")
+        if not all(math.isfinite(v) for v in f):
             raise InvalidProfile("profile values must be finite")
-        f, peak = self.f, max(map(abs, self.f))
+        peak = max(map(abs, f))
         norm2 = _sum_in_order(v * v for v in f)
         if not sys.float_info.min <= norm2 < math.inf and peak > 0.0:
             # Squares past the normal float range: divide by the largest |f|
@@ -48,6 +64,7 @@ class AmplitudeProfile:
         if norm2 == 0.0:
             raise InvalidProfile("profile cannot be all zero")
         norm = math.sqrt(norm2)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "f", tuple(v / norm for v in f))
 
     @classmethod
@@ -66,18 +83,15 @@ class AmplitudeProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AmplitudeProfile":
-        """Parse ``{"n": ..., "f": [...]}``; malformed data raises InvalidProfile."""
+        """Parse ``{"n": ..., "f": [...]}``; malformed data raises InvalidProfile.
+
+        ``n`` and the values are the constructor's to check; a string value
+        holding a number, such as "0.5", is read as that number."""
         try:
-            raw_f = tuple(data["f"])
-            f = tuple(float(v) for v in raw_f)
-            raw_n = data["n"]
-            n = int(raw_n)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n, raw_f = data["n"], tuple(data["f"])
+            f = tuple(float(v) if isinstance(v, str) else v for v in raw_f)
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidProfile(f"malformed profile data: {exc!r}") from exc
-        if n != raw_n or isinstance(raw_n, bool):
-            raise InvalidProfile(f"profile n {raw_n!r} is not an integer")
-        if any(isinstance(v, bool) for v in raw_f):
-            raise InvalidProfile(f"profile values {list(raw_f)} are not all numbers")
         return cls(n, f)
 
     @classmethod

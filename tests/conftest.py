@@ -8,6 +8,7 @@ the creation operators, one factor at a time.
 from __future__ import annotations
 
 import collections
+import hashlib
 import inspect
 import math
 import os
@@ -44,10 +45,32 @@ def random_state(rng: random.Random, modes: int, max_photons: int, n_terms: int 
     return SparseState(modes, terms).normalized()
 
 
+def signed_zero_state(rng: random.Random, modes: int, max_photons: int) -> SparseState:
+    """Random state whose amplitudes carry -0.0 and +0.0 parts: an input no
+    public constructor builds, since each maps -0.0 to +0.0, so the terms
+    are set directly.  Operations that rebuild their terms must not pass a
+    -0.0 on."""
+    state = random_state(rng, modes, max_photons, n_terms=8)
+    state.terms = {
+        occ: complex(rng.choice((a.real, -0.0, 0.0)), rng.choice((-0.0, 0.0, a.imag)))
+        if abs(a.real) > 0.1 and abs(a.imag) > 0.1
+        else a
+        for occ, a in state.terms.items()
+    }
+    return state
+
+
 def exact_terms(state):
     """Modes, then every term in dict order with the repr of its amplitude,
     so signed zeros and the last bit count."""
     return state.modes, [(occ, repr(a)) for occ, a in state.terms.items()]
+
+
+def digest(results) -> str:
+    """sha256 of the repr of ``results``, such as ``exact_terms`` of each of
+    a run of states: every key, the order of the terms and every amplitude
+    bit count, signed zeros included."""
+    return hashlib.sha256(repr(list(results)).encode()).hexdigest()
 
 
 def random_qubit(rng: random.Random):

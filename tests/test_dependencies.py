@@ -1,5 +1,6 @@
-"""Static checks of the package source: it imports nothing outside the
-standard library and itself, and applies no sign as a float phase."""
+"""Static checks of the source: the package imports nothing outside the
+standard library and itself and applies no sign as a float phase, and the
+tests keep one reference per layer."""
 
 import ast
 import pathlib
@@ -84,3 +85,45 @@ def test_phase_check_sees_every_call_form(tmp_path):
         "v = SparseState.apply_phase\n"
     )
     assert list(phase_calls(module)) == [(3, "apply_phase"), (4, "apply_basis_phase")]
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+# One reference per layer, each built another way than the code it checks.
+# A bit-for-bit change proves itself against these, the pinned digests and
+# ``invariants.check_state``; it adds no copy of the code it replaces.
+KEPT_REFERENCES = {
+    "test_fock.py:reference_transform",  # the permanent formula
+    "test_fock.py:reference_measure",  # grouping by enumeration
+    "test_gates.py:reference_controlled_sign",  # a float pi phase
+    "test_teleport.py:reference_phase_feedforward",  # a phase after the transform
+    "test_teleport.py:reference_phase_teleport",
+    "test_teleport.py:reference_joint_state_cz",  # both sides on one state
+}
+
+
+def top_level_references(path):
+    """Names of the module-level functions of ``path`` named reference_*."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if is_function and node.name.startswith("reference_"):
+            yield node.name
+
+
+def test_tests_keep_one_reference_per_layer():
+    modules = TESTS.rglob("*.py")
+    found = {f"{p.relative_to(TESTS)}:{name}" for p in modules for name in top_level_references(p)}
+    assert found == KEPT_REFERENCES
+
+
+def test_reference_check_sees_module_level_functions_only(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def reference_a():\n"
+        "    def reference_nested(): pass\n"
+        "async def reference_b(): pass\n"
+        "class C:\n"
+        "    def reference_method(self): pass\n"
+    )
+    assert list(top_level_references(module)) == ["reference_a", "reference_b"]

@@ -28,11 +28,14 @@ from conftest import (
     assert_dense_unitary,
     beamsplitter_matrix,
     dense_two_mode_matrix,
+    digest,
     empty_memo,
     exact_terms,
     poly_two_mode_image,
     random_state,
+    signed_zero_state,
 )
+from invariants import check_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -424,123 +427,43 @@ def test_placed_keys_match_the_leading_block_route(modes):
     assert exact_terms(got) == exact_terms(moved_block_transform(state, modes, matrix, True))
 
 
-def reference_picker_transform(state, modes, matrix):
-    """``apply_linear_transform`` as it was, every output key built from the
-    untransformed counts plus the sub-occupation by pickers laid out per call."""
-    mlist = [int(m) for m in modes]
-    for m in mlist:
-        state._check_mode(m)
-    mset = set(mlist)
-    if len(mset) != len(mlist):
-        raise ModeOutOfRange("transform modes must be distinct")
-    n_sub = len(mlist)
-    if len(matrix) != n_sub or any(len(row) != n_sub for row in matrix):
-        raise DimensionMismatch("matrix shape must match the mode list")
-    matrix = tuple(map(tuple, matrix))
-    rest_modes = [m for m in range(state.modes) if m not in mset]
-    sub_of, rest_of = fock._picker(mlist), fock._picker(rest_modes)
-    leading = mlist == list(range(n_sub))
-    slot = {m: i for i, m in enumerate(rest_modes + mlist)}
-    place = fock._picker([slot[m] for m in range(state.modes)])
-    last_matrix, last_expansions = fock._last_transform
-    expansions = dict(last_expansions) if last_matrix == matrix else {}
-    expanded = False
-    out = {}
-    for occ, a in state.terms.items():
-        sub = sub_of(occ)
-        expansion = expansions.get(sub)
-        if expansion is None:
-            expansion = expansions[sub] = fock._expand(sub, matrix)
-            expanded = True
-        root_in, products = expansion
-        rest = rest_of(occ)
-        base = a / root_in
-        for key, coeff, root_out in products:
-            full = key + rest if leading else place(rest + key)
-            out[full] = out.get(full, 0j) + base * coeff * root_out
-    if expanded and sum(len(e[1]) for e in expansions.values()) <= fock._MEMO_PRODUCTS:
-        fock._last_transform = (matrix, expansions)
-    return state._like(out)
+# sha256 of ``exact_terms`` of each output, in order, taken from the retired
+# kernels these tests compared against bit for bit: the picker-layout
+# transform, which built every key from pickers laid out per call, and the
+# ``_like`` transform, which rebuilt and pruned its output through ``_like``.
+PICKER_LAYOUT_DIGESTS = [
+    "6d793ce041d82ee0e12a6c8f7aa5a76020ba8f8797e9cb7053ef335f9201366c",
+    "686941e2394d50409b58b0092627b4bb6c259cd19e983fad2e38290836ce401e",
+    "855c205a2ab7782ba1ae691925ec26b936699351c247d39d3111e5ae7186a2f7",
+    "68e9ae34e7338565a717a372aa152ac40507732fc2249d508bcd0a03bef58852",
+    "7489f5c078a2fc8df011bfd36ef244c947127574e53d3bbcafe21520b1fcd833",
+    "d117553f47530222c08f8cafadee68b897dce397ced14fa0ade93e80ce749317",
+]
+LIKE_DIGESTS = [
+    "63fb04d521ac93dc4985ea9724d6bf89f213d368b4e135a6d5c84cd03255b44b",
+    "a6c60b8cc0c053d54fe5d276fbb2adcf8918592e9cc9e50c777e0b63b15acf3f",
+    "48553d29ff73a5e01715614bf96cb1d89e14f23ceb2f9a36b6cb239af3a118b1",
+    "6c9006499f5d7fd01283171554ba5819b296cde52f23e1ffe4978e0c1cb7844a",
+]
+LIKE_PRUNE_DIGEST = "9f23d635146e93bd11c2552c66892373674a53371067e0f464a4e96f22359184"
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_transform_keys_match_the_picker_layout_reference(monkeypatch, seed):
+def test_transform_keys_match_the_picker_layout_reference(seed):
     # Leading blocks, blocks off the front in order, unsorted mode lists and
-    # the whole register, on states of up to four photons per mode list;
-    # both kernels start from an empty memo, so each expands on its own.
+    # the whole register, on states of up to four photons per mode list,
+    # then the beamsplitters of a pair build: two modes, counts above one.
     rng = random.Random(400 + seed)
     mode_lists = [[0], [0, 1], [0, 1, 2], [1, 2], [2, 4], [3, 1], [4, 0, 2], [1, 0, 3, 2]]
     mode_lists += [rng.sample(range(5), rng.randint(1, 4)) for _ in range(6)]
+    outputs = []
     for modes in mode_lists:
         state = random_state(rng, 5, 4, n_terms=rng.randint(1, 12))
-        matrix = random_matrix(rng, len(modes))
-        empty_memo(monkeypatch)
-        want = exact_terms(reference_picker_transform(state, modes, matrix))
-        empty_memo(monkeypatch)
-        assert exact_terms(state.apply_linear_transform(modes, matrix)) == want, modes
-    # The beamsplitters of a pair build: two modes, counts above one.
+        outputs.append(state.apply_linear_transform(modes, random_matrix(rng, len(modes))))
     state = random_state(rng, 6, 4, n_terms=10)
-    for m1, m2 in ((5, 0), (1, 4), (0, 1), (3, 2)):
-        empty_memo(monkeypatch)
-        want = exact_terms(reference_picker_transform(state, (m1, m2), beamsplitter_matrix(0.37)))
-        empty_memo(monkeypatch)
-        assert exact_terms(state.apply_beamsplitter(m1, m2, 0.37)) == want
-
-
-def reference_expand(sub, matrix):
-    """``fock._expand`` as it was: every mode's row laid out and every count's
-    factorial taken, 0 and 1 included."""
-    radix = sum(sub) + 1
-    poly = {0: 1.0 + 0j}
-    norm_in = 1.0
-    for l, count in enumerate(sub):
-        norm_in *= math.factorial(count)
-        row = [(radix**m, cm) for m, cm in enumerate(matrix[l]) if cm != 0]
-        for _ in range(count):
-            nxt = {}
-            for code, coeff in poly.items():
-                for step, cm in row:
-                    key = code + step
-                    nxt[key] = nxt.get(key, 0j) + coeff * cm
-            poly = nxt
-    products = []
-    for code, coeff in poly.items():
-        key = []
-        norm_out = 1.0
-        for _ in sub:
-            code, c = divmod(code, radix)
-            key.append(c)
-            norm_out *= math.factorial(c)
-        products.append((tuple(key), coeff, math.sqrt(norm_out)))
-    return math.sqrt(norm_in), tuple(products)
-
-
-def reference_like_transform(state, modes, matrix):
-    """``apply_linear_transform`` as it was: one product loop testing the key
-    layout per product, the old ``_expand``, and the output rebuilt and
-    pruned through ``_like``."""
-    mlist = list(modes)
-    n_sub = len(mlist)
-    matrix = tuple(map(tuple, matrix))
-    leading = mlist == list(range(n_sub))
-    expansions = {}
-    out = {}
-    for occ, a in state.terms.items():
-        sub = tuple(occ[m] for m in mlist)
-        if sub not in expansions:
-            expansions[sub] = reference_expand(sub, matrix)
-        root_in, products = expansions[sub]
-        base = a / root_in
-        rest, counts = occ[n_sub:], list(occ)
-        for key, coeff, root_out in products:
-            if leading:
-                full = key + rest
-            else:
-                for m, c in zip(mlist, key):
-                    counts[m] = c
-                full = tuple(counts)
-            out[full] = out.get(full, 0j) + base * coeff * root_out
-    return state._like(out)
+    pairs = ((5, 0), (1, 4), (0, 1), (3, 2))
+    outputs += [state.apply_beamsplitter(m1, m2, 0.37) for m1, m2 in pairs]
+    assert digest(map(exact_terms, outputs)) == PICKER_LAYOUT_DIGESTS[seed]
 
 
 def deep_state(rng, modes, max_per_mode, n_terms):
@@ -556,32 +479,15 @@ def has_negative_zero(state):
     )
 
 
-def test_expand_matches_its_reference_bit_for_bit():
-    # Empty modes, single photons and up to 20 photons per mode, real and
-    # complex matrices with zero entries: the same products in the same
-    # order, every bit of each coefficient and root.
-    rng = random.Random(2450)
-    subs = [(0,), (1,), (20,), (0, 0), (1, 0), (0, 20), (20, 20), (1, 1, 0), (0, 3, 1, 2)]
-    subs += [tuple(rng.randint(0, 20) for _ in range(rng.randint(1, 2))) for _ in range(8)]
-    subs += [tuple(rng.randint(0, 5) for _ in range(rng.randint(3, 4))) for _ in range(8)]
-    for sub in subs:
-        for matrix in (random_matrix(rng, len(sub)), qft_matrix(len(sub))):
-            matrix = tuple(map(tuple, matrix))
-            if len(sub) > 1:  # a zero entry drops a step from the row
-                matrix = (matrix[0][:-1] + (0j,),) + matrix[1:]
-            assert repr(fock._expand(sub, matrix)) == repr(reference_expand(sub, matrix)), sub
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_transform_matches_the_like_reference_bit_for_bit(seed):
     # Leading blocks, blocks off the front in order and unsorted lists, on
-    # states with signed zeros and with up to 20 photons per mode: the
-    # output keys in the same order, every amplitude bit equal, and no
-    # part -0.0 although the in-place prune adds no 0j.
+    # states with signed zeros and with up to 20 photons per mode.
     rng = random.Random(2460 + seed)
     mode_lists = [[0], [0, 1], [0, 1, 2], [1], [1, 2], [2, 3, 4], [3, 1], [4, 0, 2], [1, 0, 3, 2]]
     mode_lists += [rng.sample(range(5), rng.randint(1, 4)) for _ in range(6)]
     signed_inputs = 0
+    outputs = []
     for modes in mode_lists:
         depth = 20 if len(modes) <= 2 else 4
         states = [
@@ -591,11 +497,10 @@ def test_transform_matches_the_like_reference_bit_for_bit(seed):
         ]
         signed_inputs += has_negative_zero(states[1])
         for state in states:
-            matrix = random_matrix(rng, len(modes))
-            got = state.apply_linear_transform(modes, matrix)
-            assert exact_terms(got) == exact_terms(reference_like_transform(state, modes, matrix))
-            assert not has_negative_zero(got), modes
+            outputs.append(state.apply_linear_transform(modes, random_matrix(rng, len(modes))))
+            check_state(outputs[-1])
     assert signed_inputs >= 3
+    assert digest(map(exact_terms, outputs)) == LIKE_DIGESTS[seed]
 
 
 def test_transform_prunes_as_the_like_reference_does():
@@ -606,25 +511,23 @@ def test_transform_prunes_as_the_like_reference_does():
     half = beamsplitter_matrix(INV_SQRT2)
     assert (1, 1) not in hom.apply_linear_transform([0, 1], half).terms
     rng = random.Random(2470)
+    outputs = []
     for _ in range(40):
         state = random_state(rng, 3, 3, n_terms=6)
         scale = PRUNE_TOLERANCE * rng.uniform(0.5, 4.0)
         matrix = [[scale * complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)] for _ in range(2)]
-        got = state.apply_linear_transform([2, 0], matrix)
-        want = reference_like_transform(state, [2, 0], matrix)
-        assert exact_terms(got) == exact_terms(want)
+        outputs.append(state.apply_linear_transform([2, 0], matrix))
+    assert digest(map(exact_terms, outputs)) == LIKE_PRUNE_DIGEST
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf), 1e308])
 def test_transform_still_refuses_a_non_finite_output(bad):
     # A NaN or infinite input amplitude, or a product past the float range,
-    # is refused as the reference refuses it, not pruned away.
+    # is refused, not pruned away.
     state = SparseState(2, {(1, 0): 0.6, (0, 1): 0.8})
     state.terms[(1, 1)] = complex(bad)
     matrix = [[10.0, 1.0], [1.0, 10.0]]
     for modes in ([0, 1], [1, 0]):
-        with pytest.raises(InvalidState, match="non-finite"):
-            reference_like_transform(state, modes, matrix)
         with pytest.raises(InvalidState, match="non-finite"):
             state.apply_linear_transform(modes, matrix)
 
@@ -850,18 +753,28 @@ def test_measure_probabilities_sum_to_one_random():
 
 
 def reference_measure(state, modes):
-    """Outcome -> (probability, residual terms), grouped term by term."""
+    """(counts, probability, residual) per outcome in sorted order.  Each
+    term goes to the bucket of its measured counts; a bucket's probability
+    is its squared moduli added left to right, and its residual the bucket
+    scaled by 1/sqrt(p) through the validating constructor."""
     keep = [m for m in range(state.modes) if m not in modes]
     grouped = {}
     for occ, a in state.terms.items():
-        outcome = tuple(occ[m] for m in modes)
-        residual = tuple(occ[m] for m in keep)
-        grouped.setdefault(outcome, {})[residual] = a
-    result = {}
-    for outcome, bucket in grouped.items():
-        prob = sum(abs(a) ** 2 for a in bucket.values())
-        result[outcome] = (prob, {k: a / math.sqrt(prob) for k, a in bucket.items()})
-    return result
+        grouped.setdefault(tuple(occ[m] for m in modes), {})[tuple(occ[m] for m in keep)] = a
+    results = []
+    for counts in sorted(grouped):
+        bucket = grouped[counts]
+        prob = fock._sum_in_order(abs(a) ** 2 for a in bucket.values())
+        if prob > PRUNE_TOLERANCE**2:
+            scale = 1.0 / math.sqrt(prob)
+            residual = SparseState(len(keep), {k: a * scale for k, a in bucket.items()})
+            results.append((counts, prob, residual))
+    return results
+
+
+def outcome_bits(outcomes):
+    """Each outcome's counts, probability and residual, bit for bit."""
+    return [(counts, repr(prob), exact_terms(residual)) for counts, prob, residual in outcomes]
 
 
 @pytest.mark.parametrize("modes", [[2, 0], [1], [0, 1, 2], [2, 1, 0]], ids=str)
@@ -869,16 +782,8 @@ def test_measure_matches_reference(modes):
     rng = random.Random(11)
     s = random_state(rng, 3, 3, n_terms=8)
     outcomes = s.measure(modes)
-    want = reference_measure(s, modes)
-    assert [o.counts for o in outcomes] == sorted(want)
-    for o in outcomes:
-        prob, residual = want[o.counts]
-        assert type(o.counts) is tuple and len(o.counts) == len(modes)
-        assert o.probability == pytest.approx(prob, abs=1e-12)
-        assert o.residual.modes == 3 - len(modes)
-        assert set(o.residual.terms) == set(residual)
-        for key, amp in residual.items():
-            assert o.residual.terms[key] == pytest.approx(amp, abs=1e-12)
+    assert all(type(o.counts) is tuple and len(o.counts) == len(modes) for o in outcomes)
+    assert outcome_bits(outcomes) == outcome_bits(reference_measure(s, modes))
 
 
 @pytest.mark.parametrize(
@@ -910,60 +815,14 @@ def test_float_sums_add_left_to_right():
 
 
 # ----------------------------------------------------------------------
-# measure's fast path and apply_phase against reference bodies, bit for bit
+# measure and apply_phase bit for bit: held by reference_measure, a digest
+# of apply_phase's outputs and check_state (test_invariants)
 # ----------------------------------------------------------------------
 
 
-def reference_measure_body(state, modes):
-    """``measure`` as it was before it stored each key once and built the
-    residual without ``_like``: kept as the oracle of the fast path."""
-    mlist = list(modes)
-    keep = [m for m in range(state.modes) if m not in set(mlist)]
-    outcome_of, residual_of = fock._picker(mlist), fock._picker(keep)
-    grouped = {}
-    for occ, a in state.terms.items():
-        outcome = outcome_of(occ)
-        bucket = grouped.get(outcome)
-        if bucket is None:
-            bucket = grouped[outcome] = {}
-        residual_key = residual_of(occ)
-        bucket[residual_key] = bucket.get(residual_key, 0j) + a
-    results = []
-    for outcome in sorted(grouped):
-        bucket = grouped[outcome]
-        prob = 0.0  # left to right, as ``sum`` added floats before Python 3.12
-        for a in bucket.values():
-            prob += abs(a) ** 2
-        if prob <= PRUNE_TOLERANCE**2:
-            continue
-        scale = 1.0 / math.sqrt(prob)
-        residual = state._like({k: a * scale for k, a in bucket.items()}, len(keep))
-        results.append((outcome, prob, residual))
-    return results
-
-
-def reference_phase_body(state, mode, phi):
-    """``apply_phase`` spelled out: one ``_cis`` factor per term, then
-    ``_like``.  The oracle of the phase tests below, which pin the faint-term
-    prune and the refusal of NaN and infinite phases."""
-    state._check_mode(mode)
-    out = {}
-    for occ, a in state.terms.items():
-        out[occ] = a * fock._cis(phi * occ[mode])
-    return state._like(out)
-
-
-def signed_zero_state(rng, modes, max_photons):
-    """Random state whose amplitudes carry -0.0 and +0.0 parts.  The
-    constructor maps -0.0 to +0.0, so the terms are set directly."""
-    state = random_state(rng, modes, max_photons, n_terms=8)
-    state.terms = {
-        occ: complex(rng.choice((a.real, -0.0, 0.0)), rng.choice((-0.0, 0.0, a.imag)))
-        if abs(a.real) > 0.1 and abs(a.imag) > 0.1
-        else a
-        for occ, a in state.terms.items()
-    }
-    return state
+# sha256 of ``exact_terms`` of each output below, taken from the retired
+# reference body of ``apply_phase``: one ``_cis`` factor per term, then ``_like``.
+PHASE_DIGEST = "8845d3fd51efb78153addcd3ade21c9f6f859e21c191f0f03f1fba3e350a591f"
 
 
 def fast_path_inputs():
@@ -994,13 +853,8 @@ def test_measure_fast_path_is_bit_identical_to_reference():
     for state in states + [unnormalized, faint]:
         for size in range(1, state.modes + 1):
             modes = rng.sample(range(state.modes), size)
-            got = state.measure(modes)
-            want = reference_measure_body(state, modes)
-            assert [(o.counts, repr(o.probability)) for o in got] == [
-                (counts, repr(prob)) for counts, prob, _ in want
-            ]
-            for o, (_, _, residual) in zip(got, want):
-                assert exact_terms(o.residual) == exact_terms(residual)
+            want = outcome_bits(reference_measure(state, modes))
+            assert outcome_bits(state.measure(modes)) == want
 
 
 def test_measure_leaves_its_input_alone():
@@ -1025,11 +879,13 @@ def test_phase_fast_path_is_bit_identical_to_reference():
     edge = SparseState(2, {(1, 0): faint, (0, 1): 1.0})
     assert len(edge) == 2 and list(edge.apply_phase(0, 0.3).terms) == [(0, 1)]
     phases = [0.0, math.pi, -math.pi / 2, 0.3, 2.3, 1e17, math.pi * 2**18]
-    for state in states + [edge]:
-        for mode in range(state.modes):
-            for phi in phases + [rng.uniform(-10.0, 10.0)]:
-                got = state.apply_phase(mode, phi)
-                assert exact_terms(got) == exact_terms(reference_phase_body(state, mode, phi))
+    outputs = [
+        state.apply_phase(mode, phi)
+        for state in states + [edge]
+        for mode in range(state.modes)
+        for phi in phases + [rng.uniform(-10.0, 10.0)]
+    ]
+    assert digest(map(exact_terms, outputs)) == PHASE_DIGEST
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf], ids=str)
@@ -1040,15 +896,17 @@ def test_phase_fast_path_is_bit_identical_to_reference():
 )
 def test_phase_fast_path_refuses_as_reference_does(terms, phi):
     # A NaN factor would fail the prune and vanish silently: whether or not
-    # a term meets the phase, a non-finite one is refused.
+    # a term meets the phase, a non-finite one is refused.  An infinite
+    # phase on a photon has no cos/sin; on an empty mode it gives a NaN.
     state = SparseState(2, terms)
-    try:
-        want = exact_terms(reference_phase_body(state, 0, phi))
-    except (InvalidState, InvalidCoefficient) as exc:
-        with pytest.raises(type(exc)):
+    if not terms:
+        assert exact_terms(state.apply_phase(0, phi)) == (2, [])
+    elif math.isinf(phi) and any(occ[0] for occ in terms):
+        with pytest.raises(InvalidCoefficient, match="is not finite"):
             state.apply_phase(0, phi)
     else:
-        assert exact_terms(state.apply_phase(0, phi)) == want
+        with pytest.raises(InvalidState, match="non-finite amplitude"):
+            state.apply_phase(0, phi)
 
 
 # ----------------------------------------------------------------------

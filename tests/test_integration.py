@@ -23,6 +23,7 @@ from loqc_ancilla import (
 )
 from loqc_ancilla.dots import InteractionPhase, PulseSchedule, execute, prepare_pair, rabi
 from conftest import random_qubit
+from invariants import check_state
 
 
 def test_teleport_through_pipeline_built_ancilla():
@@ -86,10 +87,7 @@ def test_trusted_operations_refuse_nan_and_keep_valid_keys():
     states += [o.output_state for o in outcomes if o.output_state is not None]
     assert len(states) > 3
     for state in states:
-        for occ, amp in state.terms.items():
-            assert type(occ) is tuple and len(occ) == state.modes
-            assert all(type(c) is int and c >= 0 for c in occ)
-            assert type(amp) is complex
+        check_state(state)
 
 
 def _feed_state(h, state):

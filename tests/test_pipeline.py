@@ -19,10 +19,9 @@ from loqc_ancilla import (
     fidelity,
 )
 from loqc_ancilla import pipeline
-from loqc_ancilla.gates import conditional_transfer, transmission_for_probability
 from loqc_ancilla.pipeline import pair_pattern, single_register_pattern
-from loqc_ancilla.profiles import schedule_from_profile
 from conftest import exact_terms
+from invariants import check_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -268,26 +267,8 @@ def test_tally_parity_method(n, gate_calls):
 
 
 # ----------------------------------------------------------------------
-# each pair on its own modes against the earlier joint-state route
+# each pair on its own modes against the joint state written down
 # ----------------------------------------------------------------------
-
-
-def reference_joint_state_pair(n, profile, method):
-    """``build_entangled_pair`` as it was: the second pair's transfers run on
-    the joint 4n-mode state, which already holds the first pair's terms."""
-    state = SparseState.basis(pair_pattern(n, 0, 0))
-    schedule = schedule_from_profile(profile)
-    for offset in (0, 2 * n):
-        for k, p in enumerate(schedule.probabilities, start=1):
-            control = offset + k - 2 if k >= 2 else None
-            state = conditional_transfer(
-                state,
-                offset + n + k - 1,
-                offset + k - 1,
-                transmission_for_probability(p),
-                control=control,
-            )
-    return apply_entangling_phase(state, method)
 
 
 def pair_profiles(rng, n):
@@ -298,15 +279,14 @@ def pair_profiles(rng, n):
 
 @pytest.mark.parametrize("method", list(PhaseMethod), ids=lambda m: m.value)
 def test_pair_matches_joint_state_reference(method):
-    # The tensor product forms each amplitude as one product a_j * b_j',
-    # where the joint route carried a_j through every gate of the second
-    # pair, so only the last bit may differ.
+    # The joint 4n-mode state as ``direct_oracle_pair`` writes it down: the
+    # build reaches each of its terms, in its order, to within the last bit.
     rng = random.Random(2003)
     for n in range(1, 9):
         for profile in pair_profiles(rng, n):
             built = build_entangled_pair(n, profile, method)
-            reference = reference_joint_state_pair(n, profile, method)
-            assert built.terms.keys() == reference.terms.keys()
+            reference = direct_oracle_pair(n, profile)
+            assert list(built.terms) == list(reference.terms)
             for occ, amp in built.terms.items():
                 assert abs(amp - reference.terms[occ]) <= 1e-15, (n, occ)
 
@@ -339,30 +319,8 @@ def test_pair_transfers_run_on_one_pair(n, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# oracles written from patterns against the validating constructor route
+# oracles written from patterns through the trusted constructor
 # ----------------------------------------------------------------------
-
-
-def reference_oracle_single(n, profile):
-    """``direct_oracle_single`` as it was, through the validating constructor."""
-    terms = {
-        single_register_pattern(n, j): complex(profile.f[j])
-        for j in range(n + 1)
-        if profile.f[j] != 0.0
-    }
-    return SparseState(2 * n, terms).normalized()
-
-
-def reference_oracle_pair(n, profile):
-    """``direct_oracle_pair`` as it was: each key from ``pair_pattern``, the
-    sign a product with (-1.0) ** (j j'), then the validating constructor."""
-    terms = {}
-    for j in range(n + 1):
-        for jp in range(n + 1):
-            amp = profile.f[j] * profile.f[jp] * (-1.0) ** (j * jp)
-            if amp != 0.0:
-                terms[pair_pattern(n, j, jp)] = complex(amp)
-    return SparseState(4 * n, terms).normalized()
 
 
 def oracle_profiles(rng, n):
@@ -383,11 +341,14 @@ def oracle_profiles(rng, n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_oracles_match_the_constructor_route_bit_for_bit(n):
+    # The oracles skip the validating constructor; fed their own terms, it
+    # changes no bit, and what they hold passes the state invariant.
     rng = random.Random(5000 + n)
     for profile in oracle_profiles(rng, n):
         single = direct_oracle_single(n, profile)
         pair = direct_oracle_pair(n, profile)
-        assert exact_terms(single) == exact_terms(reference_oracle_single(n, profile))
-        assert exact_terms(pair) == exact_terms(reference_oracle_pair(n, profile))
+        for state in (single, pair):
+            check_state(state)
+            assert exact_terms(SparseState(state.modes, state.terms)) == exact_terms(state)
         skipped = sum(1 for f in profile.f if abs(f) < 1e-12)
         assert len(single) == n + 1 - skipped

@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from loqc_ancilla import AmplitudeProfile, InvalidProfile, TransferSchedule, schedule_from_profile
+from loqc_ancilla import (
+    AmplitudeProfile,
+    InvalidProfile,
+    TransferSchedule,
+    build_single_register,
+    schedule_from_profile,
+)
 
 
 def test_profile_normalizes_on_construction():
@@ -24,6 +30,19 @@ def test_profile_validation():
         AmplitudeProfile.from_values([1.0, math.inf])
     with pytest.raises(InvalidProfile):
         AmplitudeProfile(0, (1.0,))
+    # n follows SparseState's mode-count rule: 2.0 reads as 2.
+    whole = AmplitudeProfile(2.0, (1, 1, 1))
+    assert whole == AmplitudeProfile.constant(2) and type(whole.n) is int
+    assert AmplitudeProfile.from_json_dict({"n": 2.0, "f": [1, "1", 1.0]}) == whole
+    assert len(build_single_register(2, whole)) == 3
+    for n in (2.5, True, "2", math.nan):
+        with pytest.raises(InvalidProfile, match="is not an integer"):
+            AmplitudeProfile(n, (1, 1, 1))
+    for value in (True, "1", b"1", 1j, None):
+        with pytest.raises(InvalidProfile, match="are not all numbers"):
+            AmplitudeProfile(1, (value, 1.0))
+    with pytest.raises(InvalidProfile, match="must be finite"):
+        AmplitudeProfile(1, (10**400, 1))
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-170, 5e-324])
