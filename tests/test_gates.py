@@ -280,8 +280,8 @@ def test_conditional_transfer_control_must_be_distinct():
 
 # ----------------------------------------------------------------------
 # exact per-term conditions bit for bit: held by reference_controlled_sign,
-# digests of the flip's and the gated transfer's outputs, the quarter-turn
-# fixup check and check_state (test_invariants)
+# digests of the sign's, the flip's and the transfer's outputs, the
+# quarter-turn fixup check and check_state (test_invariants)
 # ----------------------------------------------------------------------
 
 
@@ -341,39 +341,82 @@ def test_exact_sign_inputs_cover_the_edge_cases():
 
 
 def test_controlled_sign_is_bit_identical_to_reference():
+    rng = random.Random(6)
+    for state in unnormalized_states(5, 60):
+        for n_controls in (0, 1, 2, 3):
+            modes = rng.sample(range(state.modes), n_controls + 1)
+            controls, target = set(modes[:-1]), modes[-1]
+            got = result_of(controlled_sign, state, controls, target)
+            assert got == result_of(reference_controlled_sign, state, controls, target)
+
+
+# sha256 of ``result_of`` each call below, taken from the retired bodies
+# these tests compared against bit for bit: a controlled sign negating the
+# terms whose ``fock._picker`` tuple of control and target counts holds no 0;
+# a flip summing into a fresh dict through ``_like``; a flip of the terms whose
+# picker tuple of control counts holds no 0; a gated transfer whose internal
+# phase was a pi * count(src) phase through ``apply_basis_phase``; and that
+# transfer with its fixup as two ``apply_phase`` calls, pi on src and -pi/2 on
+# dst.
+PICKER_SIGN_DIGEST = "cf277ee7001be339ad681e6a1ca600f21d862969929ce2db515d289a11171cbf"
+FLIP_DIGEST = "5a88999306ac11a108968f1da8d9aee51f60a16aec25696cc9386e1fbb961a2a"
+PICKER_FLIP_DIGEST = "ab3ea269f01ce7b913f78f57650a288b7410220826a9f1c1fc4c004a983c67fe"
+GATED_TRANSFER_DIGEST = "655dc31564cb3fee632be7f7d7f8c30352859812658de76e14686c1efed8b04c"
+TWO_PHASE_FIXUP_DIGEST = "0c600de2427d0d39c72af30a8bfe73abdf786c35cbd44da2bb347cb45c2a29dc"
+
+
+def test_controlled_sign_selects_the_terms_of_the_picker_reference():
     # Zero to three controls, as a set and as a list in random order, on
     # unnormalized states with counts up to 3 and on the joint state of a
     # pair build: the same keys negated, in dict order, every amplitude bit
     # equal.
-    rng = random.Random(6)
+    rng = random.Random(2480)
     first = build_single_register(4, AmplitudeProfile.constant(4))
     second = build_single_register(4, AmplitudeProfile.from_values([0.2, 0.9, 0.1, 0.5, 0.3]))
-    for state in unnormalized_states(5, 60) + [first.tensor(second)]:
+    results = []
+    for state in unnormalized_states(12, 60) + [first.tensor(second)]:
         for n_controls in (0, 1, 2, 3):
             modes = rng.sample(range(state.modes), n_controls + 1)
             controls, target = modes[:-1], modes[-1]
-            want = result_of(reference_controlled_sign, state, controls, target)
-            assert result_of(controlled_sign, state, set(controls), target) == want
-            assert result_of(controlled_sign, state, controls, target) == want
+            got = result_of(controlled_sign, state, set(controls), target)
+            assert result_of(controlled_sign, state, controls, target) == got
+            results.append(got)
+    assert digest(results) == PICKER_SIGN_DIGEST
 
 
-# sha256 of ``result_of`` each call below, taken from the retired bodies
-# these tests compared against bit for bit: a flip summing into a fresh dict
-# through ``_like``, and a gated transfer whose internal phase was a
-# pi * count(src) phase through ``apply_basis_phase``.
-FLIP_DIGEST = "439e9138080c52049b2761c7908f133c736fca468b528dae04e9082518739577"
-GATED_TRANSFER_DIGEST = "655dc31564cb3fee632be7f7d7f8c30352859812658de76e14686c1efed8b04c"
+def test_flip_flips_the_terms_of_the_picker_reference(monkeypatch):
+    # Zero to three controls in random order, on unnormalized states with
+    # counts up to 3 and on the work states of a parity pair build: the same
+    # keys flipped, in dict order, every amplitude bit equal.
+    rng = random.Random(2490)
+    work_states = []
+    flip = gates._flip
+
+    def recorded(state, controls, target_mode):
+        work_states.append((state, controls, target_mode))
+        return flip(state, controls, target_mode)
+
+    monkeypatch.setattr(gates, "_flip", recorded)
+    profile = AmplitudeProfile.from_values([0.2, 0.9, 0.1, 0.5])
+    build_entangled_pair(3, profile, PhaseMethod.PARITY_ANCILLA)
+    assert {len(controls) for _, controls, _ in work_states} == {1, 2}  # cnots and toffolis
+    results = [result_of(flip, state, controls, target) for state, controls, target in work_states]
+    for target in (0, 3):
+        for state in unnormalized_states(14 + target, 40, target):
+            others = [m for m in range(state.modes) if m != target]
+            for n_controls in (0, 1, 2, 3):
+                controls = tuple(rng.sample(others, n_controls))
+                results.append(result_of(flip, state, controls, target))
+    assert digest(results) == PICKER_FLIP_DIGEST
 
 
 def test_flip_is_bit_identical_to_reference():
-    # Zero to three controls in random order on unnormalized states with
-    # counts up to 3, the target binary.
     rng = random.Random(7)
     results = []
-    for seed, target in ((8, 0), (10, 2), (14, 0), (17, 3)):
-        for state in unnormalized_states(seed, 40, target):
-            others = [m for m in range(state.modes) if m != target]
-            for n_controls in (0, 1, 2, 3):
+    for target in (0, 2):
+        for state in unnormalized_states(8 + target, 40, target):
+            for n_controls in (0, 1, 2):
+                others = [m for m in range(state.modes) if m != target]
                 controls = tuple(rng.sample(others, n_controls))
                 results.append(result_of(gates._flip, state, controls, target))
     assert digest(results) == FLIP_DIGEST
@@ -396,6 +439,28 @@ TRANSFER_SETTINGS = [
     TransferSetting(INV_SQRT2, INV_SQRT2, math.pi),
 ]
 QUARTER_TURNS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+
+
+def test_fixup_is_bit_identical_to_two_phases_up_to_ten_photons():
+    # Up to ten photons in src and dst together, every phase of the
+    # two-phase form is a whole number of quarter turns, so the transfer, its
+    # fixup folded into the second beamsplitter, gives that form's bits.
+    rng = random.Random(12)
+    states = unnormalized_states(13, 40)
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            c_src = rng.randint(0, 10)
+            occ = (c_src, rng.randint(0, 10 - c_src), rng.randint(0, 1))
+            terms[occ] = complex(rng.choice((0.0, rng.uniform(-3, 3))), rng.uniform(-3, 3))
+        states.append(SparseState(3, terms))
+    results = []
+    for state in states:
+        src, dst, control = (0, 1, 2) if state.modes == 3 else rng.sample(range(state.modes), 3)
+        for setting in TRANSFER_SETTINGS + [transmission_for_probability(rng.random())]:
+            for ctl in (None, control) if setting.phi == 0.0 else (None,):
+                results.append(result_of(conditional_transfer, state, src, dst, setting, ctl))
+    assert digest(results) == TWO_PHASE_FIXUP_DIGEST
 
 
 def test_fixup_is_an_exact_quarter_turn_past_ten_photons():
