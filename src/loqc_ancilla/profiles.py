@@ -85,12 +85,11 @@ class AmplitudeProfile:
     def from_json_dict(cls, data: dict) -> "AmplitudeProfile":
         """Parse ``{"n": ..., "f": [...]}``; malformed data raises InvalidProfile.
 
-        ``n`` and the values are the constructor's to check; a string value
-        holding a number, such as "0.5", is read as that number."""
+        ``n`` and the values are the constructor's to check, so a string
+        value is refused even where it holds a number, such as "0.5"."""
         try:
-            n, raw_f = data["n"], tuple(data["f"])
-            f = tuple(float(v) if isinstance(v, str) else v for v in raw_f)
-        except (KeyError, TypeError, ValueError) as exc:
+            n, f = data["n"], tuple(data["f"])
+        except (KeyError, TypeError) as exc:
             raise InvalidProfile(f"malformed profile data: {exc!r}") from exc
         return cls(n, f)
 

@@ -273,6 +273,7 @@ FALSE_IM_PHOTON = {"occ": [1], "re": 1.0, "im": False}  # JSON false, not a numb
         (["verify", "{good}", "{bad}"], json.dumps({"modes": 1, "terms": [FALSE_IM_PHOTON]})),
         (["build", "--n", "1", "--profile", "{bad}"], '{"n": true, "f": [1, 1]}'),
         (["build", "--n", "1", "--profile", "{bad}"], '{"n": 1, "f": [true, false]}'),
+        (["build", "--n", "1", "--profile", "{bad}"], '{"n": 1, "f": ["0.5", 1]}'),
     ],
     ids=[
         "teleport-three-values",
@@ -315,6 +316,7 @@ FALSE_IM_PHOTON = {"occ": [1], "re": 1.0, "im": False}  # JSON false, not a numb
         "verify-boolean-im",
         "profile-boolean-n",
         "profile-boolean-values",
+        "profile-numeric-string-value",
     ],
 )
 def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):

@@ -390,6 +390,55 @@ def test_linear_transform_every_mode():
     assert_matches_reference(s, [2, 0, 1], random_matrix(rng, 3))
 
 
+def leading_classes(state, n_sub):
+    """Each term's class on the leading ``n_sub`` modes: its photon total
+    there and the counts on the other modes."""
+    return [(sum(occ[:n_sub]), occ[n_sub:]) for occ in state.terms]
+
+
+def test_transform_of_lone_and_shared_classes_matches_the_permanent_formula():
+    # On leading modes a term alone in its class writes each product once,
+    # pruned as it is written; terms of a shared class add up first.  Here
+    # |1,1,0> is alone and cancels at |1,1,0> on a balanced beamsplitter,
+    # and |1,0,1> and |0,1,1> share a class and cancel at |1,0,1>.
+    half = beamsplitter_matrix(INV_SQRT2)
+    state = SparseState(3, {(1, 1, 0): 0.5, (1, 0, 1): 0.5, (0, 1, 1): 0.5j, (2, 0, 2): 0.5})
+    classes = leading_classes(state, 2)
+    assert len(set(classes)) == 3 < len(classes)
+    out = state.apply_linear_transform([0, 1], half)
+    check_state(out)
+    assert (1, 1, 0) not in out.terms and (1, 0, 1) not in out.terms
+    assert_matches_reference(state, [0, 1], half)
+    # A lone term's product formed as -1 - 0j is written as -1 + 0j.
+    lone = SparseState(3, {(1, 0, 0): -1j})
+    out = lone.apply_linear_transform([0, 1], [[1.0, -1j], [1.0, 1.0]])
+    check_state(out)
+    assert exact_terms(out) == (3, [((1, 0, 0), "-1j"), ((0, 1, 0), "(-1+0j)")])
+    # Random states of up to five photons over three leading modes and two
+    # more, with both lone and shared classes.
+    rng = random.Random(2700)
+    for _ in range(6):
+        state = random_state(rng, 5, 5, n_terms=16)
+        classes = leading_classes(state, 3)
+        counts = [classes.count(c) for c in classes]
+        assert 1 in counts and max(counts) > 1
+        matrix = random_matrix(rng, 3)
+        check_state(state.apply_linear_transform([0, 1, 2], matrix))
+        assert_matches_reference(state, [0, 1, 2], matrix)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308], ids=["nan", "inf", "1e308"])
+def test_transform_refuses_a_non_finite_product_of_a_lone_class(bad):
+    # The term at (1, 1 | 2) is alone in its class on modes [0, 1], so its
+    # products are written as they are formed: NaN and inf pass the prune's
+    # comparison and reach the finiteness scan.
+    state = SparseState(3, {(1, 0, 0): 0.6, (0, 1, 0): 0.8})
+    state.terms[(1, 1, 2)] = complex(bad)
+    assert len(set(leading_classes(state, 2))) == 2
+    with pytest.raises(InvalidState, match="non-finite"):
+        state.apply_linear_transform([0, 1], [[10.0, 1.0], [1.0, 10.0]])
+
+
 def moved_block_transform(state, modes, matrix, front):
     """The transform with its modes moved by ``permute_modes`` to the front
     in order (``front``) or behind the other modes, then moved back."""

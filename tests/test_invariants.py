@@ -94,6 +94,11 @@ OPERATIONS = {
             s.apply_linear_transform(range(s.modes), qft_matrix(s.modes)),
         )
     ],
+    # Leading modes with a tail: terms alone in their (photon total, tail)
+    # class and terms that share one take different product loops.
+    "apply_linear_transform-leading": lambda: [
+        s.apply_linear_transform([0, 1], MATRIX) for s in INPUTS if s.modes >= 3
+    ],
     "measure": lambda: [
         o.residual for s in INPUTS for k in range(s.modes) for o in s.measure(range(k, s.modes, 2))
     ],

@@ -33,7 +33,9 @@ def test_profile_validation():
     # n follows SparseState's mode-count rule: 2.0 reads as 2.
     whole = AmplitudeProfile(2.0, (1, 1, 1))
     assert whole == AmplitudeProfile.constant(2) and type(whole.n) is int
-    assert AmplitudeProfile.from_json_dict({"n": 2.0, "f": [1, "1", 1.0]}) == whole
+    assert AmplitudeProfile.from_json_dict({"n": 2.0, "f": [1, 1, 1.0]}) == whole
+    with pytest.raises(InvalidProfile, match="are not all numbers"):
+        AmplitudeProfile.from_json_dict({"n": 2.0, "f": [1, "1", 1.0]})
     assert len(build_single_register(2, whole)) == 3
     for n in (2.5, True, "2", math.nan):
         with pytest.raises(InvalidProfile, match="is not an integer"):

@@ -819,6 +819,34 @@ def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_fourier_inputs_hold_one_term_per_class(n, monkeypatch):
+    # The transform writes each product of a term alone in its class (its
+    # photon total on the Fourier modes and its y counts) once, with no
+    # faint-key pass; that holds for every term of the teleport's and both
+    # CZ sides' inputs.  The transform is stubbed out and the size guard
+    # lifted, so the CZ runs at n=6..8 too, in no time.
+    inputs = []
+
+    def captured_qft(state, modes):
+        inputs.append((state, list(modes)))
+        return SparseState(state.modes)
+
+    monkeypatch.setattr(teleport_module, "apply_qft", captured_qft)
+    monkeypatch.setattr(teleport_module, "_check_cost", lambda n, sides: None)
+    rng = random.Random(2700 + n)
+    for kind in ("constant", "signed", "zero-weight"):
+        profile = profile_of(kind, n, rng)
+        teleport(random_qubit(rng), direct_oracle_single(n, profile), n)
+        pair = direct_oracle_pair(n, profile)
+        cz_via_double_teleportation(random_qubit(rng), random_qubit(rng), pair, n)
+    assert len(inputs) == 9
+    for state, modes in inputs:
+        assert modes == list(range(n + 1))
+        classes = {(sum(key[: n + 1]), key[n + 1 :]) for key in state.terms}
+        assert len(classes) == len(state) > n
+
+
 def test_cz_refuses_an_off_pattern_ancilla(monkeypatch):
     n = 2
     terms = dict(direct_oracle_pair(n, AmplitudeProfile.constant(n)).terms)
