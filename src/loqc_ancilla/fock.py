@@ -15,11 +15,12 @@ whose amplitudes are products of a validated profile's weights.
 ``apply_linear_transform`` runs the same scan on its fresh output dict but
 prunes it without a rebuild through ``_like``, which would hash every kept
 key again (a tuple does not cache its hash).  On modes that lead in order
-each input term has a class, its photon total there and its other counts;
-a term alone in its class writes only its products that are not faint, so
-the exact zeros of Fourier interference are never stored, and the faint
-keys that shared classes sum to are deleted after the scan.  Two builds
-skip that amplitude scan and prune inline:
+each input term has a class, its photon total there and its other counts.
+When every term is alone in its class, as in every teleport and CZ Fourier
+input, each product is written once and only if it is not faint, so the
+exact zeros of Fourier interference are never stored; any other input sums
+its products and deletes the faint keys after the scan.  Two builds skip
+that amplitude scan and prune inline:
 
 * ``measure`` scales each outcome's bucket, a dict it built itself, in place
   into the residual; each amplitude a goes to a/sqrt(p) with |a|^2 <= p, so
@@ -39,9 +40,9 @@ the transfer gadget's internal sign, the ``oracle`` entangling phase of
 ``cnot_logical`` and ``toffoli_logical`` moves amplitudes to distinct keys.
 An input state is already pruned and finite, and none of the three changes
 a modulus.  No stored amplitude has a -0.0 part: every build adds ``+ 0j``
-or, as the transform does for a shared class, sums each amplitude from
-``0j``, and no addition to +0.0 gives -0.0; a negation writes ``-a + 0j`` to
-keep it so.
+or, as the transform does unless every class is lone, sums each amplitude
+from ``0j``, and no addition to +0.0 gives -0.0; a negation writes
+``-a + 0j`` to keep it so.
 
 Float sums run strictly left to right, through ``_sum_in_order`` or, where
 a call per sum costs too much (``measure``'s outcome probabilities), an
@@ -61,9 +62,7 @@ never edited, so threads share it without a lock.
 
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
 import math
 import operator
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -167,8 +166,8 @@ class SparseState:
         each on a dict it built itself: ``measure`` while it scales each
         bucket in place, because a helper call per residual costs a teleport
         about a tenth of its time, and the transform by never storing a
-        faint product of a term alone in its class and by deleting, after
-        this finiteness check, the faint keys that shared classes sum to.
+        faint product when every term is alone in its class and otherwise by
+        deleting the faint keys after this finiteness check.
         What holds them to it: ``check_state`` in ``tests/invariants.py`` on
         every output, the pinned sha256 digests of their bits in dict order,
         and one reference each in ``test_fock``, the permanent formula for
@@ -279,9 +278,9 @@ class SparseState:
         sub_of = _picker(mlist)
         # An output key is its sub-occupation then the input key's tail when
         # the transformed modes lead in order (the teleport and CZ Fourier
-        # mixing); any other layout writes each product's counts into one
-        # list copy of the input key, whose transformed entries every product
-        # overwrites.  Each layout has its own product loop.
+        # mixing).  The general loop, which any layout can take, writes each
+        # product's counts into one list copy of the input key, whose
+        # transformed entries every product overwrites.
         leading = mlist == list(range(n_sub))
 
         # Terms that share a sub-occupation share its expansion, so each
@@ -293,42 +292,32 @@ class SparseState:
         expanded = False
         terms = self.terms
         out: dict[Occupation, complex] = {}
-        # Whether some output key may be written more than once, and so
-        # needs the faint-key pass below.
-        shared = not leading
+        # A term's class is its photon total on the transformed modes and
+        # its tail.  The transform keeps the total, so only terms of one
+        # class can write the same output key, and one term's products have
+        # distinct keys.  When every term on leading modes is alone in its
+        # class, each product is written once, pruned as it is written, and
+        # no faint-key pass runs; any other input adds up from 0j.
+        lone = False
         if leading:
-            # A term's class is its photon total on the transformed modes
-            # and its tail: the transform keeps the total, so only terms of
-            # one class can write the same output key, and one term's
-            # products have distinct keys.  A term alone in its class
-            # writes each product once, pruned as it is written; the others
-            # add up from 0j as the placed-keys layout does.
             subs = list(map(sub_of, terms))
             tails = list(map(operator.itemgetter(slice(n_sub, None)), terms))
             classes = list(zip(map(sum, subs), tails))
-            lone = itertools.repeat(True)
-            if len(set(classes)) < len(classes):
-                counts = collections.Counter(classes)
-                lone = [counts[c] == 1 for c in classes]
-                shared = True
-            for a, sub, rest, alone in zip(terms.values(), subs, tails, lone):
+            lone = len(set(classes)) == len(classes)
+        if lone:
+            for a, sub, rest in zip(terms.values(), subs, tails):
                 expansion = expansions.get(sub)
                 if expansion is None:
                     expansion = expansions[sub] = _expand(sub, matrix)
                     expanded = True
                 root_in, products = expansion
                 base = a / root_in
-                if alone:
-                    # NaN and inf fail the comparison and so reach the
-                    # finiteness scan; ``+ 0j`` is the 0j the sum starts at.
-                    for key, coeff, root_out in products:
-                        v = base * coeff * root_out
-                        if not abs(v) < PRUNE_TOLERANCE:
-                            out[key + rest] = v + 0j
-                else:
-                    for key, coeff, root_out in products:
-                        full = key + rest
-                        out[full] = out.get(full, 0j) + base * coeff * root_out
+                # NaN and inf fail the comparison and so reach the
+                # finiteness scan; ``+ 0j`` is the 0j a sum starts at.
+                for key, coeff, root_out in products:
+                    v = base * coeff * root_out
+                    if not abs(v) < PRUNE_TOLERANCE:
+                        out[key + rest] = v + 0j
         else:
             for occ, a in terms.items():
                 sub = sub_of(occ)
@@ -352,7 +341,7 @@ class SparseState:
         # no bit.
         if not math.isfinite(sum(map(abs, out.values()))):
             raise InvalidState("an operation produced a non-finite amplitude")
-        if shared:
+        if not lone:
             faint = [full for full, a in out.items() if abs(a) < PRUNE_TOLERANCE]
             for full in faint:
                 del out[full]
@@ -380,19 +369,17 @@ class SparseState:
         outcome_of, residual_of = _picker(mlist), _picker(keep)
 
         # An occupation is its outcome plus its residual key, so each key
-        # lands in its bucket once; a bucket is made with its first entry.
+        # lands in its bucket once.
         grouped: dict[Occupation, dict[Occupation, complex]] = {}
         for occ, a in self.terms.items():
             outcome = outcome_of(occ)
             bucket = grouped.get(outcome)
             if bucket is None:
-                grouped[outcome] = {residual_of(occ): a}
-            else:
-                bucket[residual_of(occ)] = a
+                bucket = grouped[outcome] = {}
+            bucket[residual_of(occ)] = a
 
         results: list[MeasurementOutcome] = []
-        for outcome in sorted(grouped):
-            bucket = grouped[outcome]
+        for outcome, bucket in sorted(grouped.items()):
             prob = 0.0  # summed left to right, as _sum_in_order does
             try:
                 for a in bucket.values():
@@ -406,18 +393,15 @@ class SparseState:
             # The bucket is this call's own dict, so it becomes the residual
             # in place.  |a| * scale <= 1, so it needs no finiteness scan.
             scale = 1.0 / math.sqrt(prob)
-            faint = None  # made only for a residual that has a faint amplitude
+            faint = []
             for k, a in bucket.items():
                 b = a * scale
                 if abs(b) >= PRUNE_TOLERANCE:
                     bucket[k] = b + 0j
-                elif faint is None:
-                    faint = [k]
                 else:
                     faint.append(k)
-            if faint:
-                for k in faint:
-                    del bucket[k]
+            for k in faint:
+                del bucket[k]
             # tuple.__new__ skips the named tuple's Python-level __new__.
             row = (outcome, prob, _state(len(keep), bucket))
             results.append(tuple.__new__(MeasurementOutcome, row))

@@ -397,8 +397,9 @@ def leading_classes(state, n_sub):
 
 
 def test_transform_of_lone_and_shared_classes_matches_the_permanent_formula():
-    # On leading modes a term alone in its class writes each product once,
-    # pruned as it is written; terms of a shared class add up first.  Here
+    # On leading modes an input whose terms are all alone in their classes
+    # writes each product once, pruned as it is written; an input with a
+    # shared class adds every product up first.  Here
     # |1,1,0> is alone and cancels at |1,1,0> on a balanced beamsplitter,
     # and |1,0,1> and |0,1,1> share a class and cancel at |1,0,1>.
     half = beamsplitter_matrix(INV_SQRT2)
@@ -409,6 +410,13 @@ def test_transform_of_lone_and_shared_classes_matches_the_permanent_formula():
     check_state(out)
     assert (1, 1, 0) not in out.terms and (1, 0, 1) not in out.terms
     assert_matches_reference(state, [0, 1], half)
+    # With every class lone, the Hong-Ou-Mandel zero at |1,1,0> is never
+    # stored.
+    hom = SparseState(3, {(1, 1, 0): 1.0, (0, 1, 1): 0.5})
+    out = hom.apply_linear_transform([0, 1], half)
+    check_state(out)
+    assert (1, 1, 0) not in out.terms
+    assert_matches_reference(hom, [0, 1], half)
     # A lone term's product formed as -1 - 0j is written as -1 + 0j.
     lone = SparseState(3, {(1, 0, 0): -1j})
     out = lone.apply_linear_transform([0, 1], [[1.0, -1j], [1.0, 1.0]])
@@ -429,9 +437,9 @@ def test_transform_of_lone_and_shared_classes_matches_the_permanent_formula():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308], ids=["nan", "inf", "1e308"])
 def test_transform_refuses_a_non_finite_product_of_a_lone_class(bad):
-    # The term at (1, 1 | 2) is alone in its class on modes [0, 1], so its
-    # products are written as they are formed: NaN and inf pass the prune's
-    # comparison and reach the finiteness scan.
+    # Every term is alone in its class on modes [0, 1], so the products are
+    # written as they are formed: NaN and inf pass the prune's comparison
+    # and reach the finiteness scan.
     state = SparseState(3, {(1, 0, 0): 0.6, (0, 1, 0): 0.8})
     state.terms[(1, 1, 2)] = complex(bad)
     assert len(set(leading_classes(state, 2))) == 2

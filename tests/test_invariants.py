@@ -94,8 +94,9 @@ OPERATIONS = {
             s.apply_linear_transform(range(s.modes), qft_matrix(s.modes)),
         )
     ],
-    # Leading modes with a tail: terms alone in their (photon total, tail)
-    # class and terms that share one take different product loops.
+    # Leading modes with a tail: an input whose terms are each alone in
+    # their (photon total, tail) class and one with a shared class take
+    # different product loops.
     "apply_linear_transform-leading": lambda: [
         s.apply_linear_transform([0, 1], MATRIX) for s in INPUTS if s.modes >= 3
     ],

@@ -821,10 +821,10 @@ def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_fourier_inputs_hold_one_term_per_class(n, monkeypatch):
-    # The transform writes each product of a term alone in its class (its
-    # photon total on the Fourier modes and its y counts) once, with no
-    # faint-key pass; that holds for every term of the teleport's and both
-    # CZ sides' inputs.  The transform is stubbed out and the size guard
+    # The transform writes each product once, with no faint-key pass, only
+    # when every input term is alone in its class (its photon total on the
+    # Fourier modes and its y counts); that holds for the teleport's and
+    # both CZ sides' inputs.  The transform is stubbed out and the size guard
     # lifted, so the CZ runs at n=6..8 too, in no time.
     inputs = []
 
