@@ -15,9 +15,11 @@ from loqc_ancilla import (
     InputQubit,
     InvalidState,
     OutOfRange,
+    PhaseMethod,
     ShapeMismatch,
     SparseState,
     apply_qft,
+    build_entangled_pair,
     cz_via_double_teleportation,
     direct_oracle_pair,
     direct_oracle_single,
@@ -39,7 +41,7 @@ from loqc_ancilla.teleport import (
     qft_matrix,
     success_probability,
 )
-from conftest import exact_terms, poly_two_mode_image, random_qubit, random_state
+from conftest import digest, exact_terms, poly_two_mode_image, random_qubit, random_state
 
 # The package re-exports the function ``teleport`` under the module's name.
 teleport_module = sys.modules["loqc_ancilla.teleport"]
@@ -630,6 +632,56 @@ def test_signed_profile_cz_like_its_moduli(values):
         for a, b in zip(got.branches, want.branches):
             assert a.probability == pytest.approx(b.probability, abs=1e-12)
             assert abs(a.fidelity - b.fidelity) <= 1e-12
+
+
+# sha256 of every output of the sweep below: the totals, the smallest
+# fidelity, every branch in order and the output's terms in dict order.
+CZ_SWEEP_DIGEST = "298674eaad8035ac2d67592e893fb41c85aec4c417279ff911a12f28ea174f9d"
+
+
+def test_cz_outputs_match_their_pinned_digest():
+    # n = 1..4: oracle pairs of constant, signed and random profiles, and
+    # parity-built pairs of the two non-negative ones (the transfers realize
+    # no signed weight), each with two random and two basis qubit pairs.
+    rng = random.Random(2800)
+    zero, one = InputQubit.zero(), InputQubit.one()
+    basis = [(zero, zero), (zero, one), (one, zero), (one, one)]
+    results = []
+    for n in (1, 2, 3, 4):
+        pairs = []
+        for kind in ("constant", "signed", "random"):
+            values = [1.0] * (n + 1)
+            if kind != "constant":
+                values = [rng.uniform(0.1, 1.0) for _ in range(n + 1)]
+            if kind == "signed":
+                values = [v * rng.choice((-1, 1)) for v in values]
+                values[0], values[1] = abs(values[0]), -abs(values[1])
+            profile = AmplitudeProfile.from_values(values)
+            pairs.append(direct_oracle_pair(n, profile))
+            if kind != "signed":
+                pairs.append(build_entangled_pair(n, profile, PhaseMethod.PARITY_ANCILLA))
+        for a, pair in enumerate(pairs):
+            qubits = [(random_qubit(rng), random_qubit(rng)) for _ in range(2)]
+            for qa, qb in qubits + [basis[2 * a % 4], basis[(2 * a + 1) % 4]]:
+                r = cz_via_double_teleportation(qa, qb, pair, n)
+                out = None if r.output_qubits is None else exact_terms(r.output_qubits)
+                results.append(
+                    (r.success_probability, r.failure_probability, r.min_fidelity, r.branches, out)
+                )
+    assert len(results) == 80
+    assert digest(results) == CZ_SWEEP_DIGEST
+
+
+def test_cz_through_an_empty_pair_keeps_no_branch():
+    # n = 0: each side's one total k = 0 fails, so nothing is kept.  The
+    # failure total is summed per term, in output order, to 1 - 4 ulp.
+    result = cz_via_double_teleportation(
+        InputQubit.plus(), InputQubit.plus(), SparseState(0, {(): 1.0}), 0
+    )
+    assert result.success_probability == 0.0
+    assert result.failure_probability == 0.9999999999999996
+    assert result.min_fidelity is None and result.output_qubits is None
+    assert result.branches == ()
 
 
 def test_success_plus_failure_is_one():
