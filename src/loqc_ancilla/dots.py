@@ -193,26 +193,18 @@ def rabi(
         raise DotOutOfRange("Rabi coupling needs two distinct dots")
     c, s = math.cos(theta), math.sin(theta)
     terms: dict[Occupation, complex] = {}
-
-    def add(key: Occupation, amp: complex) -> None:
-        terms[key] = terms.get(key, 0j) + amp
-
     for occ, a in state.terms.items():
         ci, cj = occ[dot_i], occ[dot_j]
         if ci > 1 or cj > 1:
             raise BlockadeViolation(f"double occupancy in term {occ}")
         if ci + cj != 1 or (only_if is not None and not occ[only_if]):
-            add(occ, a)
+            terms[occ] = terms.get(occ, 0j) + a
             continue
         swapped = list(occ)
         swapped[dot_i], swapped[dot_j] = cj, ci
         swapped = tuple(swapped)
-        if ci == 1:
-            add(occ, a * c)
-            add(swapped, a * s)
-        else:
-            add(occ, a * c)
-            add(swapped, -a * s)
+        terms[occ] = terms.get(occ, 0j) + a * c
+        terms[swapped] = terms.get(swapped, 0j) + (a * s if ci else -a * s)
     return state._like(terms)
 
 

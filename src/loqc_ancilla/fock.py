@@ -25,8 +25,9 @@ that amplitude scan and prune inline:
 * ``measure`` scales each outcome's bucket, a dict it built itself, in place
   into the residual; each amplitude a goes to a/sqrt(p) with |a|^2 <= p, so
   every one stays within 1.
-* the CZ's weighted join of its two corrected sides refuses, before it
-  starts, pair weights large enough for a product to overflow.
+* the CZ's weighted join of its two corrected sides: each product is at
+  most n+1 times a pair weight, and the CZ refuses, before either of its
+  transforms, a pair weight whose |w|^2 overflows.
 
 The KLM feedforward (``teleport._feedforward``) needs no prune of its own:
 it moves and negates the input terms of the Fourier transform exactly, and
@@ -172,8 +173,7 @@ class SparseState:
         every output, the pinned sha256 digests of their bits in dict order,
         and one reference each in ``test_fock``, the permanent formula for
         the transform and the enumerating ``reference_measure``."""
-        if not math.isfinite(sum(map(abs, terms.values()))):
-            raise InvalidState("an operation produced a non-finite amplitude")
+        _require_finite(terms.values())
         return _state(
             self.modes if modes is None else modes,
             {occ: a + 0j for occ, a in terms.items() if abs(a) >= PRUNE_TOLERANCE},
@@ -314,10 +314,14 @@ class SparseState:
                 base = a / root_in
                 # NaN and inf fail the comparison and so reach the
                 # finiteness scan; ``+ 0j`` is the 0j a sum starts at.
-                for key, coeff, root_out in products:
-                    v = base * coeff * root_out
-                    if not abs(v) < PRUNE_TOLERANCE:
-                        out[key + rest] = v + 0j
+                try:
+                    for key, coeff, root_out in products:
+                        v = base * coeff * root_out
+                        if not abs(v) < PRUNE_TOLERANCE:
+                            out[key + rest] = v + 0j
+                except OverflowError:  # finite parts, modulus past the float range
+                    out[key + rest] = complex(math.inf)  # for the scan to refuse
+                    break
         else:
             for occ, a in terms.items():
                 sub = sub_of(occ)
@@ -339,8 +343,7 @@ class SparseState:
         # value is a sum started at 0j, or a lone product plus 0j, which no
         # addition turns into -0.0, so the ``+ 0j`` of ``_like`` would change
         # no bit.
-        if not math.isfinite(sum(map(abs, out.values()))):
-            raise InvalidState("an operation produced a non-finite amplitude")
+        _require_finite(out.values())
         if not lone:
             faint = [full for full, a in out.items() if abs(a) < PRUNE_TOLERANCE]
             for full in faint:
@@ -525,6 +528,17 @@ def _state(modes: int, terms: dict[Occupation, complex]) -> SparseState:
     out.modes = modes
     out.terms = terms
     return out
+
+
+def _require_finite(amplitudes: Iterable[complex]) -> None:
+    """Refuse, as ``InvalidState``, an amplitude with a NaN or infinite part
+    or with finite parts whose modulus passes the float range."""
+    try:
+        total = sum(map(abs, amplitudes))
+    except OverflowError:  # ``abs`` of finite parts past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise InvalidState("an operation produced a non-finite amplitude")
 
 
 def _negated(state: SparseState, keys: Iterable[Occupation]) -> SparseState:

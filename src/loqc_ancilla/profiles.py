@@ -79,7 +79,7 @@ class AmplitudeProfile:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "AmplitudeProfile":
-        return cls(len(values) - 1, tuple(float(v) for v in values))
+        return cls(len(values) - 1, values)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AmplitudeProfile":

@@ -308,20 +308,19 @@ def _ideal_cz_residual(
     return _negated(joint, [occ for occ in joint.terms if occ[k - 1] and occ[n + kp - 1]])
 
 
-# One side's success terms by register weight j, then by (k, b): its photon
-# total and whether y mode k-1 holds the qubit's photon.
-_SideGroups = list[dict[tuple[int, int], list[tuple[Occupation, complex]]]]
-
-
 def _corrected_side(
     qubit: InputQubit, register: SparseState, n: int, flips: list[int]
-) -> tuple[_SideGroups, tuple[list[float], list[float]]]:
-    """Mix and correct one CZ side (``_feedforward``) and group its terms.
+) -> tuple[list[tuple[int, int, int, list]], tuple[list[float], list[float]]]:
+    """Mix and correct one CZ side (``_feedforward``) and split its terms.
 
-    Returns the success terms grouped as ``_SideGroups`` and, per weight j,
-    the masses sum |s|^2 of all its terms and of its failing ones.
+    A term's y modes show its register weight j and its Fourier modes its
+    photon total k, so a success term (k in 1..n) holds the qubit's photon
+    b = k - j, which is also whether y mode k-1 is occupied.  Returns the
+    success terms as cells (j, k, b, terms), ordered by j and then b, and,
+    per weight j, the masses sum |s|^2 of all its terms and of its failing
+    ones, each summed in output order.
     """
-    groups: _SideGroups = [{} for _ in range(n + 1)]
+    halves: list[tuple[list, list]] = [([], []) for _ in range(n + 1)]
     every: list[list[float]] = [[] for _ in range(n + 1)]
     failed: list[list[float]] = [[] for _ in range(n + 1)]
     for key, s in _feedforward(qubit, register, n, flips).terms.items():
@@ -329,19 +328,16 @@ def _corrected_side(
         j = n - sum(key[n + 1 :])
         mass = abs(s) ** 2
         every[j].append(mass)
-        if not 1 <= k <= n:
+        if 1 <= k <= n:
+            halves[j][k - j].append((key, s))
+        else:
             failed[j].append(mass)
-            continue
-        occupied = key[n + k]  # y mode k-1
-        part = groups[j].get((k, occupied))
-        if part is None:
-            part = groups[j][k, occupied] = []
-        part.append((key, s))
-    return groups, ([_sum_in_order(m) for m in every], [_sum_in_order(m) for m in failed])
+    cells = [(j, j + b, b, t) for j, half in enumerate(halves) for b, t in enumerate(half) if t]
+    return cells, ([_sum_in_order(m) for m in every], [_sum_in_order(m) for m in failed])
 
 
 def _cz_totals(
-    weights: list[list[complex]],
+    pair_mass: list[list[float]],
     masses1: tuple[list[float], list[float]],
     masses2: tuple[list[float], list[float]],
 ) -> tuple[float, float]:
@@ -356,10 +352,6 @@ def _cz_totals(
     (every1, failed1), (every2, failed2) = masses1, masses2
     kept1 = [t - f for t, f in zip(every1, failed1)]
     kept2 = [t - f for t, f in zip(every2, failed2)]
-    try:
-        pair_mass = [[abs(w) ** 2 for w in row] for row in weights]
-    except OverflowError:  # a modulus squared past the float range
-        pair_mass = [[math.inf] * len(row) for row in weights]
     success = _sum_in_order(
         m * kept1[j] * kept2[jp]
         for j, row in enumerate(pair_mass)
@@ -370,8 +362,6 @@ def _cz_totals(
         for j, row in enumerate(pair_mass)
         for jp, m in enumerate(row)
     )
-    # Each side has mass T(j) > 0 at every weight, so an infinite |w|^2
-    # leaves an inf or NaN term in a total.
     if not math.isfinite(success + failure):
         raise InvalidState("pair ancilla weights give a norm^2 past the float range")
     return success, failure
@@ -389,18 +379,20 @@ def cz_via_double_teleportation(
     product of the two sides' success terms (both photon totals in 1..n)
     with each term reweighted by the pair's amplitude w(j, j') at the
     registers' weights, read off the y halves (j = n - |y|).  No sum is
-    lost: a side's output key fixes its register weight, and its photon
-    total then fixes the qubit count, so each joint key has one product
-    s1 s2 w(j, j').  The join also applies the cross corrections, pi*k' on
-    the unprimed output and pi*k on the primed one, as exact negations.
-    Measuring the joint state then yields exactly the kept branches, already
-    corrected; each is the controlled-sign image of the input product state.
+    lost: a side's output key fixes its register weight j, and its photon
+    total k then fixes its qubit photon b = k - j, so each joint key has one
+    product s1 s2 w(j, j').  The join runs over the sides' (j, k, b) cells
+    and applies the cross corrections, pi*k' on the unprimed output and
+    pi*k on the primed one, as exact negations.  Measuring the joint state
+    then yields exactly the kept branches, already corrected; each is the
+    controlled-sign image of the input product state.
 
     Failing terms never enter the joint state: the success and failure
     totals come from the sides' masses per weight (``_cz_totals``).  An
     ancilla with a term off the register patterns (j, j') raises
-    ``ShapeMismatch``, and one with weights large enough to overflow the
-    join or its totals ``InvalidState``.
+    ``ShapeMismatch`` and one with a weight whose |w|^2 overflows
+    ``InvalidState``, both before either transform; one whose totals pass
+    the float range raises ``InvalidState`` after them.
     """
     if ancilla_pair.modes != 4 * n:
         raise ShapeMismatch(
@@ -410,41 +402,37 @@ def cz_via_double_teleportation(
     patterns = [pair_pattern(n, j, jp) for j in range(n + 1) for jp in range(n + 1)]
     flat = _pattern_weights(ancilla_pair, patterns, "pair ancilla", n)
     weights = [flat[j * (n + 1) : (j + 1) * (n + 1)] for j in range(n + 1)]
-    # Each side has norm^2 n+1, so |s1 s2| <= n+1, and each part of s1 s2 w
-    # adds two products of at most (n+1) times w's largest part.  Under the
-    # bound below (2 for the sum, 2 for rounding and the modulus) no part
-    # overflows to inf, or to NaN as inf - inf, which the join's prune would
-    # drop silently.
-    peak = max(max(abs(w.real), abs(w.imag)) for row in weights for w in row)
-    if not math.isfinite(4 * (n + 1) * peak):
-        raise InvalidState(f"pair ancilla amplitude parts up to {peak} overflow the join")
+    # Each side has norm^2 n+1, so |s1 s2| <= n+1: a finite |w|^2 bounds
+    # every joined product s1 s2 w, each part included, far below inf.
+    try:
+        pair_mass = [[abs(w) ** 2 for w in row] for row in weights]
+    except OverflowError:  # a modulus or its square past the float range
+        raise InvalidState("pair ancilla weights have a |w|^2 past the float range") from None
     # Both sides share the profile; read its signs off the row j' whose
     # diagonal amplitude f(j')^2 is largest, undoing the (-1)^(j j') factor.
     row = max(range(n + 1), key=lambda j: abs(weights[j][j]))
     flips = _sign_flips([weights[j][row] * (-1) ** (j * row) for j in range(n + 1)])
 
     register = SparseState(2 * n, {single_register_pattern(n, j): 1.0 for j in range(n + 1)})
-    groups1, masses1 = _corrected_side(q, register, n, flips)
-    groups2, masses2 = _corrected_side(qp, register, n, flips)
-    total_success, total_failure = _cz_totals(weights, masses1, masses2)
+    cells1, masses1 = _corrected_side(q, register, n, flips)
+    cells2, masses2 = _corrected_side(qp, register, n, flips)
+    total_success, total_failure = _cz_totals(pair_mass, masses1, masses2)
 
     # The cross corrections, pi*k' on y mode k-1 when b1 and pi*k on y' mode
-    # k'-1 when b2, give each pair of groups one sign.  Negating w negates
+    # k'-1 when b2, give each pair of cells one sign.  Negating w negates
     # each product exactly, as -a would.
     terms: dict[Occupation, complex] = {}
-    for j, parts1 in enumerate(groups1):
-        for jp, parts2 in enumerate(groups2):
+    for j, k, b1, part1 in cells1:
+        for jp, kp, b2, part2 in cells2:
             w = weights[j][jp]
             if not w:
                 continue
-            for (k, b1), part1 in parts1.items():
-                for (kp, b2), part2 in parts2.items():
-                    v = -w if (b1 * kp + b2 * k) % 2 else w
-                    for key1, s1 in part1:
-                        for key2, s2 in part2:
-                            a = s1 * s2 * v
-                            if abs(a) >= PRUNE_TOLERANCE:
-                                terms[key1 + key2] = a + 0j
+            v = -w if (b1 * kp + b2 * k) % 2 else w
+            for key1, s1 in part1:
+                for key2, s2 in part2:
+                    a = s1 * s2 * v
+                    if abs(a) >= PRUNE_TOLERANCE:
+                        terms[key1 + key2] = a + 0j
     # Modes [q, x, y, q', x', y']: measuring both Fourier blocks leaves the
     # corrected residual on [y, y'] and the counts as side 1 then side 2.
     joint = _state(4 * n + 2, terms)

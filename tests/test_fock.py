@@ -589,6 +589,24 @@ def test_transform_still_refuses_a_non_finite_output(bad):
             state.apply_linear_transform(modes, matrix)
 
 
+def test_an_amplitude_whose_modulus_passes_the_float_range_is_refused():
+    # Finite parts whose modulus passes the float range make ``abs`` raise a
+    # bare OverflowError; the transform, on either loop, and ``_like``, so
+    # ``tensor``, refuse them as InvalidState, as the constructor does.
+    state = SparseState(2, {(1, 0): 1.5e308})
+    for modes in ([0, 1], [1, 0]):  # the write-once loop, then the general one
+        with pytest.raises(InvalidState, match="non-finite"):
+            state.apply_linear_transform(modes, [[1 + 1j, 0], [0, 1 + 1j]])
+    big = SparseState(1, {(0,): 1.5e200 + 1.5e200j})
+    with pytest.raises(InvalidState, match="non-finite"):
+        big.tensor(SparseState(1, {(0,): 1e108}))
+    # Parts of 1.3e308 each: finite, with a modulus of 1.84e308.
+    a, b = SparseState(1, {(1,): 1e154 + 1e154j}), SparseState(1, {(0,): 1.3e154})
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(InvalidState, match="non-finite"):
+            left.tensor(right)
+
+
 # ----------------------------------------------------------------------
 # expansion memo
 # ----------------------------------------------------------------------

@@ -194,12 +194,14 @@ def test_inputs_hold_signed_zeros_counts_to_20_and_an_exact_cancellation():
         (2, {(1, 0): 1.0}),
         (2, {(1, 0): complex(math.nan, 0.0)}),
         (2, {(1, 0): complex(0.0, math.inf)}),
+        (2, {(1, 0): complex(1.5e308, 1.5e308)}),
         (2, {(1, 0): 9e-13 + 0j}),
         (2, {(1, 0): complex(-0.0, 1.0)}),
         (2, {(1, 0): complex(1.0, -0.0)}),
     ],
     ids=["float-modes", "short-key", "negative-count", "bool-count", "float-count",
-         "float-amplitude", "nan", "inf", "faint", "negative-zero-real", "negative-zero-imag"],
+         "float-amplitude", "nan", "inf", "modulus-overflow", "faint", "negative-zero-real",
+         "negative-zero-imag"],
 )
 def test_check_state_refuses_each_broken_promise(modes, terms):
     state = SparseState(2)

@@ -40,11 +40,18 @@ def test_profile_validation():
     for n in (2.5, True, "2", math.nan):
         with pytest.raises(InvalidProfile, match="is not an integer"):
             AmplitudeProfile(n, (1, 1, 1))
-    for value in (True, "1", b"1", 1j, None):
+    # from_values passes its values to the constructor as given, so it
+    # refuses what the constructor refuses, and an int loads as its float.
+    for value in (True, "1", "0.5", b"1", 1j, None):
         with pytest.raises(InvalidProfile, match="are not all numbers"):
             AmplitudeProfile(1, (value, 1.0))
+        with pytest.raises(InvalidProfile, match="are not all numbers"):
+            AmplitudeProfile.from_values([value, 1])
     with pytest.raises(InvalidProfile, match="must be finite"):
         AmplitudeProfile(1, (10**400, 1))
+    with pytest.raises(InvalidProfile, match="must be finite"):
+        AmplitudeProfile.from_values([10**400, 1])
+    assert AmplitudeProfile.from_values([3, 4]).f == AmplitudeProfile.from_values([3.0, 4.0]).f
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-170, 5e-324])

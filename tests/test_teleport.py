@@ -922,16 +922,23 @@ def test_cz_refuses_an_ancilla_past_the_float_range_as_before(monkeypatch):
             route(InputQubit.plus(), InputQubit.plus(), big, n)
     # Complex weights near 1e308: a part of s1 s2 w adds two products that
     # may each overflow, and inf - inf is a NaN the join's prune would drop.
-    # The full-state route refuses inside its transforms, the join up front.
+    # The full-state route refuses inside its transforms.
     n = 2
     w = complex(1e308, -1e308)
-    big = SparseState(4 * n, {pair_pattern(n, j, jp): w for j in range(3) for jp in range(3)})
+    huge = SparseState(4 * n, {pair_pattern(n, j, jp): w for j in range(3) for jp in range(3)})
     with pytest.raises(InvalidState, match="non-finite amplitude"):
-        reference_joint_state_cz(InputQubit.plus(), InputQubit.of(0.6, 0.8j), big, n)
+        reference_joint_state_cz(InputQubit.plus(), InputQubit.of(0.6, 0.8j), huge, n)
+    # Weights of 1e154 have a finite |w|^2, 1e308, whose totals overflow:
+    # the package refuses them after its transforms, as the parent did.
+    edge = SparseState(4, {pair_pattern(1, j, jp): 1e154 for j in (0, 1) for jp in (0, 1)})
+    with pytest.raises(InvalidState, match=r"give a norm\^2 past the float range"):
+        cz_via_double_teleportation(InputQubit.plus(), InputQubit.plus(), edge, 1)
 
+    # The package refuses both up front, on |w|^2, before either transform.
     def no_transform(state, modes):
         raise AssertionError("the ancilla should be refused before any work")
 
     monkeypatch.setattr(teleport_module, "apply_qft", no_transform)
-    with pytest.raises(InvalidState, match=r"parts up to 1e\+308 overflow the join"):
-        cz_via_double_teleportation(InputQubit.plus(), InputQubit.of(0.6, 0.8j), big, n)
+    for pair, n, qb in ((big, 1, InputQubit.plus()), (huge, 2, InputQubit.of(0.6, 0.8j))):
+        with pytest.raises(InvalidState, match=r"weights have a \|w\|\^2 past the float range"):
+            cz_via_double_teleportation(InputQubit.plus(), qb, pair, n)
