@@ -928,8 +928,8 @@ def test_cz_refuses_an_ancilla_past_the_float_range_as_before(monkeypatch):
     huge = SparseState(4 * n, {pair_pattern(n, j, jp): w for j in range(3) for jp in range(3)})
     with pytest.raises(InvalidState, match="non-finite amplitude"):
         reference_joint_state_cz(InputQubit.plus(), InputQubit.of(0.6, 0.8j), huge, n)
-    # Weights of 1e154 have a finite |w|^2, 1e308, whose totals overflow:
-    # the package refuses them after its transforms, as the parent did.
+    # Weights of 1e154 have a finite |w|^2, 1e308, but their totals
+    # overflow: the totals check refuses them, after the transforms.
     edge = SparseState(4, {pair_pattern(1, j, jp): 1e154 for j in (0, 1) for jp in (0, 1)})
     with pytest.raises(InvalidState, match=r"give a norm\^2 past the float range"):
         cz_via_double_teleportation(InputQubit.plus(), InputQubit.plus(), edge, 1)
