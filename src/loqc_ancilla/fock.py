@@ -22,12 +22,15 @@ exact zeros of Fourier interference are never stored; any other input sums
 its products and deletes the faint keys after the scan.  Two builds skip
 that amplitude scan and prune inline:
 
-* ``measure`` scales each outcome's bucket, a dict it built itself, in place
-  into the residual; each amplitude a goes to a/sqrt(p) with |a|^2 <= p, so
-  every one stays within 1.
-* the CZ's weighted join of its two corrected sides: each product is at
-  most n+1 times a pair weight, and the CZ refuses, before either of its
-  transforms, a pair weight whose |w|^2 overflows.
+* ``measure`` groups the terms by outcome into buckets, dicts it builds
+  itself, each made with its first entry, whose equal residual keys are
+  one shared tuple across all outcomes.  It scales each bucket in place
+  into the residual; each amplitude a goes to a/sqrt(p) with |a|^2 <= p,
+  so every one stays within 1.
+* the CZ's weighted join of its two corrected sides, keyed by each side's
+  Fourier counts and then both qubit photons (modes [c, c', b, b']): each
+  product is at most n+1 times a pair weight, and the CZ refuses, before
+  either of its transforms, a pair weight whose |w|^2 overflows.
 
 The KLM feedforward (``teleport._feedforward``) needs no prune of its own:
 it moves and negates the input terms of the Fourier transform exactly, and
@@ -372,17 +375,23 @@ class SparseState:
         outcome_of, residual_of = _picker(mlist), _picker(keep)
 
         # An occupation is its outcome plus its residual key, so each key
-        # lands in its bucket once.
+        # lands in its bucket once.  Equal residual keys share one tuple, so
+        # the residuals hold each distinct key once, not once per outcome.
         grouped: dict[Occupation, dict[Occupation, complex]] = {}
+        shared: dict[Occupation, Occupation] = {}
         for occ, a in self.terms.items():
             outcome = outcome_of(occ)
+            rest = residual_of(occ)
+            rest = shared.setdefault(rest, rest)
             bucket = grouped.get(outcome)
             if bucket is None:
-                bucket = grouped[outcome] = {}
-            bucket[residual_of(occ)] = a
+                grouped[outcome] = {rest: a}
+            else:
+                bucket[rest] = a
 
         results: list[MeasurementOutcome] = []
-        for outcome, bucket in sorted(grouped.items()):
+        for outcome in sorted(grouped):
+            bucket = grouped[outcome]
             prob = 0.0  # summed left to right, as _sum_in_order does
             try:
                 for a in bucket.values():
@@ -396,15 +405,18 @@ class SparseState:
             # The bucket is this call's own dict, so it becomes the residual
             # in place.  |a| * scale <= 1, so it needs no finiteness scan.
             scale = 1.0 / math.sqrt(prob)
-            faint = []
+            faint = None
             for k, a in bucket.items():
                 b = a * scale
                 if abs(b) >= PRUNE_TOLERANCE:
                     bucket[k] = b + 0j
+                elif faint is None:
+                    faint = [k]
                 else:
                     faint.append(k)
-            for k in faint:
-                del bucket[k]
+            if faint is not None:
+                for k in faint:
+                    del bucket[k]
             # tuple.__new__ skips the named tuple's Python-level __new__.
             row = (outcome, prob, _state(len(keep), bucket))
             results.append(tuple.__new__(MeasurementOutcome, row))

@@ -30,8 +30,11 @@ w(j, j').  The two Fourier transforms never see the pair: each side mixes
 its qubit with a unit-weight single register on its own 2n+1 modes and is
 corrected by the same ``_feedforward``.  Only success terms are joined,
 each product weighted by w(j, j') at the register weights its y modes show
-and negated exactly for the cross corrections, so measuring the joint state
-yields exactly the kept branches.  The success and failure totals come from
+and negated exactly for the cross corrections.  The joint state keeps each
+side's Fourier counts c and its qubit photon b, which within one measured
+total fixes the register weight, on modes [c, c', b, b'], so measuring
+both count blocks yields exactly the kept branches with the corrected
+qubit pair as each residual.  The success and failure totals come from
 each side's mass per register weight, not from the branches.
 
 Both routes enumerate every measurement outcome, so they refuse sizes whose
@@ -61,8 +64,9 @@ from .fock import (
 from .pipeline import pair_pattern, single_register_pattern
 
 # Measurement outcomes one call may enumerate.  It admits the CZ up to n=5
-# (about 1.7 s and 0.4 GB per call on |+> inputs) and teleport up to n=10;
-# the CZ at n=6 and teleport from n=11 would run for minutes to hours.
+# (``czgate --n 5``, its four basis inputs in one process: about 5 s and
+# 0.17 GB peak RSS on a 2-vCPU Xeon VM, CPython 3.11) and teleport up to
+# n=10; the CZ at n=6 and teleport from n=11 would run for minutes to hours.
 OUTCOMES_GUARD = 1e6
 
 
@@ -249,13 +253,15 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
     _check_cost(n, 1)
     patterns = [single_register_pattern(n, j) for j in range(n + 1)]
     weights = _pattern_weights(ancilla, patterns, "ancilla", n)
-    state = _feedforward(qubit, ancilla, n, _sign_flips(weights))
     ideal = {k: _ideal_residual(qubit, n, k) for k in range(1, n + 1)}
+    # The transformed state is measured as it is made, so it is freed before
+    # the outcome records are built.
+    measured = _feedforward(qubit, ancilla, n, _sign_flips(weights)).measure(range(n + 1))
 
     # Each outcome is built by tuple.__new__, as ``_state`` builds a state by
     # object.__new__: the named tuple's own __new__ is a Python-level call.
     outcomes: list[TeleportOutcome] = []
-    for counts, prob, residual in state.measure(range(n + 1)):
+    for counts, prob, residual in measured:
         k = sum(counts)
         if 1 <= k <= n:
             fid = fidelity(residual, ideal[k])
@@ -300,14 +306,6 @@ class CzGateResult:
     branches: tuple[CzBranch, ...]
 
 
-def _ideal_cz_residual(
-    q: InputQubit, qp: InputQubit, n: int, k: int, kp: int
-) -> SparseState:
-    # The controlled sign negates the term holding both photons.
-    joint = _ideal_residual(q, n, k).tensor(_ideal_residual(qp, n, kp))
-    return _negated(joint, [occ for occ in joint.terms if occ[k - 1] and occ[n + kp - 1]])
-
-
 def _corrected_side(
     qubit: InputQubit, register: SparseState, n: int, flips: list[int]
 ) -> tuple[list[tuple[int, int, int, list]], tuple[list[float], list[float]]]:
@@ -316,20 +314,22 @@ def _corrected_side(
     A term's y modes show its register weight j and its Fourier modes its
     photon total k, so a success term (k in 1..n) holds the qubit's photon
     b = k - j, which is also whether y mode k-1 is occupied.  Returns the
-    success terms as cells (j, k, b, terms), ordered by j and then b, and,
-    per weight j, the masses sum |s|^2 of all its terms and of its failing
-    ones, each summed in output order.
+    success terms as cells (j, k, b, terms), ordered by j and then b, each
+    term its Fourier counts c and amplitude s (its cell fixes its y modes),
+    and, per weight j, the masses sum |s|^2 of all its terms and of its
+    failing ones, each summed in output order.
     """
     halves: list[tuple[list, list]] = [([], []) for _ in range(n + 1)]
     every: list[list[float]] = [[] for _ in range(n + 1)]
     failed: list[list[float]] = [[] for _ in range(n + 1)]
     for key, s in _feedforward(qubit, register, n, flips).terms.items():
-        k = sum(key[: n + 1])
+        c = key[: n + 1]
+        k = sum(c)
         j = n - sum(key[n + 1 :])
         mass = abs(s) ** 2
         every[j].append(mass)
         if 1 <= k <= n:
-            halves[j][k - j].append((key, s))
+            halves[j][k - j].append((c, s))
         else:
             failed[j].append(mass)
     cells = [(j, j + b, b, t) for j, half in enumerate(halves) for b, t in enumerate(half) if t]
@@ -383,9 +383,13 @@ def cz_via_double_teleportation(
     total k then fixes its qubit photon b = k - j, so each joint key has one
     product s1 s2 w(j, j').  The join runs over the sides' (j, k, b) cells
     and applies the cross corrections, pi*k' on the unprimed output and
-    pi*k on the primed one, as exact negations.  Measuring the joint state
-    then yields exactly the kept branches, already corrected; each is the
-    controlled-sign image of the input product state.
+    pi*k on the primed one, as exact negations.  A joint key keeps of each
+    side only its Fourier counts c and its qubit photon b, on modes
+    [c, c', b, b']: the y modes' one bit per side is b.  Measuring both
+    count blocks then yields exactly the kept branches, already corrected,
+    each residual a qubit pair on [b, b'] scored against the controlled-sign
+    image of the input product state; the likeliest one, normalized, is
+    the output.
 
     Failing terms never enter the joint state: the success and failure
     totals come from the sides' masses per weight (``_cz_totals``).  An
@@ -420,7 +424,9 @@ def cz_via_double_teleportation(
 
     # The cross corrections, pi*k' on y mode k-1 when b1 and pi*k on y' mode
     # k'-1 when b2, give each pair of cells one sign.  Negating w negates
-    # each product exactly, as -a would.
+    # each product exactly, as -a would.  Within one measured outcome
+    # (c, c') the totals k, k' are fixed, so the qubit photons (b1, b2) fix
+    # the register weights and stand in for the y modes.
     terms: dict[Occupation, complex] = {}
     for j, k, b1, part1 in cells1:
         for jp, kp, b2, part2 in cells2:
@@ -428,43 +434,34 @@ def cz_via_double_teleportation(
             if not w:
                 continue
             v = -w if (b1 * kp + b2 * k) % 2 else w
-            for key1, s1 in part1:
-                for key2, s2 in part2:
+            bits = (b1, b2)
+            for c1, s1 in part1:
+                for c2, s2 in part2:
                     a = s1 * s2 * v
                     if abs(a) >= PRUNE_TOLERANCE:
-                        terms[key1 + key2] = a + 0j
-    # Modes [q, x, y, q', x', y']: measuring both Fourier blocks leaves the
-    # corrected residual on [y, y'] and the counts as side 1 then side 2.
-    joint = _state(4 * n + 2, terms)
-    measured = list(range(n + 1)) + list(range(2 * n + 1, 3 * n + 2))
-    ideal = {
-        (k, kp): _ideal_cz_residual(q, qp, n, k, kp)
-        for k in range(1, n + 1)
-        for kp in range(1, n + 1)
-    }
+                        terms[c1 + c2 + bits] = a + 0j
+    # Modes [c, c', b, b']: measuring both Fourier blocks leaves the
+    # corrected qubit pair as the residual, and the counts as side 1 then
+    # side 2.  The joint state and the cells are freed before the records.
+    measured = _state(2 * n + 4, terms).measure(range(2 * n + 2))
+    del terms, cells1, cells2
+    # The controlled sign negates the term holding both photons.
+    ideal = q.state().tensor(qp.state())
+    ideal = _negated(ideal, [occ for occ in ideal.terms if occ == (1, 1)])
 
     branches: list[CzBranch] = []
-    best: tuple[float, SparseState, int, int] | None = None
-    for mo in joint.measure(measured):
-        k, kp = sum(mo.counts[: n + 1]), sum(mo.counts[n + 1 :])
-        fid = fidelity(mo.residual, ideal[k, kp])
-        branches.append(tuple.__new__(CzBranch, (mo.counts, k, kp, mo.probability, fid)))
-        if best is None or mo.probability > best[0]:
-            best = (mo.probability, mo.residual, k, kp)
-
-    output = None
-    if best is not None:
-        # Each side's 0 and 1 differ only at its output mode, so the other
-        # y modes carry no information and can be dropped.
-        _, corrected, k, kp = best
-        output = corrected.drop_modes(
-            m for m in range(2 * n) if m not in (k - 1, n + kp - 1)
-        ).normalized()
+    best: tuple[float, SparseState] | None = None
+    for counts, prob, residual in measured:
+        k, kp = sum(counts[: n + 1]), sum(counts[n + 1 :])
+        fid = fidelity(residual, ideal)
+        branches.append(tuple.__new__(CzBranch, (counts, k, kp, prob, fid)))
+        if best is None or prob > best[0]:
+            best = (prob, residual)
 
     return CzGateResult(
         success_probability=total_success,
         failure_probability=total_failure,
         min_fidelity=min((b.fidelity for b in branches), default=None),
-        output_qubits=output,
+        output_qubits=None if best is None else best[1].normalized(),
         branches=tuple(branches),
     )

@@ -28,13 +28,13 @@ from loqc_ancilla import (
     teleport,
 )
 from loqc_ancilla import fock
-from loqc_ancilla.fock import PRUNE_TOLERANCE
+from loqc_ancilla.fock import PRUNE_TOLERANCE, _negated
 from loqc_ancilla.pipeline import pair_pattern, single_register_pattern
 from loqc_ancilla.teleport import (
     OUTCOMES_GUARD,
     CzBranch,
     CzGateResult,
-    _ideal_cz_residual,
+    _ideal_residual,
     _sign_flips,
     feedforward_table,
     outcome_estimate,
@@ -732,6 +732,12 @@ def test_outcome_records_are_named_tuples():
 # ----------------------------------------------------------------------
 
 
+def _ideal_cz_residual(q, qp, n, k, kp):
+    # The controlled sign negates the term holding both photons.
+    joint = _ideal_residual(q, n, k).tensor(_ideal_residual(qp, n, kp))
+    return _negated(joint, [occ for occ in joint.terms if occ[k - 1] and occ[n + kp - 1]])
+
+
 def reference_joint_state_cz(q, qp, ancilla_pair, n):
     """The CZ as it was before each side got its own modes: both Fourier
     transforms on the whole (4n+2)-mode state, two phases per branch."""
@@ -862,13 +868,41 @@ def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
     result = cz_via_double_teleportation(InputQubit.plus(), InputQubit.of(0.6, 0.8j), ancilla, n)
     side = (2 * n + 1, 2 * (n + 1), list(range(n + 1)))
     assert transforms == [side, side]
-    assert [joint.modes for joint, _ in measures] == [4 * n + 2]
+    # Modes [c, c', b, b']: the Fourier counts of both sides, then the two
+    # qubit photons, which are all the residual keeps.
+    assert [joint.modes for joint, _ in measures] == [2 * n + 4]
     ((joint, outcomes),) = measures
-    totals = {(sum(key[: n + 1]), sum(key[2 * n + 1 : 3 * n + 2])) for key in joint.terms}
+    totals = {(sum(key[: n + 1]), sum(key[n + 1 : 2 * n + 2])) for key in joint.terms}
     assert totals == {(k, kp) for k in range(1, n + 1) for kp in range(1, n + 1)}
+    assert {key for o in outcomes for key in o.residual.terms} <= {
+        (b1, b2) for b1 in (0, 1) for b2 in (0, 1)
+    }
     assert [(b.counts, b.probability) for b in result.branches] == [
         (o.counts, o.probability) for o in outcomes
     ]
+
+
+def test_measure_hands_out_one_tuple_per_residual_key(monkeypatch):
+    # Equal residual keys are one tuple across all of a measure's outcomes,
+    # on an n=4 teleport's Fourier state and on an n=2 CZ joint state.
+    measures = []
+    measure = SparseState.measure
+
+    def recorded(self, modes):
+        outcomes = measure(self, modes)
+        measures.append(outcomes)
+        return outcomes
+
+    monkeypatch.setattr(SparseState, "measure", recorded)
+    rng = random.Random(2900)
+    teleport(random_qubit(rng), direct_oracle_single(4, profile_of("signed", 4, rng)), 4)
+    pair = direct_oracle_pair(2, profile_of("signed", 2, rng))
+    cz_via_double_teleportation(random_qubit(rng), random_qubit(rng), pair, 2)
+    assert len(measures) == 2
+    for outcomes in measures:
+        keys = [key for o in outcomes for key in o.residual.terms]
+        assert len(keys) > len(set(keys))  # the outcomes repeat their keys
+        assert len({id(key) for key in keys}) == len(set(keys))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
