@@ -7,6 +7,13 @@ the measured total k.  Totals k = 0 and k = n+1 project the qubit onto a
 basis state and are classified as failures; every other k succeeds after an
 outcome-dependent phase correction.
 
+An ancilla term sits at a register pattern of weight j (``teleport``
+refuses any other), so beside the Fourier counts c its y modes carry one
+bit: the qubit photon b = k - j, which is 1 exactly when y mode k-1 is
+occupied.  The Fourier state is therefore keyed c + (b,) on n+2 modes, and
+each residual of the measurement is the corrected qubit itself, on one
+mode, scored against the input qubit's own state.
+
 The correction is known in closed form (the KLM feedforward).  With total k,
 input 1 occupies Fourier inputs {0..k-1} and input 0 occupies {1..k}: a
 cyclic shift by one mode, which multiplies each output photon in mode m by
@@ -16,7 +23,7 @@ the phase 2 pi r/(n+1) on y mode k-1, and a sign where f(k) and f(k-1)
 differ in sign (read off the ancilla's own amplitudes); for the constant
 profile the weight ratio is 1, so the correction restores the qubit
 exactly.  It is conditioned only on the measured counts, so it commutes
-with their measurement, and the photon total and the y modes it reads
+with their measurement, and the photon total and the qubit photon it reads
 pass through the transform unchanged.  So ``_feedforward`` applies it
 before the transform, as that same shift: each input term holding the
 qubit's photon has its Fourier counts moved one mode up, cyclically, and
@@ -27,15 +34,14 @@ measurement yields corrected residuals.
 The controlled sign teleports two qubits at once through the entangled pair
 ancilla, whose terms sit at the register patterns (j, j') with weights
 w(j, j').  The two Fourier transforms never see the pair: each side mixes
-its qubit with a unit-weight single register on its own 2n+1 modes and is
-corrected by the same ``_feedforward``.  Only success terms are joined,
-each product weighted by w(j, j') at the register weights its y modes show
-and negated exactly for the cross corrections.  The joint state keeps each
-side's Fourier counts c and its qubit photon b, which within one measured
-total fixes the register weight, on modes [c, c', b, b'], so measuring
-both count blocks yields exactly the kept branches with the corrected
-qubit pair as each residual.  The success and failure totals come from
-each side's mass per register weight, not from the branches.
+its qubit with a unit-weight single register, keyed c + (b,) on its own
+n+2 modes, and is corrected by the same ``_feedforward``.  Only success
+terms are joined, each product weighted by w(j, j') at the register
+weights j = k - b and negated exactly for the cross corrections.  The
+joint state is keyed on modes [c, c', b, b'], so measuring both count
+blocks yields exactly the kept branches with the corrected qubit pair as
+each residual.  The success and failure totals come from each side's mass
+per register weight, not from the branches.
 
 Both routes enumerate every measurement outcome, so they refuse sizes whose
 outcome bound exceeds :data:`OUTCOMES_GUARD` before doing any work.
@@ -132,8 +138,8 @@ class TeleportOutcome(NamedTuple):
     k: int
     probability: float
     classification: Classification
-    output_state: SparseState | None  # corrected residual over the y modes
-    fidelity: float | None  # vs the ideal teleported residual
+    output_state: SparseState | None  # the corrected qubit: keys (0,) and (1,)
+    fidelity: float | None  # vs the input qubit's state
 
 
 def qft_matrix(size: int) -> list[list[complex]]:
@@ -168,15 +174,6 @@ def _check_cost(n: int, sides: int) -> None:
             f"{OUTCOMES_GUARD:.0e} guard",
             estimate=estimate,
         )
-
-
-def _ideal_residual(qubit: InputQubit, n: int, k: int) -> SparseState:
-    """The qubit teleported to slot k (1-based) of the y register: its 0 and 1
-    ride on the y halves of the register patterns of weights k and k-1, which
-    differ only at y mode k-1."""
-    zero = single_register_pattern(n, k)[n:]
-    one = single_register_pattern(n, k - 1)[n:]
-    return SparseState(n, {zero: qubit.alpha, one: qubit.beta})
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,13 +214,14 @@ def _feedforward(qubit: InputQubit, register: SparseState, n: int, flips: list[i
     """Mix ``qubit`` with ``register``, the KLM feedforward applied to the
     mixing's input, so that measuring the result yields corrected residuals.
 
-    The state is modes [q, x, y]; the Fourier transform on q and x leaves
-    keys c + y.  A term with photon total k in 1..n on the Fourier modes
-    whose y mode k-1 is occupied holds the qubit's photon: its Fourier
-    counts are shifted cyclically by one mode (mode m to m+1, mode n to 0),
-    which multiplies its output at counts c by exactly w^r, and it is
-    negated where ``flips[k]``.  The shift keeps k and y, so within one
-    (k, y) class every term is shifted or none is, and no two keys merge:
+    The input is modes [q, x, y]; a term keeps its Fourier counts c (q and
+    x) and its qubit photon b, the one bit its y modes carry, so the
+    transform on c leaves keys c + (b,).  A term with photon total k <= n
+    holding the qubit's photon (b = 1, which is y mode k-1 occupied) has
+    its Fourier counts shifted cyclically by one mode (mode m to m+1, mode
+    n to 0), which multiplies its output at counts c by exactly w^r, and is
+    negated where ``flips[k]``.  The shift keeps k and b, so within one
+    (k, b) class every term is shifted or none is, and no two keys merge:
     amplitudes only move and change sign before the one transform, which
     rounds and prunes them as any other.  A shifted term's Fourier pattern
     {1..k} is the one the qubit's empty term at weight k has, so the
@@ -231,17 +229,22 @@ def _feedforward(qubit: InputQubit, register: SparseState, n: int, flips: list[i
     """
     terms: dict[Occupation, complex] = {}
     for key, a in qubit.state().tensor(register).terms.items():
-        k = sum(key[: n + 1])
-        if 1 <= k <= n and key[n + k]:
-            key = key[n : n + 1] + key[:n] + key[n + 1 :]
+        c, b = key[: n + 1], key[0]
+        k = sum(c)
+        if b and k <= n:
+            c = c[n:] + c[:n]
             if flips[k]:
                 a = -a + 0j
-        terms[key] = a
-    return apply_qft(_state(2 * n + 1, terms), list(range(n + 1)))
+        terms[c + (b,)] = a
+    return apply_qft(_state(n + 2, terms), list(range(n + 1)))
 
 
 def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOutcome]:
     """Enumerate every measurement branch of one teleport exactly.
+
+    Each success outcome's ``output_state`` is the corrected qubit on one
+    mode, keys (0,) and (1,), and its fidelity is taken against
+    ``qubit.state()``.
 
     An ancilla with a term off the register patterns raises
     ``ShapeMismatch``: its sign flips are read off those patterns.
@@ -253,7 +256,7 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
     _check_cost(n, 1)
     patterns = [single_register_pattern(n, j) for j in range(n + 1)]
     weights = _pattern_weights(ancilla, patterns, "ancilla", n)
-    ideal = {k: _ideal_residual(qubit, n, k) for k in range(1, n + 1)}
+    ideal = qubit.state()
     # The transformed state is measured as it is made, so it is freed before
     # the outcome records are built.
     measured = _feedforward(qubit, ancilla, n, _sign_flips(weights)).measure(range(n + 1))
@@ -264,7 +267,7 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
     for counts, prob, residual in measured:
         k = sum(counts)
         if 1 <= k <= n:
-            fid = fidelity(residual, ideal[k])
+            fid = fidelity(residual, ideal)
             row = (counts, k, prob, Classification.SUCCESS, residual, fid)
         else:
             row = (counts, k, prob, Classification.FAILURE, None, None)
@@ -311,25 +314,24 @@ def _corrected_side(
 ) -> tuple[list[tuple[int, int, int, list]], tuple[list[float], list[float]]]:
     """Mix and correct one CZ side (``_feedforward``) and split its terms.
 
-    A term's y modes show its register weight j and its Fourier modes its
-    photon total k, so a success term (k in 1..n) holds the qubit's photon
-    b = k - j, which is also whether y mode k-1 is occupied.  Returns the
-    success terms as cells (j, k, b, terms), ordered by j and then b, each
-    term its Fourier counts c and amplitude s (its cell fixes its y modes),
-    and, per weight j, the masses sum |s|^2 of all its terms and of its
-    failing ones, each summed in output order.
+    A term's key is its Fourier counts c, of photon total k, and its qubit
+    photon b, which fix its register weight j = k - b.  Returns the success
+    terms (k in 1..n) as cells (j, k, b, terms), ordered by j and then b,
+    each term its Fourier counts c and amplitude s, and, per weight j, the
+    masses sum |s|^2 of all its terms and of its failing ones, each summed
+    in output order.
     """
     halves: list[tuple[list, list]] = [([], []) for _ in range(n + 1)]
     every: list[list[float]] = [[] for _ in range(n + 1)]
     failed: list[list[float]] = [[] for _ in range(n + 1)]
     for key, s in _feedforward(qubit, register, n, flips).terms.items():
-        c = key[: n + 1]
+        c, b = key[: n + 1], key[n + 1]
         k = sum(c)
-        j = n - sum(key[n + 1 :])
+        j = k - b
         mass = abs(s) ** 2
         every[j].append(mass)
         if 1 <= k <= n:
-            halves[j][k - j].append((c, s))
+            halves[j][b].append((c, s))
         else:
             failed[j].append(mass)
     cells = [(j, j + b, b, t) for j, half in enumerate(halves) for b, t in enumerate(half) if t]
@@ -372,24 +374,22 @@ def cz_via_double_teleportation(
 ) -> CzGateResult:
     """Teleport both qubits through the entangled pair ancilla.
 
-    Each side's Fourier transform acts on its own (2n+1)-mode state, the
-    qubit tensored with the unit-weight single register sum_j |x_j y_j>,
-    and each success term takes its feedforward there (``_corrected_side``),
-    with the profile's sign flips read off the pair.  The joint state is the
-    product of the two sides' success terms (both photon totals in 1..n)
-    with each term reweighted by the pair's amplitude w(j, j') at the
-    registers' weights, read off the y halves (j = n - |y|).  No sum is
-    lost: a side's output key fixes its register weight j, and its photon
-    total k then fixes its qubit photon b = k - j, so each joint key has one
-    product s1 s2 w(j, j').  The join runs over the sides' (j, k, b) cells
-    and applies the cross corrections, pi*k' on the unprimed output and
-    pi*k on the primed one, as exact negations.  A joint key keeps of each
-    side only its Fourier counts c and its qubit photon b, on modes
-    [c, c', b, b']: the y modes' one bit per side is b.  Measuring both
-    count blocks then yields exactly the kept branches, already corrected,
-    each residual a qubit pair on [b, b'] scored against the controlled-sign
-    image of the input product state; the likeliest one, normalized, is
-    the output.
+    Each side's Fourier transform acts on its own (n+2)-mode state, the
+    qubit tensored with the unit-weight single register sum_j |x_j y_j>
+    and keyed by its Fourier counts c and qubit photon b, and each success
+    term takes its feedforward there (``_corrected_side``), with the
+    profile's sign flips read off the pair.  The joint state is the product
+    of the two sides' success terms (both photon totals in 1..n) with each
+    term reweighted by the pair's amplitude w(j, j') at the registers'
+    weights j = k - b.  No sum is lost: a side's output key fixes its
+    register weight, so each joint key has one product s1 s2 w(j, j').  The
+    join runs over the sides' (j, k, b) cells and applies the cross
+    corrections, pi*k' on the unprimed output and pi*k on the primed one,
+    as exact negations.  A joint key keeps each side's Fourier counts and
+    qubit photon, on modes [c, c', b, b'].  Measuring both count blocks
+    then yields exactly the kept branches, already corrected, each residual
+    a qubit pair on [b, b'] scored against the controlled-sign image of the
+    input product state; the likeliest one, normalized, is the output.
 
     Failing terms never enter the joint state: the success and failure
     totals come from the sides' masses per weight (``_cz_totals``).  An
@@ -422,11 +422,9 @@ def cz_via_double_teleportation(
     cells2, masses2 = _corrected_side(qp, register, n, flips)
     total_success, total_failure = _cz_totals(pair_mass, masses1, masses2)
 
-    # The cross corrections, pi*k' on y mode k-1 when b1 and pi*k on y' mode
-    # k'-1 when b2, give each pair of cells one sign.  Negating w negates
-    # each product exactly, as -a would.  Within one measured outcome
-    # (c, c') the totals k, k' are fixed, so the qubit photons (b1, b2) fix
-    # the register weights and stand in for the y modes.
+    # The cross corrections, pi*k' on the qubit photon b1 and pi*k on b2,
+    # give each pair of cells one sign.  Negating w negates each product
+    # exactly, as -a would.
     terms: dict[Occupation, complex] = {}
     for j, k, b1, part1 in cells1:
         for jp, kp, b2, part2 in cells2:

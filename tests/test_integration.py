@@ -101,7 +101,7 @@ def _feed_state(h, state):
 # kernels moves a bit of any of them (or the order of their terms) unseen.
 # It reads the same on each supported Python version: every float the
 # package sums is added left to right.
-BUILD_AND_TELEPORT_DIGEST = "7a9cf9f063d55be14f09ff29649dee35a23f75b5cfb2ad569fcb59ffab4e65b6"
+BUILD_AND_TELEPORT_DIGEST = "4cd603287d8b1021f8a2a0de07f5e7da31303ab213f1d6cf60d33223a47523ad"
 
 
 def test_build_and_teleport_outputs_match_their_pinned_digest():

@@ -34,7 +34,6 @@ from loqc_ancilla.teleport import (
     OUTCOMES_GUARD,
     CzBranch,
     CzGateResult,
-    _ideal_residual,
     _sign_flips,
     feedforward_table,
     outcome_estimate,
@@ -199,16 +198,30 @@ def test_teleport_success_fidelity_random_qubits(n):
                 assert o.fidelity >= 1 - 1e-10
 
 
-def test_teleport_output_lives_in_selected_register():
-    # n = 2, outcome k selects y_k: the two surviving y patterns differ
-    # exactly at that mode.
-    ancilla = direct_oracle_single(2, AmplitudeProfile.constant(2))
-    for o in teleport(InputQubit.plus(), ancilla, 2):
-        if o.classification is Classification.SUCCESS:
-            patterns = list(o.output_state.terms)
-            assert len(patterns) == 2
-            diff = [m for m in range(2) if patterns[0][m] != patterns[1][m]]
-            assert diff == [o.k - 1]
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_teleport_output_is_the_corrected_qubit(n):
+    # Each success residual is one mode, holding the photon y mode k-1 held,
+    # and is scored against the input qubit itself.  Through the constant
+    # profile it is that qubit up to one global phase.
+    rng = random.Random(3000 + n)
+    for kind in ("constant", "signed", "zero-weight"):
+        qubit = random_qubit(rng)
+        ideal = qubit.state()
+        ancilla = direct_oracle_single(n, profile_of(kind, n, rng))
+        successes = [
+            o for o in teleport(qubit, ancilla, n) if o.classification is Classification.SUCCESS
+        ]
+        assert successes
+        for o in successes:
+            out = o.output_state
+            assert out.modes == 1
+            assert set(out.terms) <= {(0,), (1,)}
+            assert o.fidelity == fidelity(out, ideal)
+            if kind == "constant":
+                overlap = sum(a.conjugate() * out.amplitude(key) for key, a in ideal.terms.items())
+                unit = overlap / abs(overlap)
+                for key in ((0,), (1,)):
+                    assert abs(out.amplitude(key) - unit * ideal.amplitude(key)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -263,7 +276,7 @@ def test_teleport_corrects_before_its_one_measure(n, monkeypatch):
     # flip, and the corrected output is the qubit itself.
     profile = AmplitudeProfile.from_values([(-1) ** j for j in range(n + 1)])
     outcomes = teleport(InputQubit.of(0.6, 0.8j), direct_oracle_single(n, profile), n)
-    assert transforms == [(2 * n + 1, 2 * (n + 1), list(range(n + 1)))]
+    assert transforms == [(n + 2, 2 * (n + 1), list(range(n + 1)))]
     (measured,) = measures
     assert [(o.counts, o.probability) for o in outcomes] == [
         (mo.counts, mo.probability) for mo in measured
@@ -362,8 +375,9 @@ def test_feedforward_forms_one_unit_factor_per_fourier_residue(n, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_feedforward_relabels_its_input_and_forms_no_phase(n, monkeypatch):
     # The transform gets as many terms as the mixed input has, at the same
-    # photon totals and y patterns and with the same moduli: the shift and
-    # the sign flips only move amplitudes and negate them exactly.
+    # photon totals and qubit photons and with the same moduli: the shift
+    # and the sign flips only move amplitudes and negate them exactly.  Each
+    # mixed key c + y is relabelled c + (b,), b the qubit photon (mode 0).
     rng = random.Random(200 + n)
     qubit = random_qubit(rng)
     signed = [rng.choice((-1, 1)) * rng.uniform(0.5, 1.5) for _ in range(n + 1)]
@@ -390,17 +404,20 @@ def test_feedforward_relabels_its_input_and_forms_no_phase(n, monkeypatch):
     def classes(state):
         return sorted((sum(key[: n + 1]), key[n + 1 :], abs(a)) for key, a in state.terms.items())
 
-    assert classes(shifted) == classes(mixed)
+    relabelled = {key[: n + 1] + (key[0],): a for key, a in mixed.terms.items()}
+    assert classes(shifted) == classes(fock._state(n + 2, relabelled))
     moved = 0
     for key, a in mixed.terms.items():
         k = sum(key[: n + 1])
-        if 1 <= k <= n and key[n + k]:
+        holds_photon = 1 <= k <= n and key[n + k]
+        key = key[: n + 1] + (key[0],)
+        if holds_photon:
             key = key[n : n + 1] + key[:n] + key[n + 1 :]
             a = -a if flips[k] else a
             moved += 1
         assert shifted.terms[key] == a
     assert moved == n  # the qubit's photon on register weights 0..n-1
-    assert corrected.modes == 2 * n + 1
+    assert corrected.modes == n + 2
     # A real qubit through flips at every k: the negated real amplitudes
     # keep a +0.0 imaginary part.
     teleport_module._feedforward(InputQubit.of(0.6, 0.8), register, n, [0] + [1] * n)
@@ -409,9 +426,20 @@ def test_feedforward_relabels_its_input_and_forms_no_phase(n, monkeypatch):
 
 
 def reference_phase_teleport(qubit, ancilla, n, monkeypatch):
-    """``teleport`` with its feedforward taken by the per-output phase route."""
+    """``teleport`` with its feedforward taken by the per-output phase route,
+    each of whose keys c + y is then relabelled c + (b,), in dict order: the
+    qubit photon b = k - j, j = n - |y| the register weight."""
+
+    def phase_route(qubit, register, n, flips):
+        state = reference_phase_feedforward(qubit, register, n, flips)
+        terms = {}
+        for key, a in state.terms.items():
+            c, y = key[: n + 1], key[n + 1 :]
+            terms[c + (sum(c) - (n - sum(y)),)] = a
+        return fock._state(n + 2, terms)
+
     with monkeypatch.context() as m:
-        m.setattr(teleport_module, "_feedforward", reference_phase_feedforward)
+        m.setattr(teleport_module, "_feedforward", phase_route)
         return teleport(qubit, ancilla, n)
 
 
@@ -732,6 +760,15 @@ def test_outcome_records_are_named_tuples():
 # ----------------------------------------------------------------------
 
 
+def _ideal_residual(qubit, n, k):
+    """The qubit teleported to slot k (1-based) of the y register: its 0 and 1
+    ride on the y halves of the register patterns of weights k and k-1, which
+    differ only at y mode k-1."""
+    zero = single_register_pattern(n, k)[n:]
+    one = single_register_pattern(n, k - 1)[n:]
+    return SparseState(n, {zero: qubit.alpha, one: qubit.beta})
+
+
 def _ideal_cz_residual(q, qp, n, k, kp):
     # The controlled sign negates the term holding both photons.
     joint = _ideal_residual(q, n, k).tensor(_ideal_residual(qp, n, kp))
@@ -866,7 +903,7 @@ def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
     monkeypatch.setattr(SparseState, "apply_phase", no_phase)
     ancilla = direct_oracle_pair(n, AmplitudeProfile.constant(n))
     result = cz_via_double_teleportation(InputQubit.plus(), InputQubit.of(0.6, 0.8j), ancilla, n)
-    side = (2 * n + 1, 2 * (n + 1), list(range(n + 1)))
+    side = (n + 2, 2 * (n + 1), list(range(n + 1)))
     assert transforms == [side, side]
     # Modes [c, c', b, b']: the Fourier counts of both sides, then the two
     # qubit photons, which are all the residual keeps.
@@ -909,7 +946,7 @@ def test_measure_hands_out_one_tuple_per_residual_key(monkeypatch):
 def test_fourier_inputs_hold_one_term_per_class(n, monkeypatch):
     # The transform writes each product once, with no faint-key pass, only
     # when every input term is alone in its class (its photon total on the
-    # Fourier modes and its y counts); that holds for the teleport's and
+    # Fourier modes and its qubit photon); that holds for the teleport's and
     # both CZ sides' inputs.  The transform is stubbed out and the size guard
     # lifted, so the CZ runs at n=6..8 too, in no time.
     inputs = []
