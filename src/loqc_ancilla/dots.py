@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -46,7 +45,7 @@ from .errors import (
     InvalidCoefficient,
     ShapeMismatch,
 )
-from .fock import Occupation, SparseState, _cis, _is_int, _sum_in_order
+from .fock import Occupation, SparseState, _Record, _cis, _is_int, _sum_in_order
 from .profiles import AmplitudeProfile, _require_n, schedule_from_profile
 
 
@@ -66,29 +65,29 @@ def _check_dots(dots: Iterable[int], count: int | None = None) -> None:
             raise DotOutOfRange(f"dot {d} not in 0..{count - 1}")
 
 
-@dataclass(frozen=True)
-class Thermalize:
+class Thermalize(_Record):
     """Reset: couple every dot to the reservoir and drain it to 0."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"op": "thermalize", "args": []}
 
 
-@dataclass(frozen=True)
-class LoadFromReservoir:
+class LoadFromReservoir(_Record):
     """Deterministic 0 -> 1 fill of one dot; a second electron cannot enter."""
 
-    dot: int
+    __slots__ = ("dot",)
 
-    def __post_init__(self):
-        _check_dots((self.dot,))
+    def __init__(self, dot: int):
+        _check_dots((dot,))
+        object.__setattr__(self, "dot", dot)
 
     def to_json_dict(self) -> dict:
         return {"op": "load", "args": [self.dot]}
 
 
-@dataclass(frozen=True)
-class RabiPulse:
+class RabiPulse(_Record):
     """Tunnel coupling between two dots for a pulse angle theta.
 
     theta = pi/2 is a complete oscillation (swap); smaller angles transfer
@@ -96,18 +95,19 @@ class RabiPulse:
     gates the pulse at the state-vector level.
     """
 
-    src: int
-    dst: int
-    theta: float
-    only_if: int | None = None
+    __slots__ = ("src", "dst", "theta", "only_if")
 
-    def __post_init__(self):
-        dots = (self.src, self.dst)
-        _check_dots(dots if self.only_if is None else dots + (self.only_if,))
-        if self.src == self.dst:
+    def __init__(self, src: int, dst: int, theta: float, only_if: int | None = None):
+        dots = (src, dst)
+        _check_dots(dots if only_if is None else dots + (only_if,))
+        if src == dst:
             raise DotOutOfRange("Rabi pulse needs two distinct dots")
-        if not 0.0 <= self.theta <= math.pi / 2 + 1e-12:
-            raise DotOutOfRange(f"pulse angle {self.theta} outside [0, pi/2]")
+        if not 0.0 <= theta <= math.pi / 2 + 1e-12:
+            raise DotOutOfRange(f"pulse angle {theta} outside [0, pi/2]")
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "only_if", only_if)
 
     def to_json_dict(self) -> dict:
         d = {"op": "rabi", "args": [self.src, self.dst, self.theta]}
@@ -116,8 +116,7 @@ class RabiPulse:
         return d
 
 
-@dataclass(frozen=True)
-class InteractionPhase:
+class InteractionPhase(_Record):
     """Charge-charge phase between the two x-side registers.
 
     Applies exp(i * [coupling_angle * j * j' + intra_coefficient *
@@ -126,8 +125,11 @@ class InteractionPhase:
     contribute.
     """
 
-    coupling_angle: float
-    intra_coefficient: float = 0.0
+    __slots__ = ("coupling_angle", "intra_coefficient")
+
+    def __init__(self, coupling_angle: float, intra_coefficient: float = 0.0):
+        object.__setattr__(self, "coupling_angle", coupling_angle)
+        object.__setattr__(self, "intra_coefficient", intra_coefficient)
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,11 +138,13 @@ class InteractionPhase:
         }
 
 
-@dataclass(frozen=True)
-class UGateCorrection:
+class UGateCorrection(_Record):
     """Per-occupancy phase table cancelling the intra-register charging term."""
 
-    phases: tuple[float, ...]
+    __slots__ = ("phases",)
+
+    def __init__(self, phases: tuple[float, ...]):
+        object.__setattr__(self, "phases", phases)
 
     def to_json_dict(self) -> dict:
         return {"op": "u_gate_correction", "args": [list(self.phases)]}
@@ -149,13 +153,15 @@ class UGateCorrection:
 Pulse = Union[Thermalize, LoadFromReservoir, RabiPulse, InteractionPhase, UGateCorrection]
 
 
-@dataclass(frozen=True)
-class PulseSchedule:
+class PulseSchedule(_Record):
     """Ordered pulse list over ``pairs`` register pairs of n dots each side."""
 
-    n: int
-    pairs: int
-    pulses: tuple[Pulse, ...]
+    __slots__ = ("n", "pairs", "pulses")
+
+    def __init__(self, n: int, pairs: int, pulses: tuple[Pulse, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pulses", pulses)
 
     @property
     def dots(self) -> int:

@@ -118,6 +118,8 @@ class SparseState:
             if whole is None:
                 raise InvalidState(f"mode count {modes!r} is not an integer")
             modes = whole
+        if modes < 0:
+            raise InvalidState(f"mode count {modes} is negative")
         self.modes = modes
         self.terms: dict[Occupation, complex] = {}
         if terms:
@@ -158,7 +160,9 @@ class SparseState:
 
     @classmethod
     def vacuum(cls, modes: int) -> "SparseState":
-        return cls.basis((0,) * modes)
+        """All modes empty; the constructor checks ``modes``, so -1 cannot
+        give an empty key and a 0-mode state."""
+        return cls(modes, {(0,) * modes: 1.0 + 0j})
 
     def _like(self, terms: Mapping[Occupation, complex], modes: int | None = None) -> "SparseState":
         """Trusted constructor: keys are taken as valid for ``modes`` (default:
@@ -513,6 +517,47 @@ class MeasurementOutcome(NamedTuple):
     counts: Occupation
     probability: float
     residual: SparseState
+
+
+class _Record:
+    """Immutable record whose fields are its class's ``__slots__``.
+
+    Each subclass writes its own ``__init__``, which checks its arguments and
+    sets each field through ``object.__setattr__``.  A record refuses
+    assignment and deletion, equals only a record of its own class with equal
+    fields, hashes as its field tuple and shows as ``Name(field=value, ...)``.
+    It is not a tuple: ``Thermalize()`` is true and unequal to ``()``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __hash__(self):
+        return hash(_fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots through here, not __setattr__.
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+def _fields(record: _Record) -> tuple:
+    """The field values of ``record`` in ``__slots__`` order."""
+    return tuple(getattr(record, name) for name in record.__slots__)
 
 
 def fidelity(a: SparseState, b: SparseState) -> float:

@@ -31,31 +31,30 @@ Every mode index must be an int: a float or bool is refused with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ModeOutOfRange, NonBinaryTarget, OutOfRange
-from .fock import Occupation, SparseState, _negated, _state
+from .fock import Occupation, SparseState, _Record, _negated, _state
 
 
-@dataclass(frozen=True)
-class TransferSetting:
+class TransferSetting(_Record):
     """Beamsplitter coefficients and internal phase of one gadget.
 
     R and T are both real with R^2 + T^2 = 1; phi is 0 (transfer enabled)
     or pi (transfer inhibited).
     """
 
-    t: float
-    r: float
-    phi: float = 0.0
+    __slots__ = ("t", "r", "phi")
 
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:  # NaN fails the comparison
-            raise OutOfRange(f"transmission {self.t} outside [0, 1]")
-        if not abs(self.r**2 + self.t**2 - 1.0) <= 1e-12:  # so does a NaN R
-            raise OutOfRange(f"R^2 + T^2 = {self.r**2 + self.t**2} != 1")
-        if self.phi not in (0.0, math.pi):
-            raise OutOfRange(f"phi must be exactly 0 or pi, got {self.phi}")
+    def __init__(self, t: float, r: float, phi: float = 0.0):
+        if not 0.0 <= t <= 1.0:  # NaN fails the comparison
+            raise OutOfRange(f"transmission {t} outside [0, 1]")
+        if not abs(r**2 + t**2 - 1.0) <= 1e-12:  # so does a NaN R
+            raise OutOfRange(f"R^2 + T^2 = {r**2 + t**2} != 1")
+        if phi not in (0.0, math.pi):
+            raise OutOfRange(f"phi must be exactly 0 or pi, got {phi}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "phi", phi)
 
 
 def transmission_for_probability(p: float) -> TransferSetting:

@@ -15,15 +15,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidProfile
-from .fock import _sum_in_order, _whole_number
+from .fock import _Record, _sum_in_order, _whole_number
 
 
-@dataclass(frozen=True)
-class AmplitudeProfile:
+class AmplitudeProfile(_Record):
     """Normalized weights f(0)..f(n); sum of squares is 1 on construction.
 
     ``n`` follows ``SparseState``'s mode-count rule: 2.0 reads as 2, and 2.5
@@ -31,41 +29,42 @@ class AmplitudeProfile:
     a bool, a string or a complex number raises ``InvalidProfile``.
     """
 
-    n: int
-    f: tuple[float, ...]
+    __slots__ = ("n", "f")
 
-    def __post_init__(self):
-        n = _whole_number(self.n)
-        if n is None:
-            raise InvalidProfile(f"profile n {self.n!r} is not an integer")
-        if n < 1:
-            raise InvalidProfile(f"need n >= 1, got {n}")
+    def __init__(self, n: int, f: Sequence[float]):
+        whole = _whole_number(n)
+        if whole is None:
+            raise InvalidProfile(f"profile n {n!r} is not an integer")
+        if whole < 1:
+            raise InvalidProfile(f"need n >= 1, got {whole}")
         try:
-            values = tuple(self.f)
-            f = tuple(map(float, values))
+            values = tuple(f)
+            floats = tuple(map(float, values))
         except (TypeError, ValueError):  # complex, None or a list, say
             values = None
         except OverflowError:  # an int past the float range
             raise InvalidProfile("profile values must be finite") from None
         # float() takes True, "1" and b"1" too.
         if values is None or any(isinstance(v, (bool, str, bytes)) for v in values):
-            raise InvalidProfile(f"profile values {self.f!r} are not all numbers")
-        if len(f) != n + 1:
-            raise InvalidProfile(f"profile for n={n} needs {n + 1} values, got {len(f)}")
-        if not all(math.isfinite(v) for v in f):
+            raise InvalidProfile(f"profile values {f!r} are not all numbers")
+        if len(floats) != whole + 1:
+            raise InvalidProfile(
+                f"profile for n={whole} needs {whole + 1} values, got {len(floats)}"
+            )
+        if not all(math.isfinite(v) for v in floats):
             raise InvalidProfile("profile values must be finite")
-        peak = max(map(abs, f))
-        norm2 = _sum_in_order(v * v for v in f)
+        peak = max(map(abs, floats))
+        norm2 = _sum_in_order(v * v for v in floats)
         if not sys.float_info.min <= norm2 < math.inf and peak > 0.0:
             # Squares past the normal float range: divide by the largest |f|
             # first.  Only such profiles take the detour; others keep their bits.
-            f = tuple(v / peak for v in f)
-            norm2 = _sum_in_order(v * v for v in f)
+            floats = tuple(v / peak for v in floats)
+            norm2 = _sum_in_order(v * v for v in floats)
         if norm2 == 0.0:
             raise InvalidProfile("profile cannot be all zero")
         norm = math.sqrt(norm2)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "f", tuple(v / norm for v in f))
+        object.__setattr__(self, "n", whole)
+        object.__setattr__(self, "f", tuple(v / norm for v in floats))
 
     @classmethod
     def constant(cls, n: int) -> "AmplitudeProfile":
@@ -120,19 +119,19 @@ def _require_n(profile: AmplitudeProfile, n: int) -> None:
         raise InvalidProfile(f"profile is for n={profile.n}, requested n={n}")
 
 
-@dataclass(frozen=True)
-class TransferSchedule:
+class TransferSchedule(_Record):
     """Conditional-transfer probabilities P_1..P_n."""
 
-    probabilities: tuple[float, ...]
+    __slots__ = ("probabilities",)
 
-    def __post_init__(self):
+    def __init__(self, probabilities: tuple[float, ...]):
         # schedule_from_profile never exceeds 1: its denominator adds the
         # numerator's terms in the same order after one more non-negative
         # term, and rounded addition is monotone.
-        for p in self.probabilities:
+        for p in probabilities:
             if not 0.0 <= p <= 1.0:  # NaN fails too
                 raise InvalidProfile(f"transfer probability {p} outside [0, 1]")
+        object.__setattr__(self, "probabilities", probabilities)
 
     @property
     def n(self) -> int:

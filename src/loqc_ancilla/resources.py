@@ -12,25 +12,45 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import InfeasibleParameters, OutOfRange
-from .fock import _sum_in_order
+from .fock import _Record, _sum_in_order
 from .pipeline import PhaseMethod
 
 ATTEMPTS_GUARD = 1e6
 
 
-@dataclass(frozen=True)
-class GateCountReport:
-    n: int
-    method: PhaseMethod
-    conditional_transfer_gates: int
-    phase_gates: int
-    fixed_gates: int
-    total_gates: int
-    per_gate_success: float
-    success_probability: float
+class GateCountReport(_Record):
+    __slots__ = (
+        "n",
+        "method",
+        "conditional_transfer_gates",
+        "phase_gates",
+        "fixed_gates",
+        "total_gates",
+        "per_gate_success",
+        "success_probability",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        method: PhaseMethod,
+        conditional_transfer_gates: int,
+        phase_gates: int,
+        fixed_gates: int,
+        total_gates: int,
+        per_gate_success: float,
+        success_probability: float,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "conditional_transfer_gates", conditional_transfer_gates)
+        object.__setattr__(self, "phase_gates", phase_gates)
+        object.__setattr__(self, "fixed_gates", fixed_gates)
+        object.__setattr__(self, "total_gates", total_gates)
+        object.__setattr__(self, "per_gate_success", per_gate_success)
+        object.__setattr__(self, "success_probability", success_probability)
 
 
 def gate_counts(n: int, method: PhaseMethod, p: float = 0.25) -> GateCountReport:
@@ -63,10 +83,12 @@ def success_probability(n: int, method: PhaseMethod, p: float = 0.25) -> float:
     return gate_counts(n, method, p).success_probability
 
 
-@dataclass(frozen=True)
-class FailureScaling:
-    klm: float
-    high_fidelity: float
+class FailureScaling(_Record):
+    __slots__ = ("klm", "high_fidelity")
+
+    def __init__(self, klm: float, high_fidelity: float):
+        object.__setattr__(self, "klm", klm)
+        object.__setattr__(self, "high_fidelity", high_fidelity)
 
 
 def failure_scaling(n: int) -> FailureScaling:
@@ -76,11 +98,13 @@ def failure_scaling(n: int) -> FailureScaling:
     return FailureScaling(klm=2.0 / (n + 1), high_fidelity=4.0 / (n + 1) ** 2)
 
 
-@dataclass(frozen=True)
-class AttemptEstimate:
-    mean: float
-    standard_error: float
-    trials: int
+class AttemptEstimate(_Record):
+    __slots__ = ("mean", "standard_error", "trials")
+
+    def __init__(self, mean: float, standard_error: float, trials: int):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "standard_error", standard_error)
+        object.__setattr__(self, "trials", trials)
 
 
 def expected_attempts(

@@ -54,7 +54,6 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InfeasibleParameters, InvalidState, OutOfRange, ShapeMismatch
@@ -62,6 +61,7 @@ from .fock import (
     PRUNE_TOLERANCE,
     Occupation,
     SparseState,
+    _Record,
     _negated,
     _state,
     _sum_in_order,
@@ -76,17 +76,17 @@ from .pipeline import pair_pattern, single_register_pattern
 OUTCOMES_GUARD = 1e6
 
 
-@dataclass(frozen=True)
-class InputQubit:
+class InputQubit(_Record):
     """Single-rail qubit amplitudes: alpha |0 photons> + beta |1 photon>."""
 
-    alpha: complex
-    beta: complex
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+    def __init__(self, alpha: complex, beta: complex):
+        norm = abs(alpha) ** 2 + abs(beta) ** 2
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails the comparison
             raise OutOfRange(f"|alpha|^2 + |beta|^2 = {norm}, expected 1")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @classmethod
     def of(cls, alpha: complex, beta: complex) -> "InputQubit":
@@ -298,15 +298,31 @@ class CzBranch(NamedTuple):
     fidelity: float
 
 
-@dataclass(frozen=True)
-class CzGateResult:
-    """Post-selected controlled-sign gate statistics and output."""
+class CzGateResult(_Record):
+    """Post-selected controlled-sign gate statistics and output: the reduced
+    2-mode post-selected ``output_qubits`` and every kept branch."""
 
-    success_probability: float
-    failure_probability: float
-    min_fidelity: float | None
-    output_qubits: SparseState | None  # reduced 2-mode post-selected output
-    branches: tuple[CzBranch, ...]
+    __slots__ = (
+        "success_probability",
+        "failure_probability",
+        "min_fidelity",
+        "output_qubits",
+        "branches",
+    )
+
+    def __init__(
+        self,
+        success_probability: float,
+        failure_probability: float,
+        min_fidelity: float | None,
+        output_qubits: SparseState | None,
+        branches: tuple[CzBranch, ...],
+    ):
+        object.__setattr__(self, "success_probability", success_probability)
+        object.__setattr__(self, "failure_probability", failure_probability)
+        object.__setattr__(self, "min_fidelity", min_fidelity)
+        object.__setattr__(self, "output_qubits", output_qubits)
+        object.__setattr__(self, "branches", branches)
 
 
 def _corrected_side(

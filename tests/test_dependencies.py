@@ -1,12 +1,15 @@
-"""Static checks of the source: the package imports nothing outside the
-standard library and itself and applies no sign as a float phase, and the
-tests keep one reference per layer."""
+"""Checks of the source: the package imports nothing outside the standard
+library and itself, keeps its start-up free of ``dataclasses`` and
+``inspect``, and applies no sign as a float phase, and the tests keep one
+reference per layer."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import loqc_ancilla
+from conftest import CHILD_ENV
 
 PACKAGE = pathlib.Path(loqc_ancilla.__file__).parent
 ALLOWED = set(sys.stdlib_module_names) | {"loqc_ancilla"}
@@ -48,6 +51,26 @@ def test_import_check_sees_every_import_form(tmp_path):
         "    import mpmath as mp\n"
     )
     assert list(foreign_imports(module)) == [(2, "numpy"), (6, "scipy"), (7, "mpmath")]
+
+
+def modules_loaded_by(code):
+    """Names in ``sys.modules`` once a fresh interpreter has run ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sorted(sys.modules))"],
+        capture_output=True,
+        env=CHILD_ENV,
+        text=True,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Each costs the start-up of every CLI process; the bare interpreter,
+    # started the same way, keeps what ``site`` imports out of the count.
+    added = modules_loaded_by("import loqc_ancilla.cli") - modules_loaded_by("pass")
+    assert "loqc_ancilla.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
 
 
 PHASE_METHODS = {"apply_phase", "apply_basis_phase"}

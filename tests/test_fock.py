@@ -1156,6 +1156,21 @@ def test_non_integral_mode_counts_rejected(modes):
         SparseState(modes)
 
 
+@pytest.mark.parametrize("modes", [-1, -2, -1.0], ids=repr)
+def test_negative_mode_counts_rejected(modes):
+    # A negative count would give extend and tensor a short key length.
+    with pytest.raises(InvalidState, match="is negative"):
+        SparseState(modes)
+    with pytest.raises(InvalidState, match="is negative"):
+        SparseState.from_json_dict({"modes": modes, "terms": []})
+
+
+def test_vacuum_refuses_a_negative_mode_count():
+    with pytest.raises(InvalidState, match="mode count -1 is negative"):
+        SparseState.vacuum(-1)
+    assert SparseState.vacuum(0).terms == {(): 1.0 + 0j}
+
+
 def test_integral_float_mode_count_accepted():
     state = SparseState(2.0, {(1, 0): 1.0})
     assert state.modes == 2 and type(state.modes) is int
