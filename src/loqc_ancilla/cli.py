@@ -9,9 +9,10 @@ czgate     truth-table report for the double-teleport controlled sign
 dots       compile and run the dot-array preparation
 resources  gate counts and success probabilities
 
-Exit codes: 0 success, 1 a computed fidelity fell below tolerance,
-2 usage or input errors.  States are exchanged as JSON files in the
-package's state schema; all numbers are emitted at full precision.
+Exit codes: 0 success, 1 the worst fidelity a run computed fell below
+1 - tolerance, 2 usage or input errors.  States are exchanged as JSON
+files in the package's state schema; all numbers are emitted at full
+precision.
 Relative output paths resolve against $LOQC_ANCILLA_OUTPUT_DIR when set.
 """
 
@@ -38,7 +39,6 @@ from .pipeline import (
 from .profiles import AmplitudeProfile
 from .resources import failure_scaling, gate_counts
 from .teleport import (
-    Classification,
     InputQubit,
     cz_via_double_teleportation,
     failure_probability,
@@ -53,15 +53,10 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _resolve(path: str | None) -> str | None:
-    if path is None or os.path.isabs(path):
-        return path
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    return os.path.join(base, path) if base else path
-
-
 def _write_text(path: str | None, text: str) -> None:
     """Write atomically (temp file, then rename); stdout when no path.
+
+    A relative path resolves against ``$LOQC_ANCILLA_OUTPUT_DIR`` when set.
 
     Replacing an existing file costs more than the write itself on ext4
     with its default ``auto_da_alloc``: a rename (or a truncating open)
@@ -76,7 +71,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    path = os.path.abspath(path)
+    path = os.path.abspath(os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), path))
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
@@ -140,11 +135,20 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _cell(value) -> str:
+    """One CSV field: counts joined by ';', a float at full precision, None empty."""
+    if isinstance(value, tuple):
+        return ";".join(map(str, value))
+    if isinstance(value, float):
+        return _fmt(value)
+    return "" if value is None else str(value)
+
+
+def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_cell(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -153,7 +157,7 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 # ----------------------------------------------------------------------
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace) -> float:
     profile = _load_profile(args.profile, args.n)
     if args.registers == "single":
         if args.method is not None:
@@ -167,95 +171,60 @@ def _cmd_build(args: argparse.Namespace) -> int:
         oracle = direct_oracle_pair(args.n, profile)
         setup = f"registers=pair method={method.value}"
     fid = fidelity(state, oracle)
-    _write_text(_resolve(args.output), _json_text(state.to_json_dict()))
+    _write_text(args.output, _json_text(state.to_json_dict()))
     print(
         f"n={args.n} {setup} terms={len(state)} fidelity={_fmt(fid)}",
         file=sys.stderr,
     )
-    return 0 if fid >= 1.0 - args.tolerance else 1
+    return fid
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> float:
     a, b = _load_state(args.state_a), _load_state(args.state_b)
     fid = fidelity(a.normalized(), b.normalized())
     print(_fmt(fid))
-    return 0 if fid >= 1.0 - args.tolerance else 1
+    return fid
 
 
-def _cmd_teleport(args: argparse.Namespace) -> int:
+def _cmd_teleport(args: argparse.Namespace) -> float | None:
     profile = _load_profile(args.profile, args.n)
     qubit = _parse_qubit(args.input)
     ancilla = direct_oracle_single(args.n, profile)
     outcomes = teleport(qubit, ancilla, args.n)
-
+    failure = failure_probability(outcomes)
+    rows = [[o.counts, o.k, o.probability, o.classification.value, o.fidelity] for o in outcomes]
     if args.format == "csv":
-        rows = []
-        for o in outcomes:
-            rows.append(
-                [
-                    ";".join(map(str, o.counts)),
-                    str(o.k),
-                    _fmt(o.probability),
-                    o.classification.value,
-                    "" if o.fidelity is None else _fmt(o.fidelity),
-                ]
-            )
-        text = _csv_text(
-            ["outcome_counts", "k", "probability", "classification", "fidelity"], rows
-        )
+        header = ["outcome_counts", "k", "probability", "classification", "fidelity"]
+        text = _csv_text(header, rows)
     else:
-        text = _json_text(
-            {
-                "n": args.n,
-                "failure_probability": failure_probability(outcomes),
-                "outcomes": [
-                    {
-                        "counts": list(o.counts),
-                        "k": o.k,
-                        "probability": o.probability,
-                        "classification": o.classification.value,
-                        "fidelity": o.fidelity,
-                    }
-                    for o in outcomes
-                ],
-            }
-        )
-    _write_text(_resolve(args.output), text)
-    print(f"failure_probability={_fmt(failure_probability(outcomes))}", file=sys.stderr)
-    bad = [
-        o
-        for o in outcomes
-        if o.classification is Classification.SUCCESS
-        and o.fidelity < 1.0 - args.tolerance
-    ]
-    return 1 if bad else 0
+        keys = ["counts", "k", "probability", "classification", "fidelity"]
+        outcome_dicts = [dict(zip(keys, row)) for row in rows]
+        text = _json_text({"n": args.n, "failure_probability": failure, "outcomes": outcome_dicts})
+    _write_text(args.output, text)
+    print(f"failure_probability={_fmt(failure)}", file=sys.stderr)
+    # Only successes carry a fidelity.
+    return min((o.fidelity for o in outcomes if o.fidelity is not None), default=None)
 
 
-def _cmd_czgate(args: argparse.Namespace) -> int:
+def _cmd_czgate(args: argparse.Namespace) -> float:
     profile = _load_profile(args.profile, args.n)
     ancilla = direct_oracle_pair(args.n, profile)
-    basis = {
-        "00": (InputQubit.zero(), InputQubit.zero()),
-        "01": (InputQubit.zero(), InputQubit.one()),
-        "10": (InputQubit.one(), InputQubit.zero()),
-        "11": (InputQubit.one(), InputQubit.one()),
-    }
+    qubits = {"0": InputQubit.zero(), "1": InputQubit.one()}
     header = ["input", "success_probability", "failure_probability", "min_fidelity"]
     rows = []
-    for label, (qa, qb) in basis.items():
-        result = cz_via_double_teleportation(qa, qb, ancilla, args.n)
+    for label in ("00", "01", "10", "11"):
+        result = cz_via_double_teleportation(qubits[label[0]], qubits[label[1]], ancilla, args.n)
         fid = result.min_fidelity if result.min_fidelity is not None else 0.0
         rows.append([label, result.success_probability, result.failure_probability, fid])
     if args.format == "csv":
-        text = _csv_text(header, [[r[0]] + [_fmt(v) for v in r[1:]] for r in rows])
+        text = _csv_text(header, rows)
     else:
         text = _json_text({"n": args.n, "rows": [dict(zip(header, r)) for r in rows]})
-    _write_text(_resolve(args.output), text)
-    worst = min(r[3] for r in rows)
-    return 0 if worst >= 1.0 - args.tolerance else 1
+    _write_text(args.output, text)
+    return min(r[3] for r in rows)
 
 
-def _cmd_dots(args: argparse.Namespace) -> int:
+def _cmd_dots(args: argparse.Namespace) -> float:
     profile = _load_profile(args.profile, args.n)
     photonic, schedule = dots_mod.prepare_pair(
         args.n, profile, intra_coefficient=args.intra_coefficient
@@ -263,37 +232,36 @@ def _cmd_dots(args: argparse.Namespace) -> int:
     oracle = direct_oracle_pair(args.n, profile)
     fid = fidelity(photonic, oracle)
     if args.schedule_out:
-        _write_text(_resolve(args.schedule_out), schedule.to_jsonl())
+        _write_text(args.schedule_out, schedule.to_jsonl())
     if args.state_out:
-        _write_text(_resolve(args.state_out), _json_text(photonic.to_json_dict()))
+        _write_text(args.state_out, _json_text(photonic.to_json_dict()))
     report = {"n": args.n, "pulses": len(schedule.pulses), "fidelity": fid}
-    _write_text(_resolve(args.output), _json_text(report))
-    return 0 if fid >= 1.0 - args.tolerance else 1
+    _write_text(args.output, _json_text(report))
+    return fid
 
 
-def _cmd_resources(args: argparse.Namespace) -> int:
+def _cmd_resources(args: argparse.Namespace) -> None:
     methods = (
         [PhaseMethod.PAIRWISE_GATES, PhaseMethod.PARITY_ANCILLA]
         if args.method == "both"
         else [PhaseMethod(args.method)]
     )
+    scaling = failure_scaling(args.n)
     rows = []
     for method in methods:
         report = gate_counts(args.n, method, args.p)
-        scaling = failure_scaling(args.n)
-        rows.append(
-            [
-                str(args.n),
-                method.value,
-                str(report.conditional_transfer_gates),
-                str(report.phase_gates),
-                str(report.total_gates),
-                _fmt(report.per_gate_success),
-                _fmt(report.success_probability),
-                _fmt(scaling.klm),
-                _fmt(scaling.high_fidelity),
-            ]
-        )
+        values = [
+            args.n,
+            method.value,
+            report.conditional_transfer_gates,
+            report.phase_gates,
+            report.total_gates,
+            report.per_gate_success,
+            report.success_probability,
+            scaling.klm,
+            scaling.high_fidelity,
+        ]
+        rows.append([_cell(v) for v in values])  # the JSON holds these strings too
     header = [
         "n",
         "method",
@@ -309,8 +277,7 @@ def _cmd_resources(args: argparse.Namespace) -> int:
         text = _csv_text(header, rows)
     else:
         text = _json_text([dict(zip(header, row)) for row in rows])
-    _write_text(_resolve(args.output), text)
-    return 0
+    _write_text(args.output, text)
 
 
 # ----------------------------------------------------------------------
@@ -388,10 +355,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        fid = args.func(args)  # the worst fidelity computed, or None
     except (AncillaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if fid is None or fid >= 1.0 - args.tolerance else 1
 
 
 if __name__ == "__main__":

@@ -144,7 +144,7 @@ class UGateCorrection(_Record):
     __slots__ = ("phases",)
 
     def __init__(self, phases: tuple[float, ...]):
-        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "phases", tuple(phases))
 
     def to_json_dict(self) -> dict:
         return {"op": "u_gate_correction", "args": [list(self.phases)]}
@@ -161,7 +161,7 @@ class PulseSchedule(_Record):
     def __init__(self, n: int, pairs: int, pulses: tuple[Pulse, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "pulses", pulses)
+        object.__setattr__(self, "pulses", tuple(pulses))
 
     @property
     def dots(self) -> int:

@@ -125,6 +125,7 @@ class TransferSchedule(_Record):
     __slots__ = ("probabilities",)
 
     def __init__(self, probabilities: tuple[float, ...]):
+        probabilities = tuple(probabilities)
         # schedule_from_profile never exceeds 1: its denominator adds the
         # numerator's terms in the same order after one more non-negative
         # term, and rounded addition is monotone.

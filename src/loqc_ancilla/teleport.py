@@ -322,7 +322,7 @@ class CzGateResult(_Record):
         object.__setattr__(self, "failure_probability", failure_probability)
         object.__setattr__(self, "min_fidelity", min_fidelity)
         object.__setattr__(self, "output_qubits", output_qubits)
-        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "branches", tuple(branches))
 
 
 def _corrected_side(

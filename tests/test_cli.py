@@ -334,6 +334,44 @@ def test_teleport_bad_input_is_usage_error(argv, bad_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# One exit rule for every subcommand, decided in ``main``: exit 1 when the
+# worst fidelity a run computed falls below 1 - --tolerance, its output still
+# written.  Each "{name}" in an argv stands for a file holding SHORTFALL_FILES[name].
+# ``dots`` gave exactly 1.0 on every profile tried (constant at n = 2 and 3,
+# [0.3, 0.5, 0.7, 0.2, 0.4] at n = 4), so no row here makes it fall short;
+# its exit 1 comes only through the shared rule.
+SHORTFALL_FILES = {
+    "profile": '{"n": 2, "f": [1, 0.5, 1]}',
+    "state": one_mode_state(1, 1.0),
+    "other": one_mode_state(2, 1.0),  # orthogonal to "state"
+}
+SHORTFALLS = [
+    # worst success fidelity 0.889
+    (["teleport", "--n", "2", "--input", "0.6,0.8", "--profile", "{profile}"], 1, "success"),
+    # fidelity 0.9999999999999998
+    (["build", "--n", "3", "--method", "parity", "--tolerance", "0"], 1, '"terms"'),
+    (["czgate", "--n", "2", "--profile", "delta"], 1, "00,"),
+    (["verify", "{state}", "{other}"], 1, "0.0\n"),
+    (["resources", "--n", "2"], 0, "pairwise"),  # computes no fidelity
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, written", SHORTFALLS, ids=["teleport", "build", "czgate", "verify", "resources"]
+)
+def test_fidelity_shortfall_exits_1_and_still_writes(argv, code, written, tmp_path, capsys):
+    paths = {name: tmp_path / f"{name}.json" for name in SHORTFALL_FILES}
+    for name, text in SHORTFALL_FILES.items():
+        paths[name].write_text(text)
+    argv = [a.format(**paths) for a in argv]
+    got, out, _ = run_cli(argv, capsys)
+    assert got == code and written in out
+    if argv[0] != "verify":  # verify prints its fidelity and takes no --output
+        path = tmp_path / "out"
+        assert run_cli(argv + ["--output", str(path)], capsys)[:2] == (code, "")
+        assert written in path.read_text()
+
+
 @pytest.mark.parametrize(
     "argv, estimate",
     [(["teleport", "--n", "12"], "10400600"), (["czgate", "--n", "6"], "11778624")],

@@ -1,7 +1,7 @@
 """Checks of the source: the package imports nothing outside the standard
-library and itself, keeps its start-up free of ``dataclasses`` and
-``inspect``, and applies no sign as a float phase, and the tests keep one
-reference per layer."""
+library and itself, imports no name it never uses, keeps its start-up free
+of ``dataclasses`` and ``inspect``, and applies no sign as a float phase,
+and the tests keep one reference per layer."""
 
 import ast
 import pathlib
@@ -51,6 +51,51 @@ def test_import_check_sees_every_import_form(tmp_path):
         "    import mpmath as mp\n"
     )
     assert list(foreign_imports(module)) == [(2, "numpy"), (6, "scipy"), (7, "mpmath")]
+
+
+def unused_imports(path):
+    """(line, bound name) of every import whose name the module never reads.
+
+    ``import a.b`` binds ``a``; ``from __future__`` imports bind nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        imported += [(node.lineno, name) for name in names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_package_modules_import_no_unused_name():
+    # Every CLI process compiles each import, as the package ships no
+    # bytecode; ``__init__.py`` imports names to re-export them.
+    modules = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
+    assert PACKAGE / "cli.py" in modules
+    found = [f"{p.name}:{line}: {name}" for p in modules for line, name in unused_imports(p)]
+    assert found == []
+
+
+def test_unused_import_check_sees_every_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path, json\n"
+        "import math as m, re as regex\n"
+        "from . import fock, gates\n"
+        "from typing import Callable, Union as U\n"
+        "def f(x: Callable) -> fock.SparseState:\n"
+        "    import sys\n"
+        "    from itertools import chain\n"
+        "    return os.path.join(m.pi, chain)\n"
+    )
+    assert unused_imports(module) == [
+        (2, "json"), (3, "regex"), (4, "gates"), (5, "U"), (7, "sys")
+    ]
 
 
 def modules_loaded_by(code):

@@ -14,6 +14,7 @@ from loqc_ancilla.dots import (
     Thermalize,
     UGateCorrection,
 )
+from loqc_ancilla.errors import InvalidProfile
 from loqc_ancilla.gates import TransferSetting
 from loqc_ancilla.pipeline import PhaseMethod
 from loqc_ancilla.profiles import AmplitudeProfile, TransferSchedule
@@ -95,3 +96,32 @@ def test_record_is_an_immutable_value_of_its_own_class(cls, args, text):
     assert tuple(getattr(record, name) for name in cls.__slots__) == fields
     assert not hasattr(record, "extra") and not hasattr(record, "__dict__")
 
+
+
+# (class, arguments with one list, name of the field given the list).  Each
+# field is stored as a tuple, so the record hashes and no later change to the
+# list reaches it.
+LIST_INPUTS = [
+    (TransferSchedule, ([0.5],), "probabilities"),
+    (UGateCorrection, ([0.0, 0.5],), "phases"),
+    (PulseSchedule, (1, 1, [Thermalize()]), "pulses"),
+    (CzGateResult, (0.5, 0.5, 1.0, None, []), "branches"),
+]
+
+
+@pytest.mark.parametrize("cls, args, name", LIST_INPUTS, ids=[r[0].__name__ for r in LIST_INPUTS])
+def test_record_stores_a_given_list_as_a_tuple(cls, args, name):
+    given = next(a for a in args if isinstance(a, list))
+    record = cls(*args)
+    stored = getattr(record, name)
+    assert type(stored) is tuple and stored == tuple(given)
+    assert hash(record) == hash(cls(*(tuple(a) if a is given else a for a in args)))
+    given.append(2.0)
+    assert getattr(record, name) == stored
+
+
+def test_transfer_schedule_checks_the_tuple_it_stores():
+    # An iterator is read once: the check and the field see the same values.
+    assert TransferSchedule(iter([0.5, 1.0])).probabilities == (0.5, 1.0)
+    with pytest.raises(InvalidProfile):
+        TransferSchedule(iter([0.5, 2.0]))

@@ -56,6 +56,11 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def test_qubit_normalization_enforced():
     with pytest.raises(OutOfRange):
         InputQubit(1.0, 1.0)
+    # The norm^2 must lie within 1e-12 of 1: 1.0000000016 and 1.000000000016
+    # are both refused, the second past any bound of 1e-11 or looser.
+    for beta in (0.8 + 1e-9, 0.8 + 1e-11):
+        with pytest.raises(OutOfRange):
+            InputQubit(0.6, beta)
     q = InputQubit.of(3.0, 4.0)
     assert abs(q.alpha) == pytest.approx(0.6)
     assert abs(q.beta) == pytest.approx(0.8)
@@ -646,7 +651,12 @@ def test_signed_profile_teleports_like_its_moduli(values):
         ]
 
 
-@pytest.mark.parametrize("values", [[1, -1, 1], [1, 2, -1, 1], [0.5, -1, 0.3, -0.2]])
+# The last two have f(n) = 0: their signs must be read off the row of the
+# largest diagonal weight, not off row n.
+@pytest.mark.parametrize(
+    "values",
+    [[1, -1, 1], [1, 2, -1, 1], [0.5, -1, 0.3, -0.2], [1, -1, 0], [0.5, -1, 0.3, 0]],
+)
 def test_signed_profile_cz_like_its_moduli(values):
     n = len(values) - 1
     signed, moduli = moduli_twin(values)
