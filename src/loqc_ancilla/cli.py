@@ -250,18 +250,19 @@ def _cmd_resources(args: argparse.Namespace) -> None:
     rows = []
     for method in methods:
         report = gate_counts(args.n, method, args.p)
-        values = [
-            args.n,
-            method.value,
-            report.conditional_transfer_gates,
-            report.phase_gates,
-            report.total_gates,
-            report.per_gate_success,
-            report.success_probability,
-            scaling.klm,
-            scaling.high_fidelity,
-        ]
-        rows.append([_cell(v) for v in values])  # the JSON holds these strings too
+        rows.append(
+            [
+                args.n,
+                method.value,
+                report.conditional_transfer_gates,
+                report.phase_gates,
+                report.total_gates,
+                report.per_gate_success,
+                report.success_probability,
+                scaling.klm,
+                scaling.high_fidelity,
+            ]
+        )
     header = [
         "n",
         "method",

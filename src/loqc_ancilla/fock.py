@@ -17,24 +17,26 @@ prunes it without a rebuild through ``_like``, which would hash every kept
 key again (a tuple does not cache its hash).  On modes that lead in order
 each input term has a class, its photon total there and its other counts.
 When every term is alone in its class, as in every teleport and CZ Fourier
-input, each product is written once and only if it is not faint, so the
-exact zeros of Fourier interference are never stored; any other input sums
-its products and deletes the faint keys after the scan.  Two builds skip
-that amplitude scan and prune inline:
+input (one term per photon total), each product is written once and only
+if it is not faint, so the exact zeros of Fourier interference are never
+stored; any other input sums its products and deletes the faint keys after
+the scan.  Two builds skip that amplitude scan and prune inline:
 
 * ``measure`` groups the terms by outcome into buckets, dicts it builds
   itself, each made with its first entry, whose equal residual keys are
   one shared tuple across all outcomes.  It scales each bucket in place
   into the residual; each amplitude a goes to a/sqrt(p) with |a|^2 <= p,
   so every one stays within 1.
-* the CZ's weighted join of its two corrected sides, keyed by each side's
-  Fourier counts and then both qubit photons (modes [c, c', b, b']): each
-  product is at most n+1 times a pair weight, and the CZ refuses, before
-  either of its transforms, a pair weight whose |w|^2 overflows.
+* the CZ's join of its two sides' Fourier tables, keyed by both sides'
+  counts (modes [c, c']): each term is the product of two table
+  amplitudes and the norm of its branch's qubit pair, which is at most
+  the largest pair weight, and the CZ refuses, before either of its
+  transforms, a pair weight whose |w|^2 overflows and a pair whose
+  success and failure totals do.
 
-The KLM feedforward (``teleport._feedforward``) needs no prune of its own:
-it moves and negates the input terms of the Fourier transform exactly, and
-the transform prunes its output as above.
+The KLM feedforward needs no prune of its own: ``teleport`` applies it
+before the transform, as the choice of one input pattern per photon total,
+and the transform prunes its output as above.
 
 Three more skip both the scan and the prune.  Every exact sign goes through
 ``_negated``, which copies the term dict (``dict.copy``, so dict order is

@@ -7,13 +7,6 @@ the measured total k.  Totals k = 0 and k = n+1 project the qubit onto a
 basis state and are classified as failures; every other k succeeds after an
 outcome-dependent phase correction.
 
-An ancilla term sits at a register pattern of weight j (``teleport``
-refuses any other), so beside the Fourier counts c its y modes carry one
-bit: the qubit photon b = k - j, which is 1 exactly when y mode k-1 is
-occupied.  The Fourier state is therefore keyed c + (b,) on n+2 modes, and
-each residual of the measurement is the corrected qubit itself, on one
-mode, scored against the input qubit's own state.
-
 The correction is known in closed form (the KLM feedforward).  With total k,
 input 1 occupies Fourier inputs {0..k-1} and input 0 occupies {1..k}: a
 cyclic shift by one mode, which multiplies each output photon in mode m by
@@ -23,25 +16,35 @@ the phase 2 pi r/(n+1) on y mode k-1, and a sign where f(k) and f(k-1)
 differ in sign (read off the ancilla's own amplitudes); for the constant
 profile the weight ratio is 1, so the correction restores the qubit
 exactly.  It is conditioned only on the measured counts, so it commutes
-with their measurement, and the photon total and the qubit photon it reads
-pass through the transform unchanged.  So ``_feedforward`` applies it
-before the transform, as that same shift: each input term holding the
-qubit's photon has its Fourier counts moved one mode up, cyclically, and
-is negated where the sign flips.  The transform then yields each corrected
-amplitude directly, with no phase factor rounded into it, and the
-measurement yields corrected residuals.
+with their measurement, and applied before the transform it is that same
+shift, undone: the qubit's 1 moves onto the pattern {1..k} of its 0.
+
+So after the correction both qubit values of total k sit on one Fourier
+pattern, {1..k} (every mode for k = n+1, which holds only the 1; k = 0
+holds only the 0), and the qubit photon b takes no part in the transform.
+An ancilla term sits at a register pattern of weight j (``teleport``
+refuses any other), and b = k - j is the one bit its y modes carry, the
+photon y mode k-1 holds.  The corrected mixed state is therefore
+sum_k (T_n |{1..k}>) (x) v_k, with T_n the Fourier transform and
+v_k = (alpha f(k), +-beta f(k-1)) the corrected qubit of class k, its sign
+from ``_sign_flips``.  ``_fourier_table`` transforms one term per total k,
+weighted by the class norm |v_k|: the profile-free table T_n scaled by the
+class masses.  Every outcome of total k has the residual v_k/|v_k| on one
+mode, keys (0,) and (1,), scored against the input qubit's own state.
 
 The controlled sign teleports two qubits at once through the entangled pair
 ancilla, whose terms sit at the register patterns (j, j') with weights
-w(j, j').  The two Fourier transforms never see the pair: each side mixes
-its qubit with a unit-weight single register, keyed c + (b,) on its own
-n+2 modes, and is corrected by the same ``_feedforward``.  Only success
-terms are joined, each product weighted by w(j, j') at the register
-weights j = k - b and negated exactly for the cross corrections.  The
-joint state is keyed on modes [c, c', b, b'], so measuring both count
-blocks yields exactly the kept branches with the corrected qubit pair as
-each residual.  The success and failure totals come from each side's mass
-per register weight, not from the branches.
+w(j, j').  The two Fourier transforms never see the pair: each side's table
+holds its own qubit's class norms through a unit-weight register.  The two
+qubit photons fix the register weights, j = k - b and j' = k' - b', so the
+branch of totals (k, k') carries the qubit pair
+u(b, b') = r_k(b) r'_k'(b') w(j, j') (-1)^(b k' + b' k), r the sides' class
+residuals and the sign the cross corrections.  The joint state on the two
+count blocks [c, c'] holds one term per kept branch, a a' |u|, a and a' the
+tables' amplitudes; measuring it yields the kept branches, each scored with
+the residual u/|u| against the controlled-sign image of the input product
+state.  The success and failure totals come from each side's mass per
+register weight, not from the branches.
 
 Both routes enumerate every measurement outcome, so they refuse sizes whose
 outcome bound exceeds :data:`OUTCOMES_GUARD` before doing any work.
@@ -70,8 +73,8 @@ from .fock import (
 from .pipeline import pair_pattern, single_register_pattern
 
 # Measurement outcomes one call may enumerate.  It admits the CZ up to n=5
-# (``czgate --n 5``, its four basis inputs in one process: about 5 s and
-# 0.17 GB peak RSS on a 2-vCPU Xeon VM, CPython 3.11) and teleport up to
+# (``czgate --n 5``, its four basis inputs in one process: about 4 s and
+# 0.15 GB peak RSS on a 2-vCPU Xeon VM, CPython 3.11) and teleport up to
 # n=10; the CZ at n=6 and teleport from n=11 would run for minutes to hours.
 OUTCOMES_GUARD = 1e6
 
@@ -184,9 +187,10 @@ def feedforward_table(n: int) -> tuple[float, ...]:
     corrects a success outcome with counts c on the n+1 Fourier modes by
     the entry at residue sum_m m*c_m mod (n+1), after the transform.  The
     package corrects before the transform, by the input shift these phases
-    equal (see ``_feedforward``), and reads no entry.  The table does not
-    depend on the input qubit or the profile; the sign of f(k)/f(k-1) is
-    added per call from the ancilla's amplitudes (see ``_sign_flips``).
+    equal, and reads no entry; the table stays because the benchmark's
+    set-up warms it and reports its cache.  It does not depend on the input
+    qubit or the profile; the sign of f(k)/f(k-1) is added per call from the
+    ancilla's amplitudes (see ``_sign_flips``).
     """
     return tuple(2 * math.pi * r / (n + 1) for r in range(n + 1))
 
@@ -210,44 +214,74 @@ def _pattern_weights(
     return weights
 
 
-def _feedforward(qubit: InputQubit, register: SparseState, n: int, flips: list[int]) -> SparseState:
-    """Mix ``qubit`` with ``register``, the KLM feedforward applied to the
-    mixing's input, so that measuring the result yields corrected residuals.
+def _classes(
+    qubit: InputQubit, weights: list[complex], flips: list[int], n: int
+) -> tuple[list[float], list[SparseState | None]]:
+    """The corrected qubit v_k of each photon total k = 0..n+1.
 
-    The input is modes [q, x, y]; a term keeps its Fourier counts c (q and
-    x) and its qubit photon b, the one bit its y modes carry, so the
-    transform on c leaves keys c + (b,).  A term with photon total k <= n
-    holding the qubit's photon (b = 1, which is y mode k-1 occupied) has
-    its Fourier counts shifted cyclically by one mode (mode m to m+1, mode
-    n to 0), which multiplies its output at counts c by exactly w^r, and is
-    negated where ``flips[k]``.  The shift keeps k and b, so within one
-    (k, b) class every term is shifted or none is, and no two keys merge:
-    amplitudes only move and change sign before the one transform, which
-    rounds and prunes them as any other.  A shifted term's Fourier pattern
-    {1..k} is the one the qubit's empty term at weight k has, so the
-    transform expands n fewer patterns.
+    Through a register of ``weights`` f, class k holds the qubit's 0 at
+    register weight k and its 1 at weight k-1: v_k = (alpha f(k),
+    beta f(k-1)), the 1 negated where ``flips[k]``, and a part below the
+    prune tolerance dropped, as the mixed state's term would be.  Returns
+    each class mass |v_k|^2 and residual v_k/|v_k|, one mode keyed (0,) and
+    (1,) and pruned as a measured residual (None for an empty class).  A
+    mass past the float range raises ``InvalidState``.
     """
-    terms: dict[Occupation, complex] = {}
-    for key, a in qubit.state().tensor(register).terms.items():
-        c, b = key[: n + 1], key[0]
-        k = sum(c)
-        if b and k <= n:
-            c = c[n:] + c[:n]
-            if flips[k]:
-                a = -a + 0j
-        terms[c + (b,)] = a
-    return apply_qft(_state(n + 2, terms), list(range(n + 1)))
+    masses: list[float] = []
+    residuals: list[SparseState | None] = []
+    for k in range(n + 2):
+        parts = {}
+        if k <= n:
+            parts[(0,)] = qubit.alpha * weights[k]
+        if k:
+            one = qubit.beta * weights[k - 1]
+            parts[(1,)] = -one if k <= n and flips[k] else one
+        try:
+            parts = {b: a + 0j for b, a in parts.items() if abs(a) >= PRUNE_TOLERANCE}
+            mass = _sum_in_order(abs(a) ** 2 for a in parts.values())
+        except OverflowError:  # a modulus or its square past the float range
+            mass = math.inf
+        if not mass < math.inf:  # NaN fails too
+            raise InvalidState("ancilla weights give a class norm^2 past the float range")
+        masses.append(mass)
+        residuals.append(_unit_state(parts, mass) if parts else None)
+    return masses, residuals
+
+
+def _unit_state(parts: dict[Occupation, complex], mass: float) -> SparseState:
+    """``parts``, of total mass ``mass``, scaled to unit norm and pruned as
+    ``measure`` prunes a residual."""
+    scale = 1.0 / math.sqrt(mass)
+    unit = {key: a * scale for key, a in parts.items()}
+    modes = len(next(iter(parts)))
+    return _state(modes, {key: a + 0j for key, a in unit.items() if abs(a) >= PRUNE_TOLERANCE})
+
+
+def _fourier_table(masses: list[float], n: int) -> SparseState:
+    """The Fourier mixing of one input term per photon total k, at its
+    corrected pattern {1..k} (every mode for k = n+1) with amplitude
+    sqrt(masses[k]): the profile-free table T_n scaled by the class norms.
+    Each input term is alone in its class, so the transform writes each
+    product once and prunes it as it is written."""
+    terms = {
+        (1,) * (n + 1) if k > n else (0,) + (1,) * k + (0,) * (n - k): complex(math.sqrt(m))
+        for k, m in enumerate(masses)
+        if m
+    }
+    return apply_qft(_state(n + 1, terms), list(range(n + 1)))
 
 
 def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOutcome]:
     """Enumerate every measurement branch of one teleport exactly.
 
-    Each success outcome's ``output_state`` is the corrected qubit on one
-    mode, keys (0,) and (1,), and its fidelity is taken against
-    ``qubit.state()``.
+    Each success outcome's ``output_state`` is the corrected qubit of its
+    total k on one mode, keys (0,) and (1,), one state shared by every
+    outcome of that k, and its fidelity is taken against ``qubit.state()``.
 
     An ancilla with a term off the register patterns raises
-    ``ShapeMismatch``: its sign flips are read off those patterns.
+    ``ShapeMismatch``: its sign flips are read off those patterns.  One
+    whose class mass passes the float range raises ``InvalidState``.  Both
+    are refused before the transform.
     """
     if ancilla.modes != 2 * n:
         raise ShapeMismatch(
@@ -256,17 +290,20 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
     _check_cost(n, 1)
     patterns = [single_register_pattern(n, j) for j in range(n + 1)]
     weights = _pattern_weights(ancilla, patterns, "ancilla", n)
+    masses, residuals = _classes(qubit, weights, _sign_flips(weights), n)
     ideal = qubit.state()
-    # The transformed state is measured as it is made, so it is freed before
-    # the outcome records are built.
-    measured = _feedforward(qubit, ancilla, n, _sign_flips(weights)).measure(range(n + 1))
+    # The table is measured as it is made, so it is freed before the
+    # outcome records are built.  Every count is measured, so each measured
+    # residual is the 0-mode unit phase and the class residual replaces it.
+    measured = _fourier_table(masses, n).measure(range(n + 1))
 
     # Each outcome is built by tuple.__new__, as ``_state`` builds a state by
     # object.__new__: the named tuple's own __new__ is a Python-level call.
     outcomes: list[TeleportOutcome] = []
-    for counts, prob, residual in measured:
+    for counts, prob, _ in measured:
         k = sum(counts)
         if 1 <= k <= n:
+            residual = residuals[k]
             fid = fidelity(residual, ideal)
             row = (counts, k, prob, Classification.SUCCESS, residual, fid)
         else:
@@ -325,33 +362,23 @@ class CzGateResult(_Record):
         object.__setattr__(self, "branches", tuple(branches))
 
 
-def _corrected_side(
-    qubit: InputQubit, register: SparseState, n: int, flips: list[int]
-) -> tuple[list[tuple[int, int, int, list]], tuple[list[float], list[float]]]:
-    """Mix and correct one CZ side (``_feedforward``) and split its terms.
-
-    A term's key is its Fourier counts c, of photon total k, and its qubit
-    photon b, which fix its register weight j = k - b.  Returns the success
-    terms (k in 1..n) as cells (j, k, b, terms), ordered by j and then b,
-    each term its Fourier counts c and amplitude s, and, per weight j, the
-    masses sum |s|^2 of all its terms and of its failing ones, each summed
-    in output order.
-    """
-    halves: list[tuple[list, list]] = [([], []) for _ in range(n + 1)]
-    every: list[list[float]] = [[] for _ in range(n + 1)]
-    failed: list[list[float]] = [[] for _ in range(n + 1)]
-    for key, s in _feedforward(qubit, register, n, flips).terms.items():
-        c, b = key[: n + 1], key[n + 1]
-        k = sum(c)
-        j = k - b
-        mass = abs(s) ** 2
-        every[j].append(mass)
-        if 1 <= k <= n:
-            halves[j][b].append((c, s))
-        else:
-            failed[j].append(mass)
-    cells = [(j, j + b, b, t) for j, half in enumerate(halves) for b, t in enumerate(half) if t]
-    return cells, ([_sum_in_order(m) for m in every], [_sum_in_order(m) for m in failed])
+def _weight_masses(
+    residuals: list[SparseState | None], masses: list[float], n: int
+) -> tuple[list[float], list[float]]:
+    """Per register weight j, the mass of a CZ side's terms and of its
+    failing ones: the class mass of each total k shared out by its
+    residual, |r_k(b)|^2 to the qubit photon b at weight j = k - b.  Each
+    weight adds its 0 of total j, then its 1 of total j+1."""
+    every, failed = [0.0] * (n + 1), [0.0] * (n + 1)
+    for k, (residual, mass) in enumerate(zip(residuals, masses)):
+        if residual is None:
+            continue
+        for (b,), r in residual.terms.items():
+            part = abs(r) ** 2 * mass
+            every[k - b] += part
+            if not 1 <= k <= n:
+                failed[k - b] += part
+    return every, failed
 
 
 def _cz_totals(
@@ -390,29 +417,26 @@ def cz_via_double_teleportation(
 ) -> CzGateResult:
     """Teleport both qubits through the entangled pair ancilla.
 
-    Each side's Fourier transform acts on its own (n+2)-mode state, the
-    qubit tensored with the unit-weight single register sum_j |x_j y_j>
-    and keyed by its Fourier counts c and qubit photon b, and each success
-    term takes its feedforward there (``_corrected_side``), with the
-    profile's sign flips read off the pair.  The joint state is the product
-    of the two sides' success terms (both photon totals in 1..n) with each
-    term reweighted by the pair's amplitude w(j, j') at the registers'
-    weights j = k - b.  No sum is lost: a side's output key fixes its
-    register weight, so each joint key has one product s1 s2 w(j, j').  The
-    join runs over the sides' (j, k, b) cells and applies the cross
-    corrections, pi*k' on the unprimed output and pi*k on the primed one,
-    as exact negations.  A joint key keeps each side's Fourier counts and
-    qubit photon, on modes [c, c', b, b'].  Measuring both count blocks
-    then yields exactly the kept branches, already corrected, each residual
-    a qubit pair on [b, b'] scored against the controlled-sign image of the
-    input product state; the likeliest one, normalized, is the output.
+    Each side's Fourier table (``_fourier_table``) holds its own qubit's
+    class norms through a unit-weight register, with the profile's sign
+    flips read off the pair.  A branch of side totals (k, k') in 1..n
+    carries the corrected qubit pair u(b, b') = r_k(b) r'_k'(b') w(j, j'),
+    r the sides' class residuals, at the register weights j = k - b and
+    j' = k' - b', negated exactly for the cross corrections, pi*k' on the
+    unprimed qubit photon and pi*k on the primed one.  The joint state,
+    keyed by both sides' Fourier counts [c, c'], holds each pair of success
+    terms once, as a a' |u|; measuring it yields exactly the kept branches,
+    each scored with the residual u/|u|, one state per (k, k'), against the
+    controlled-sign image of the input product state.  The likeliest one's
+    residual is the output.
 
     Failing terms never enter the joint state: the success and failure
-    totals come from the sides' masses per weight (``_cz_totals``).  An
-    ancilla with a term off the register patterns (j, j') raises
-    ``ShapeMismatch`` and one with a weight whose |w|^2 overflows
-    ``InvalidState``, both before either transform; one whose totals pass
-    the float range raises ``InvalidState`` after them.
+    totals come from the sides' masses per weight (``_cz_totals``), the
+    class masses shared out by the residuals and scaled by each table's
+    mass per total.  An ancilla with a term off the register patterns
+    (j, j') raises ``ShapeMismatch``, and one with a weight whose |w|^2
+    overflows, or whose totals pass the float range, ``InvalidState``, all
+    before either transform.
     """
     if ancilla_pair.modes != 4 * n:
         raise ShapeMismatch(
@@ -422,8 +446,8 @@ def cz_via_double_teleportation(
     patterns = [pair_pattern(n, j, jp) for j in range(n + 1) for jp in range(n + 1)]
     flat = _pattern_weights(ancilla_pair, patterns, "pair ancilla", n)
     weights = [flat[j * (n + 1) : (j + 1) * (n + 1)] for j in range(n + 1)]
-    # Each side has norm^2 n+1, so |s1 s2| <= n+1: a finite |w|^2 bounds
-    # every joined product s1 s2 w, each part included, far below inf.
+    # Class residuals have unit norm, so a branch's |u|^2 is at most the
+    # largest |w|^2: a finite |w|^2 keeps every joined term finite.
     try:
         pair_mass = [[abs(w) ** 2 for w in row] for row in weights]
     except OverflowError:  # a modulus or its square past the float range
@@ -433,40 +457,60 @@ def cz_via_double_teleportation(
     row = max(range(n + 1), key=lambda j: abs(weights[j][j]))
     flips = _sign_flips([weights[j][row] * (-1) ** (j * row) for j in range(n + 1)])
 
-    register = SparseState(2 * n, {single_register_pattern(n, j): 1.0 for j in range(n + 1)})
-    cells1, masses1 = _corrected_side(q, register, n, flips)
-    cells2, masses2 = _corrected_side(qp, register, n, flips)
-    total_success, total_failure = _cz_totals(pair_mass, masses1, masses2)
+    unit = [1.0] * (n + 1)
+    sides = [_classes(q, unit, flips, n), _classes(qp, unit, flips, n)]
+    # The transforms keep each class's mass, so totals past the float range
+    # are refused on the class masses, before either transform.
+    _cz_totals(pair_mass, *(_weight_masses(r, m, n) for m, r in sides))
+    groups: list[list[list[tuple[Occupation, complex]]]] = []
+    side_masses = []
+    for masses, residuals in sides:
+        # Each table's terms by photon total, and its mass per total summed
+        # in output order, which shares the transform's rounding.
+        by_k: list[list[tuple[Occupation, complex]]] = [[] for _ in range(n + 2)]
+        for c, a in _fourier_table(masses, n).terms.items():
+            by_k[sum(c)].append((c, a))
+        table_mass = [_sum_in_order(abs(a) ** 2 for _, a in terms) for terms in by_k]
+        groups.append(by_k)
+        side_masses.append(_weight_masses(residuals, table_mass, n))
+    total_success, total_failure = _cz_totals(pair_mass, *side_masses)
 
-    # The cross corrections, pi*k' on the qubit photon b1 and pi*k on b2,
-    # give each pair of cells one sign.  Negating w negates each product
-    # exactly, as -a would.
+    (_, residuals1), (_, residuals2) = sides
     terms: dict[Occupation, complex] = {}
-    for j, k, b1, part1 in cells1:
-        for jp, kp, b2, part2 in cells2:
-            w = weights[j][jp]
-            if not w:
+    pair_residuals: dict[tuple[int, int], SparseState] = {}
+    for k in range(1, n + 1):
+        for kp in range(1, n + 1):
+            # Negating w negates the product exactly, as -a would.
+            u = {}
+            for (b1,), r1 in residuals1[k].terms.items():
+                for (b2,), r2 in residuals2[kp].terms.items():
+                    w = weights[k - b1][kp - b2]
+                    if w:
+                        u[b1, b2] = r1 * r2 * (-w if (b1 * kp + b2 * k) % 2 else w)
+            if not u:
                 continue
-            v = -w if (b1 * kp + b2 * k) % 2 else w
-            bits = (b1, b2)
-            for c1, s1 in part1:
-                for c2, s2 in part2:
-                    a = s1 * s2 * v
+            mass = _sum_in_order(abs(x) ** 2 for x in u.values())
+            pair_residuals[k, kp] = _unit_state(u, mass)
+            norm = math.sqrt(mass)
+            for c1, a1 in groups[0][k]:
+                for c2, a2 in groups[1][kp]:
+                    a = a1 * a2 * norm
                     if abs(a) >= PRUNE_TOLERANCE:
-                        terms[c1 + c2 + bits] = a + 0j
-    # Modes [c, c', b, b']: measuring both Fourier blocks leaves the
-    # corrected qubit pair as the residual, and the counts as side 1 then
-    # side 2.  The joint state and the cells are freed before the records.
-    measured = _state(2 * n + 4, terms).measure(range(2 * n + 2))
-    del terms, cells1, cells2
+                        terms[c1 + c2] = a + 0j
+    # Every count is measured: each measured residual is the 0-mode unit
+    # phase, and the branch's qubit pair is its class residual.  The joint
+    # state and the tables are freed before the records.
+    measured = _state(2 * n + 2, terms).measure(range(2 * n + 2))
+    del terms, groups
     # The controlled sign negates the term holding both photons.
     ideal = q.state().tensor(qp.state())
     ideal = _negated(ideal, [occ for occ in ideal.terms if occ == (1, 1)])
 
     branches: list[CzBranch] = []
     best: tuple[float, SparseState] | None = None
-    for counts, prob, residual in measured:
+    for counts, prob, _ in measured:
         k, kp = sum(counts[: n + 1]), sum(counts[n + 1 :])
+        residual = pair_residuals[k, kp]
         fid = fidelity(residual, ideal)
         branches.append(tuple.__new__(CzBranch, (counts, k, kp, prob, fid)))
         if best is None or prob > best[0]:
@@ -476,6 +520,6 @@ def cz_via_double_teleportation(
         success_probability=total_success,
         failure_probability=total_failure,
         min_fidelity=min((b.fidelity for b in branches), default=None),
-        output_qubits=None if best is None else best[1].normalized(),
+        output_qubits=None if best is None else best[1],
         branches=tuple(branches),
     )

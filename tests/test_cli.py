@@ -62,7 +62,21 @@ def test_resources_both_methods_json(capsys):
     assert code == 0
     rows = json.loads(out)
     assert [r["method"] for r in rows] == ["pairwise", "parity"]
-    assert rows[1]["total"] == "10"  # 6n-2 at n=2
+    # Counts are JSON ints and probabilities floats, as in teleport and czgate.
+    assert rows[1]["total"] == 10  # 6n-2 at n=2
+    assert rows[0] == {
+        "n": 2,
+        "method": "pairwise",
+        "conditional_gates": 2,
+        "phase_gates": 4,
+        "total": 6,
+        "p": 0.25,
+        "success_probability": 0.25**6,
+        "klm_failure": 2 / 3,
+        "hf_failure": 4 / 9,
+    }
+    assert all(type(r[key]) is int for r in rows for key in ("n", "total"))
+    assert all(type(r[key]) is float for r in rows for key in ("p", "klm_failure"))
 
 
 # ----------------------------------------------------------------------
@@ -422,25 +436,25 @@ PINNED_OUTPUTS = [
     (
         ["teleport", "--n", "4", "--input=0.3,0.1,-0.5,0.2", "--format", "json"],
         0,
-        "20f6423a9747a343b4b9f863fc47c01e58c2c9f7e4c1c8ba498dfc4b6206d554",
+        "2b6ab755fac6a35a7ba694fb4b1d480c372239977ed33b0a90c0ece61bc1f5aa",
         "failure_probability=0.19999999999999998\n",
     ),
     (
         ["czgate", "--n", "2", "--format", "json"],
         0,
-        "37958f3c570c771b1f064d9ccd05a359d766555244f48dd43fc6d892ddbb1cb3",
+        "24c402863d1c76c879cf146d6a493a763380f30dee20b7118f20d5033ae67e20",
         "",
     ),
     (
         ["czgate", "--n", "3", "--format", "csv"],
         0,
-        "9ffdf1622a8be4cad6e5f872a6e65178d4f4602125411ce85f4dbed12ad4c916",
+        "33a10b6986473c4bd3908c5084e3f10163ef2029095e3f3ff46ad940abcd00bd",
         "",
     ),
     (
         ["czgate", "--n", "2", "--profile", "delta", "--format", "json"],
         1,
-        "225c41216bc89688a704153d804c3951c7a3ba4619135c6d873a589ac7ed4593",
+        "d3e2ba1676c878d56aa0b13958af08554794c0e9dfe437ea41e0eb78f6a0d714",
         "",
     ),
     (

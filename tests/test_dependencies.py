@@ -165,7 +165,7 @@ KEPT_REFERENCES = {
     "test_fock.py:reference_measure",  # grouping by enumeration
     "test_gates.py:reference_controlled_sign",  # a float pi phase
     "test_teleport.py:reference_phase_feedforward",  # a phase after the transform
-    "test_teleport.py:reference_phase_teleport",
+    "test_teleport.py:reference_teleport",  # the qubit photon through the transform
     "test_teleport.py:reference_joint_state_cz",  # both sides on one state
 }
 

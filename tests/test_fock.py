@@ -665,9 +665,8 @@ def test_memo_spares_a_repeat_n6_teleport_every_expansion(monkeypatch):
         ]
 
     cold = run()
-    # The 7 register weights with no qubit photon, then all 7 with it:
-    # the feedforward shifts the qubit's photon at weights 0..5 onto the
-    # Fourier pattern of weight j+1, so 8 patterns, 3 432 products in all.
+    # One Fourier pattern per photon total k = 0..7, {1..k} and then every
+    # mode: 8 patterns, 3 432 products in all.
     assert len(expanded) == 8 and sum(expanded) == 3432
     expanded.clear()
     assert run() == cold

@@ -101,7 +101,7 @@ def _feed_state(h, state):
 # kernels moves a bit of any of them (or the order of their terms) unseen.
 # It reads the same on each supported Python version: every float the
 # package sums is added left to right.
-BUILD_AND_TELEPORT_DIGEST = "4cd603287d8b1021f8a2a0de07f5e7da31303ab213f1d6cf60d33223a47523ad"
+BUILD_AND_TELEPORT_DIGEST = "fe308a4feef0e3b7432dd756cdb26f8c9b3a3e796f1d3bd1b7950aaf4bddc20f"
 
 
 def test_build_and_teleport_outputs_match_their_pinned_digest():

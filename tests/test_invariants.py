@@ -25,6 +25,7 @@ from loqc_ancilla import (
     transmission_for_probability,
 )
 from loqc_ancilla import dots
+from loqc_ancilla.pipeline import single_register_pattern
 from loqc_ancilla.teleport import qft_matrix
 from conftest import random_qubit, random_state, signed_zero_state
 from invariants import check_state
@@ -68,6 +69,17 @@ def profiles(n, signed=False):
 
 PROFILES = [p for n in range(1, 5) for p in profiles(n)]
 SIGNED = [p for n in range(1, 5) for p in profiles(n, signed=True)]
+# Teleports through the signed oracles, and a faint qubit value through an
+# unnormalized register of weights 100: its part 2e-12 of the mixed input
+# passes the prune, but its share 2e-14 of the unit residual does not.
+TELEPORTS = [(QUBITS[n], direct_oracle_single(n, p), n) for n, p in SIGNED]
+TELEPORTS.append(
+    (
+        InputQubit.of(2e-14, 1.0),
+        SparseState(4, {single_register_pattern(2, j): 100.0 for j in range(3)}),
+        2,
+    )
+)
 
 OPERATIONS = {
     "SparseState": lambda: [SparseState(s.modes, s.terms) for s in INPUTS]
@@ -153,8 +165,8 @@ OPERATIONS = {
     "InputQubit.state": lambda: [q.state() for q in QUBITS],
     "teleport": lambda: [
         o.output_state
-        for n, p in SIGNED
-        for o in teleport(QUBITS[n], direct_oracle_single(n, p), n)
+        for qubit, ancilla, n in TELEPORTS
+        for o in teleport(qubit, ancilla, n)
         if o.output_state is not None
     ],
     "cz_via_double_teleportation": lambda: [

@@ -34,6 +34,7 @@ from loqc_ancilla.teleport import (
     OUTCOMES_GUARD,
     CzBranch,
     CzGateResult,
+    TeleportOutcome,
     _sign_flips,
     feedforward_table,
     outcome_estimate,
@@ -256,9 +257,9 @@ def test_feedforward_pure_phase_suffices(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_teleport_corrects_before_its_one_measure(n, monkeypatch):
     # The benchmark's teleport span contract: one transform, one measure.
-    # The feedforward corrects each success term before the measurement, so
-    # each success outcome keeps the measured residual and no phase is
-    # applied afterwards.
+    # The transform's input is one term per photon total, at most n+2 on
+    # the n+1 Fourier modes, and each success outcome gets its total's class
+    # residual, one shared state per k, with no phase applied afterwards.
     transforms, measures = [], []
     qft, measure = teleport_module.apply_qft, SparseState.measure
 
@@ -281,16 +282,18 @@ def test_teleport_corrects_before_its_one_measure(n, monkeypatch):
     # flip, and the corrected output is the qubit itself.
     profile = AmplitudeProfile.from_values([(-1) ** j for j in range(n + 1)])
     outcomes = teleport(InputQubit.of(0.6, 0.8j), direct_oracle_single(n, profile), n)
-    assert transforms == [(n + 2, 2 * (n + 1), list(range(n + 1)))]
+    assert transforms == [(n + 1, n + 2, list(range(n + 1)))]
     (measured,) = measures
     assert [(o.counts, o.probability) for o in outcomes] == [
         (mo.counts, mo.probability) for mo in measured
     ]
-    successes = [(o, mo) for o, mo in zip(outcomes, measured) if 1 <= o.k <= n]
+    successes = [o for o in outcomes if 1 <= o.k <= n]
     assert successes
-    for o, mo in successes:
-        assert o.output_state is mo.residual
+    shared = {}
+    for o in successes:
+        assert o.output_state is shared.setdefault(o.k, o.output_state)
         assert o.fidelity >= 1 - 1e-12
+    assert sorted(shared) == list(range(1, n + 1))
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +327,13 @@ def reference_phase_feedforward(qubit, register, n, flips):
     return fock._state(state.modes, terms)
 
 
+def register_classes(qubit, register, n, flips):
+    """The package's class masses and residuals for ``qubit`` through the
+    single register ``register``."""
+    weights = [register.amplitude(single_register_pattern(n, j)) for j in range(n + 1)]
+    return teleport_module._classes(qubit, weights, flips, n)
+
+
 def test_feedforward_drops_terms_its_factors_round_below_the_prune_tolerance():
     # A register weight near 3e-12 at j=1 leaves success terms of the mixed
     # state just above PRUNE_TOLERANCE; a table phase can round one below.
@@ -338,9 +348,11 @@ def test_feedforward_drops_terms_its_factors_round_below_the_prune_tolerance():
         assert set(corrected.terms) <= set(mixed.terms)
         assert min(abs(a) for a in corrected.terms.values()) >= PRUNE_TOLERANCE
         dropped += len(mixed) - len(corrected)
-        # The input shift leaves the prune to the transform, as for any term.
-        shifted = teleport_module._feedforward(qubit, register, n, [0] * (n + 1))
-        assert min(abs(a) for a in shifted.terms.values()) >= PRUNE_TOLERANCE
+        # The package's table forms no factor and leaves the prune to the
+        # transform, as for any term.
+        masses, _ = register_classes(qubit, register, n, [0] * (n + 1))
+        table = teleport_module._fourier_table(masses, n)
+        assert min(abs(a) for a in table.terms.values()) >= PRUNE_TOLERANCE
     assert dropped
 
 
@@ -379,10 +391,13 @@ def test_feedforward_forms_one_unit_factor_per_fourier_residue(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_feedforward_relabels_its_input_and_forms_no_phase(n, monkeypatch):
-    # The transform gets as many terms as the mixed input has, at the same
-    # photon totals and qubit photons and with the same moduli: the shift
-    # and the sign flips only move amplitudes and negate them exactly.  Each
-    # mixed key c + y is relabelled c + (b,), b the qubit photon (mode 0).
+    # The shift moves the qubit's photon-holding term of each success total
+    # k onto the Fourier pattern {1..k} of its empty term, so the transform
+    # gets one term per total: at that pattern, with the norm of the mixed
+    # input's terms of that total.  Each class residual is those terms'
+    # amplitudes over that norm, keyed by the qubit photon b (mode 0 of the
+    # mix), the photon-holding one negated where flips[k].  No unit factor
+    # is formed.
     rng = random.Random(200 + n)
     qubit = random_qubit(rng)
     signed = [rng.choice((-1, 1)) * rng.uniform(0.5, 1.5) for _ in range(n + 1)]
@@ -400,52 +415,76 @@ def test_feedforward_relabels_its_input_and_forms_no_phase(n, monkeypatch):
 
     monkeypatch.setattr(teleport_module, "apply_qft", recorded_qft)
     monkeypatch.setattr(fock, "_cis", no_cis)
-    corrected = teleport_module._feedforward(qubit, register, n, flips)
+    masses, residuals = register_classes(qubit, register, n, flips)
+    teleport_module._fourier_table(masses, n)
     assert not hasattr(teleport_module, "_cis")
-    mixed = qubit.state().tensor(register)
-    (shifted,) = inputs
-    assert len(shifted) == len(mixed)
-
-    def classes(state):
-        return sorted((sum(key[: n + 1]), key[n + 1 :], abs(a)) for key, a in state.terms.items())
-
-    relabelled = {key[: n + 1] + (key[0],): a for key, a in mixed.terms.items()}
-    assert classes(shifted) == classes(fock._state(n + 2, relabelled))
-    moved = 0
-    for key, a in mixed.terms.items():
-        k = sum(key[: n + 1])
-        holds_photon = 1 <= k <= n and key[n + k]
-        key = key[: n + 1] + (key[0],)
-        if holds_photon:
-            key = key[n : n + 1] + key[:n] + key[n + 1 :]
-            a = -a if flips[k] else a
-            moved += 1
-        assert shifted.terms[key] == a
-    assert moved == n  # the qubit's photon on register weights 0..n-1
-    assert corrected.modes == n + 2
+    (table_input,) = inputs
+    assert table_input.modes == n + 1 and len(table_input) == n + 2
+    classes = {}
+    for key, a in qubit.state().tensor(register).terms.items():
+        c, b = key[: n + 1], key[0]
+        k = sum(c)
+        if b and k <= n:
+            c = c[n:] + c[:n]
+            a = -a + 0j if flips[k] else a
+        pattern, parts = classes.setdefault(k, (c, {}))
+        assert c == pattern
+        parts[(b,)] = a
+    assert sorted(classes) == list(range(n + 2))
+    for k, (pattern, parts) in classes.items():
+        norm = math.sqrt(math.fsum(abs(a) ** 2 for a in parts.values()))
+        assert abs(table_input.terms[pattern] - norm) <= 1e-15 * norm
+        assert table_input.terms[pattern].imag == 0.0
+        assert list(residuals[k].terms) == list(parts)
+        for bits, a in parts.items():
+            assert abs(residuals[k].terms[bits] - a / norm) <= 4e-16
     # A real qubit through flips at every k: the negated real amplitudes
     # keep a +0.0 imaginary part.
-    teleport_module._feedforward(InputQubit.of(0.6, 0.8), register, n, [0] + [1] * n)
-    parts = [x for a in inputs[-1].terms.values() for x in (a.real, a.imag)]
+    _, residuals = register_classes(InputQubit.of(0.6, 0.8), register, n, [0] + [1] * n)
+    parts = [x for r in residuals for a in r.terms.values() for x in (a.real, a.imag)]
     assert all(math.copysign(1.0, x) > 0 for x in parts if x == 0)
 
 
-def reference_phase_teleport(qubit, ancilla, n, monkeypatch):
-    """``teleport`` with its feedforward taken by the per-output phase route,
-    each of whose keys c + y is then relabelled c + (b,), in dict order: the
-    qubit photon b = k - j, j = n - |y| the register weight."""
+def reference_teleport(qubit, ancilla, n, phase_after=False):
+    """``teleport`` with the qubit photon b carried through the Fourier
+    layer, as the package did before it factored b out.
 
-    def phase_route(qubit, register, n, flips):
-        state = reference_phase_feedforward(qubit, register, n, flips)
-        terms = {}
-        for key, a in state.terms.items():
+    The mix qubit (x) ancilla keeps of each term its Fourier counts c and b
+    (its mode 0), keyed c + (b,) on n+2 modes, and the feedforward is the
+    input shift: a term holding the qubit's photon at a total k <= n has
+    its counts moved one mode up, cyclically, and is negated where the
+    profile's sign flips.  With ``phase_after`` it is instead the per-output
+    phase route, ``reference_phase_feedforward``, whose keys c + y are
+    relabelled c + (b,), b = k - j with j = n - |y| the register weight.
+    Each success outcome keeps its measured residual."""
+    weights = [ancilla.amplitude(single_register_pattern(n, j)) for j in range(n + 1)]
+    flips = _sign_flips(weights)
+    terms = {}
+    if phase_after:
+        for key, a in reference_phase_feedforward(qubit, ancilla, n, flips).terms.items():
             c, y = key[: n + 1], key[n + 1 :]
             terms[c + (sum(c) - (n - sum(y)),)] = a
-        return fock._state(n + 2, terms)
-
-    with monkeypatch.context() as m:
-        m.setattr(teleport_module, "_feedforward", phase_route)
-        return teleport(qubit, ancilla, n)
+        mixed = fock._state(n + 2, terms)
+    else:
+        for key, a in qubit.state().tensor(ancilla).terms.items():
+            c, b = key[: n + 1], key[0]
+            k = sum(c)
+            if b and k <= n:
+                c = c[n:] + c[:n]
+                if flips[k]:
+                    a = -a + 0j
+            terms[c + (b,)] = a
+        mixed = apply_qft(fock._state(n + 2, terms), list(range(n + 1)))
+    ideal = qubit.state()
+    outcomes = []
+    for counts, prob, residual in mixed.measure(range(n + 1)):
+        k = sum(counts)
+        if 1 <= k <= n:
+            row = (counts, k, prob, Classification.SUCCESS, residual, fidelity(residual, ideal))
+        else:
+            row = (counts, k, prob, Classification.FAILURE, None, None)
+        outcomes.append(TeleportOutcome(*row))
+    return outcomes
 
 
 def profile_of(kind, n, rng):
@@ -459,19 +498,27 @@ def profile_of(kind, n, rng):
     return AmplitudeProfile.from_values(values)
 
 
+def global_phase(got, want):
+    """The unit factor that turns ``got`` most nearly into ``want``."""
+    overlap = sum(a.conjugate() * want.amplitude(key) for key, a in got.terms.items())
+    return overlap / abs(overlap)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-def test_input_shift_matches_the_phase_route(n, monkeypatch):
-    # Same outcomes in the same order, the same residual keys in the same
-    # dict order, and every probability within 1e-13 of the phase route's.
-    # The residual amplitudes are compared before their normalization, as
-    # amp * sqrt(p): the phase route's rounding, 1e-16 on the mixed state,
-    # grows by 1/sqrt(p) on a faint outcome (2.9e-13 at n=6 normalized).
+def test_input_shift_matches_the_phase_route(n):
+    # Same outcomes in the same order, every probability within 1e-13 of the
+    # phase route's, and each residual that route's up to a global phase
+    # (the Fourier amplitude's own, which the class residual does not carry)
+    # with the same keys.  The residual amplitudes are compared before their
+    # normalization, as amp * sqrt(p): the phase route's rounding, 1e-16 on
+    # the mixed state, grows by 1/sqrt(p) on a faint outcome (2.9e-13 at n=6
+    # normalized).
     rng = random.Random(300 + n)
     for kind in ("constant", "random", "signed", "zero-weight"):
         ancilla = direct_oracle_single(n, profile_of(kind, n, rng))
         qubit = random_qubit(rng)
         got = teleport(qubit, ancilla, n)
-        want = reference_phase_teleport(qubit, ancilla, n, monkeypatch)
+        want = reference_teleport(qubit, ancilla, n, phase_after=True)
         assert [(o.counts, o.k, o.classification) for o in got] == [
             (o.counts, o.k, o.classification) for o in want
         ]
@@ -481,9 +528,45 @@ def test_input_shift_matches_the_phase_route(n, monkeypatch):
                 assert b.output_state is None
                 continue
             assert list(a.output_state.terms) == list(b.output_state.terms)
+            unit = global_phase(a.output_state, b.output_state)
             root = math.sqrt(a.probability)
             for key, amp in a.output_state.terms.items():
-                assert abs(amp - b.output_state.terms[key]) * root <= 1e-15
+                assert abs(amp * unit - b.output_state.terms[key]) * root <= 1e-15
+
+
+QUBIT_KINDS = ("zero", "one", "random")
+
+
+def qubit_of(kind, rng):
+    """|0>, |1> or a random qubit."""
+    if kind == "random":
+        return random_qubit(rng)
+    return InputQubit.zero() if kind == "zero" else InputQubit.one()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_teleport_matches_the_shifted_input_route(n):
+    # The qubit photon carried through the transform against the package's
+    # table of one term per photon total: the same outcomes in the same
+    # order, and every probability, fidelity and output within rounding.
+    # The largest gaps seen were 6.9e-17 per probability, 1.3e-15 per
+    # fidelity and 8.9e-16 off a fidelity of 1 between the two outputs.
+    rng = random.Random(3100 + n)
+    for kind in ("constant", "signed", "zero-weight", "random"):
+        ancilla = direct_oracle_single(n, profile_of(kind, n, rng))
+        for qubit_kind in QUBIT_KINDS:
+            qubit = qubit_of(qubit_kind, rng)
+            got = teleport(qubit, ancilla, n)
+            want = reference_teleport(qubit, ancilla, n)
+            assert [o.counts for o in got] == [o.counts for o in want]
+            for a, b in zip(got, want):
+                assert (a.k, a.classification) == (b.k, b.classification)
+                assert abs(a.probability - b.probability) <= 1e-14
+                if a.output_state is None:
+                    assert b.output_state is None
+                    continue
+                assert abs(a.fidelity - b.fidelity) <= 1e-14
+                assert fidelity(a.output_state, b.output_state) >= 1 - 1e-13
 
 
 def closed_form_fidelity(qubit, f_k, f_km1):
@@ -674,7 +757,7 @@ def test_signed_profile_cz_like_its_moduli(values):
 
 # sha256 of every output of the sweep below: the totals, the smallest
 # fidelity, every branch in order and the output's terms in dict order.
-CZ_SWEEP_DIGEST = "298674eaad8035ac2d67592e893fb41c85aec4c417279ff911a12f28ea174f9d"
+CZ_SWEEP_DIGEST = "919420793deb3817f5b740d78378723372abf2c7d528855c2a4952badf70c595"
 
 
 def test_cz_outputs_match_their_pinned_digest():
@@ -785,9 +868,11 @@ def _ideal_cz_residual(q, qp, n, k, kp):
     return _negated(joint, [occ for occ in joint.terms if occ[k - 1] and occ[n + kp - 1]])
 
 
-def reference_joint_state_cz(q, qp, ancilla_pair, n):
+def reference_joint_state_cz(q, qp, ancilla_pair, n, output_counts=None):
     """The CZ as it was before each side got its own modes: both Fourier
-    transforms on the whole (4n+2)-mode state, two phases per branch."""
+    transforms on the whole (4n+2)-mode state, two phases per branch.  The
+    output is the residual of the branch measured as ``output_counts``, by
+    default the likeliest one."""
     full = q.state().tensor(qp.state()).tensor(ancilla_pair)
     side1 = [0] + list(range(2, n + 2))
     side2 = [1] + list(range(2 * n + 2, 3 * n + 2))
@@ -812,7 +897,10 @@ def reference_joint_state_cz(q, qp, ancilla_pair, n):
         corrected = mo.residual.apply_phase(k - 1, phi1).apply_phase(n + kp - 1, phi2)
         fid = fidelity(corrected, _ideal_cz_residual(q, qp, n, k, kp))
         branches.append(CzBranch(mo.counts, k, kp, mo.probability, fid))
-        if best is None or mo.probability > best[0]:
+        if output_counts is None:
+            if best is None or mo.probability > best[0]:
+                best = (mo.probability, corrected, k, kp)
+        elif mo.counts == output_counts:
             best = (mo.probability, corrected, k, kp)
     output = None
     if best is not None:
@@ -832,11 +920,13 @@ def reference_joint_state_cz(q, qp, ancilla_pair, n):
 
 
 def pair_of(kind, n, rng):
-    """An oracle pair ancilla: constant, random or signed profile, or two
-    different random profiles on the two register pairs."""
+    """An oracle pair ancilla: constant, random, signed or zero-weight
+    profile, or two different random profiles on the two register pairs."""
     if kind == "constant":
         return direct_oracle_pair(n, AmplitudeProfile.constant(n))
     values = [rng.uniform(0.1, 1.0) for _ in range(n + 1)]
+    if kind == "zero-weight":
+        values[rng.randrange(n + 1)] = 0.0
     if kind == "signed":
         values = [v * rng.choice((-1, 1)) for v in values]
         values[0], values[1] = abs(values[0]), -abs(values[1])  # a sign change at k=1
@@ -851,29 +941,41 @@ def pair_of(kind, n, rng):
     return direct_oracle_pair(n, AmplitudeProfile.from_values(values))
 
 
-# The two routes round differently: the joint amplitude is s1 s2 w(j, j')
-# where the full-state route multiplied w through both transforms, and the
-# totals come from the sides' masses per weight where the full-state route
-# sums its outcomes.  Over 96 random cases at n = 1..4 the largest gaps were
-# 2.8e-17 per branch probability, 1.2e-15 per fidelity and 4.4e-16 on a
-# success or failure total.
+# The two routes round differently: a branch's probability is
+# |a a' u|^2 from the two tables and the class residuals where the
+# full-state route multiplied w through both transforms, and the totals come
+# from the sides' masses per weight where the full-state route sums its
+# outcomes.  Over the cases below the largest gaps were 5.6e-17 per branch
+# probability, 1.3e-15 per fidelity, 4.4e-16 on a success or failure total
+# and 4.4e-16 off a fidelity of 1 between the two outputs.
 BRANCH_PROBABILITY_GAP = 1e-15
 FIDELITY_GAP = 2e-15
 TOTAL_GAP = 1e-15
+BASIS_PAIRS = [(a, b) for a in ("zero", "one") for b in ("zero", "one")]
 
 
 @pytest.mark.parametrize(
     "n, kind",
     [(n, kind) for n in (1, 2, 3) for kind in ("constant", "random", "signed", "asymmetric")]
-    + [(4, "signed")],
+    + [(4, "signed")]
+    + [(n, "zero-weight") for n in (1, 2, 3, 4)]
+    + [(4, "constant"), (4, "random")],
 )
 def test_cz_matches_the_joint_state_route(n, kind):
+    # Each case runs a random qubit pair and a basis pair, and below n=4 the
+    # pair |+>|+> too.  The package's output is the residual of its likeliest
+    # branch, compared with that branch's on the full-state route: on a
+    # near tie the two routes' likeliest branches may differ by an ulp.
     rng = random.Random(1400 + 10 * n + len(kind))
     ancilla = pair_of(kind, n, rng)
-    pairs = [(InputQubit.plus(), InputQubit.plus()), (random_qubit(rng), random_qubit(rng))]
+    pairs = [(random_qubit(rng), random_qubit(rng))]
+    pairs.append(tuple(qubit_of(b, rng) for b in rng.choice(BASIS_PAIRS)))
+    if n < 4:
+        pairs.append((InputQubit.plus(), InputQubit.plus()))
     for qa, qb in pairs:
         got = cz_via_double_teleportation(qa, qb, ancilla, n)
-        want = reference_joint_state_cz(qa, qb, ancilla, n)
+        likeliest = max(got.branches, key=lambda b: b.probability, default=None)
+        want = reference_joint_state_cz(qa, qb, ancilla, n, likeliest and likeliest.counts)
         assert [(b.counts, b.k, b.kp) for b in got.branches] == [
             (b.counts, b.k, b.kp) for b in want.branches
         ]
@@ -884,15 +986,19 @@ def test_cz_matches_the_joint_state_route(n, kind):
         assert abs(got.failure_probability - want.failure_probability) <= TOTAL_GAP
         kept = math.fsum(b.probability for b in got.branches)
         assert abs(kept - got.success_probability) <= 1e-12
+        if likeliest is None:
+            assert got.min_fidelity is got.output_qubits is want.output_qubits is None
+            continue
         assert abs(got.min_fidelity - want.min_fidelity) <= FIDELITY_GAP
-        assert fidelity(got.output_qubits, want.output_qubits) >= 1 - 1e-12
+        assert fidelity(got.output_qubits, want.output_qubits) >= 1 - 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
     # The benchmark's czgate span contract: two transforms, one measure.
-    # Only success terms are joined, already corrected, so every measured
-    # outcome is a kept branch and no phase is applied afterwards.
+    # Each side's table holds one term per photon total on its n+1 Fourier
+    # modes.  Only success terms are joined, one joint term per kept branch,
+    # already corrected, and no phase is applied afterwards.
     transforms, measures = [], []
     qft, measure = teleport_module.apply_qft, SparseState.measure
 
@@ -913,17 +1019,16 @@ def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
     monkeypatch.setattr(SparseState, "apply_phase", no_phase)
     ancilla = direct_oracle_pair(n, AmplitudeProfile.constant(n))
     result = cz_via_double_teleportation(InputQubit.plus(), InputQubit.of(0.6, 0.8j), ancilla, n)
-    side = (n + 2, 2 * (n + 1), list(range(n + 1)))
+    side = (n + 1, n + 2, list(range(n + 1)))
     assert transforms == [side, side]
-    # Modes [c, c', b, b']: the Fourier counts of both sides, then the two
-    # qubit photons, which are all the residual keeps.
-    assert [joint.modes for joint, _ in measures] == [2 * n + 4]
+    # Modes [c, c']: the Fourier counts of both sides, all measured, so the
+    # measured residuals keep no mode.
+    assert [joint.modes for joint, _ in measures] == [2 * n + 2]
     ((joint, outcomes),) = measures
-    totals = {(sum(key[: n + 1]), sum(key[n + 1 : 2 * n + 2])) for key in joint.terms}
+    totals = {(sum(key[: n + 1]), sum(key[n + 1 :])) for key in joint.terms}
     assert totals == {(k, kp) for k in range(1, n + 1) for kp in range(1, n + 1)}
-    assert {key for o in outcomes for key in o.residual.terms} <= {
-        (b1, b2) for b1 in (0, 1) for b2 in (0, 1)
-    }
+    assert len(joint) == len(outcomes) == len(result.branches)
+    assert {key for o in outcomes for key in o.residual.terms} == {()}
     assert [(b.counts, b.probability) for b in result.branches] == [
         (o.counts, o.probability) for o in outcomes
     ]
@@ -931,7 +1036,9 @@ def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
 
 def test_measure_hands_out_one_tuple_per_residual_key(monkeypatch):
     # Equal residual keys are one tuple across all of a measure's outcomes,
-    # on an n=4 teleport's Fourier state and on an n=2 CZ joint state.
+    # on an n=4 teleport's Fourier state keyed c + (b,) and on an n=2 CZ's
+    # whole state, both from the reference routes (the package measures
+    # every mode it keeps).
     measures = []
     measure = SparseState.measure
 
@@ -942,9 +1049,9 @@ def test_measure_hands_out_one_tuple_per_residual_key(monkeypatch):
 
     monkeypatch.setattr(SparseState, "measure", recorded)
     rng = random.Random(2900)
-    teleport(random_qubit(rng), direct_oracle_single(4, profile_of("signed", 4, rng)), 4)
+    reference_teleport(random_qubit(rng), direct_oracle_single(4, profile_of("signed", 4, rng)), 4)
     pair = direct_oracle_pair(2, profile_of("signed", 2, rng))
-    cz_via_double_teleportation(random_qubit(rng), random_qubit(rng), pair, 2)
+    reference_joint_state_cz(random_qubit(rng), random_qubit(rng), pair, 2)
     assert len(measures) == 2
     for outcomes in measures:
         keys = [key for o in outcomes for key in o.residual.terms]
@@ -956,9 +1063,10 @@ def test_measure_hands_out_one_tuple_per_residual_key(monkeypatch):
 def test_fourier_inputs_hold_one_term_per_class(n, monkeypatch):
     # The transform writes each product once, with no faint-key pass, only
     # when every input term is alone in its class (its photon total on the
-    # Fourier modes and its qubit photon); that holds for the teleport's and
-    # both CZ sides' inputs.  The transform is stubbed out and the size guard
-    # lifted, so the CZ runs at n=6..8 too, in no time.
+    # Fourier modes and its other counts); that holds for the teleport's and
+    # both CZ sides' inputs, one term per photon total, at most n+2.  The
+    # transform is stubbed out and the size guard lifted, so the CZ runs at
+    # n=6..8 too, in no time.
     inputs = []
 
     def captured_qft(state, modes):
@@ -977,7 +1085,7 @@ def test_fourier_inputs_hold_one_term_per_class(n, monkeypatch):
     for state, modes in inputs:
         assert modes == list(range(n + 1))
         classes = {(sum(key[: n + 1]), key[n + 1 :]) for key in state.terms}
-        assert len(classes) == len(state) > n
+        assert n < len(classes) == len(state) <= n + 2
 
 
 def test_cz_refuses_an_off_pattern_ancilla(monkeypatch):
@@ -1001,21 +1109,18 @@ def test_cz_refuses_an_ancilla_past_the_float_range_as_before(monkeypatch):
     for route in (cz_via_double_teleportation, reference_joint_state_cz):
         with pytest.raises(InvalidState, match="past the float range"):
             route(InputQubit.plus(), InputQubit.plus(), big, n)
-    # Complex weights near 1e308: a part of s1 s2 w adds two products that
-    # may each overflow, and inf - inf is a NaN the join's prune would drop.
-    # The full-state route refuses inside its transforms.
+    # Complex weights near 1e308, whose modulus passes the float range: the
+    # full-state route refuses inside its transforms.
     n = 2
     w = complex(1e308, -1e308)
     huge = SparseState(4 * n, {pair_pattern(n, j, jp): w for j in range(3) for jp in range(3)})
     with pytest.raises(InvalidState, match="non-finite amplitude"):
         reference_joint_state_cz(InputQubit.plus(), InputQubit.of(0.6, 0.8j), huge, n)
-    # Weights of 1e154 have a finite |w|^2, 1e308, but their totals
-    # overflow: the totals check refuses them, after the transforms.
+    # Weights of 1e154 have a finite |w|^2, 1e308, but their totals overflow.
     edge = SparseState(4, {pair_pattern(1, j, jp): 1e154 for j in (0, 1) for jp in (0, 1)})
-    with pytest.raises(InvalidState, match=r"give a norm\^2 past the float range"):
-        cz_via_double_teleportation(InputQubit.plus(), InputQubit.plus(), edge, 1)
 
-    # The package refuses both up front, on |w|^2, before either transform.
+    # The package refuses all three up front, before either transform: the
+    # first two on |w|^2, the third on the totals of the class masses.
     def no_transform(state, modes):
         raise AssertionError("the ancilla should be refused before any work")
 
@@ -1023,3 +1128,22 @@ def test_cz_refuses_an_ancilla_past_the_float_range_as_before(monkeypatch):
     for pair, n, qb in ((big, 1, InputQubit.plus()), (huge, 2, InputQubit.of(0.6, 0.8j))):
         with pytest.raises(InvalidState, match=r"weights have a \|w\|\^2 past the float range"):
             cz_via_double_teleportation(InputQubit.plus(), qb, pair, n)
+    with pytest.raises(InvalidState, match=r"give a norm\^2 past the float range"):
+        cz_via_double_teleportation(InputQubit.plus(), InputQubit.plus(), edge, 1)
+
+
+def test_teleport_refuses_a_class_mass_past_the_float_range(monkeypatch):
+    # Unnormalized weights of 1e200: a class mass |alpha f(k)|^2 overflows,
+    # and the outcomes' norm^2 with it on the reference route.
+    n = 2
+    big = SparseState(2 * n, {single_register_pattern(n, j): 1e200 for j in range(n + 1)})
+    with pytest.raises(InvalidState, match="past the float range"):
+        reference_teleport(InputQubit.plus(), big, n)
+
+    def no_transform(state, modes):
+        raise AssertionError("the ancilla should be refused before any work")
+
+    monkeypatch.setattr(teleport_module, "apply_qft", no_transform)
+    for qubit in (InputQubit.plus(), InputQubit.zero(), InputQubit.of(0.6, 0.8j)):
+        with pytest.raises(InvalidState, match=r"class norm\^2 past the float range"):
+            teleport(qubit, big, n)
