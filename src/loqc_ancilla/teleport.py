@@ -61,6 +61,7 @@ from typing import NamedTuple
 
 from .errors import InfeasibleParameters, InvalidState, OutOfRange, ShapeMismatch
 from .fock import (
+    _PRUNE_PROBABILITY,
     PRUNE_TOLERANCE,
     Occupation,
     SparseState,
@@ -224,8 +225,11 @@ def _classes(
     beta f(k-1)), the 1 negated where ``flips[k]``, and a part below the
     prune tolerance dropped, as the mixed state's term would be.  Returns
     each class mass |v_k|^2 and residual v_k/|v_k|, one mode keyed (0,) and
-    (1,) and pruned as a measured residual (None for an empty class).  A
-    mass past the float range raises ``InvalidState``.
+    (1,) and pruned as a measured residual.  A class of mass at most
+    PRUNE_TOLERANCE^2 has no residual (None): for k >= 1 its table terms
+    |v_k| T(c) fall below the tolerance, as every |T(c)| < 1, so no success
+    outcome of it is kept.  A mass past the float range raises
+    ``InvalidState``.
     """
     masses: list[float] = []
     residuals: list[SparseState | None] = []
@@ -244,17 +248,8 @@ def _classes(
         if not mass < math.inf:  # NaN fails too
             raise InvalidState("ancilla weights give a class norm^2 past the float range")
         masses.append(mass)
-        residuals.append(_unit_state(parts, mass) if parts else None)
+        residuals.append(_state(1, parts).normalized() if mass > _PRUNE_PROBABILITY else None)
     return masses, residuals
-
-
-def _unit_state(parts: dict[Occupation, complex], mass: float) -> SparseState:
-    """``parts``, of total mass ``mass``, scaled to unit norm and pruned as
-    ``measure`` prunes a residual."""
-    scale = 1.0 / math.sqrt(mass)
-    unit = {key: a * scale for key, a in parts.items()}
-    modes = len(next(iter(parts)))
-    return _state(modes, {key: a + 0j for key, a in unit.items() if abs(a) >= PRUNE_TOLERANCE})
 
 
 def _fourier_table(masses: list[float], n: int) -> SparseState:
@@ -432,11 +427,10 @@ def cz_via_double_teleportation(
 
     Failing terms never enter the joint state: the success and failure
     totals come from the sides' masses per weight (``_cz_totals``), the
-    class masses shared out by the residuals and scaled by each table's
-    mass per total.  An ancilla with a term off the register patterns
-    (j, j') raises ``ShapeMismatch``, and one with a weight whose |w|^2
-    overflows, or whose totals pass the float range, ``InvalidState``, all
-    before either transform.
+    class masses shared out by the residuals.  An ancilla with a term off
+    the register patterns (j, j') raises ``ShapeMismatch``, and one with a
+    weight whose |w|^2 overflows, or whose totals pass the float range,
+    ``InvalidState``, all before either transform.
     """
     if ancilla_pair.modes != 4 * n:
         raise ShapeMismatch(
@@ -459,21 +453,18 @@ def cz_via_double_teleportation(
 
     unit = [1.0] * (n + 1)
     sides = [_classes(q, unit, flips, n), _classes(qp, unit, flips, n)]
-    # The transforms keep each class's mass, so totals past the float range
-    # are refused on the class masses, before either transform.
-    _cz_totals(pair_mass, *(_weight_masses(r, m, n) for m, r in sides))
+    # The transforms keep each class's mass, so the totals come from the
+    # class masses, and one past the float range is refused before either
+    # transform.
+    total_success, total_failure = _cz_totals(
+        pair_mass, *(_weight_masses(r, m, n) for m, r in sides)
+    )
     groups: list[list[list[tuple[Occupation, complex]]]] = []
-    side_masses = []
-    for masses, residuals in sides:
-        # Each table's terms by photon total, and its mass per total summed
-        # in output order, which shares the transform's rounding.
+    for masses, _ in sides:
         by_k: list[list[tuple[Occupation, complex]]] = [[] for _ in range(n + 2)]
         for c, a in _fourier_table(masses, n).terms.items():
             by_k[sum(c)].append((c, a))
-        table_mass = [_sum_in_order(abs(a) ** 2 for _, a in terms) for terms in by_k]
         groups.append(by_k)
-        side_masses.append(_weight_masses(residuals, table_mass, n))
-    total_success, total_failure = _cz_totals(pair_mass, *side_masses)
 
     (_, residuals1), (_, residuals2) = sides
     terms: dict[Occupation, complex] = {}
@@ -487,10 +478,12 @@ def cz_via_double_teleportation(
                     w = weights[k - b1][kp - b2]
                     if w:
                         u[b1, b2] = r1 * r2 * (-w if (b1 * kp + b2 * k) % 2 else w)
-            if not u:
-                continue
+            # Table amplitudes are below 1, so a branch whose |u| is at most
+            # PRUNE_TOLERANCE keeps no term.
             mass = _sum_in_order(abs(x) ** 2 for x in u.values())
-            pair_residuals[k, kp] = _unit_state(u, mass)
+            if mass <= _PRUNE_PROBABILITY:
+                continue
+            pair_residuals[k, kp] = _state(2, u).normalized()
             norm = math.sqrt(mass)
             for c1, a1 in groups[0][k]:
                 for c2, a2 in groups[1][kp]:

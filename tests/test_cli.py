@@ -442,7 +442,7 @@ PINNED_OUTPUTS = [
     (
         ["czgate", "--n", "2", "--format", "json"],
         0,
-        "24c402863d1c76c879cf146d6a493a763380f30dee20b7118f20d5033ae67e20",
+        "d68f66869795aaf7993ebcfc24302f1e56c26c8afea0e89e8254300577e05320",
         "",
     ),
     (
@@ -454,7 +454,7 @@ PINNED_OUTPUTS = [
     (
         ["czgate", "--n", "2", "--profile", "delta", "--format", "json"],
         1,
-        "d3e2ba1676c878d56aa0b13958af08554794c0e9dfe437ea41e0eb78f6a0d714",
+        "1a6fd9ea9d4271cb36916f424abc338d1993a1647eddbef8e3065a5b28971091",
         "",
     ),
     (

@@ -101,7 +101,7 @@ def _feed_state(h, state):
 # kernels moves a bit of any of them (or the order of their terms) unseen.
 # It reads the same on each supported Python version: every float the
 # package sums is added left to right.
-BUILD_AND_TELEPORT_DIGEST = "fe308a4feef0e3b7432dd756cdb26f8c9b3a3e796f1d3bd1b7950aaf4bddc20f"
+BUILD_AND_TELEPORT_DIGEST = "4c9e0c59583e5a73707082a1925e79a00709d24c8c618c28c25d362458e494c3"
 
 
 def test_build_and_teleport_outputs_match_their_pinned_digest():

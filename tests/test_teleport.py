@@ -551,6 +551,8 @@ def test_teleport_matches_the_shifted_input_route(n):
     # order, and every probability, fidelity and output within rounding.
     # The largest gaps seen were 6.9e-17 per probability, 1.3e-15 per
     # fidelity and 8.9e-16 off a fidelity of 1 between the two outputs.
+    # The routes part only where an outcome's qubit-photon parts each fall
+    # below the prune tolerance, which the next test pins.
     rng = random.Random(3100 + n)
     for kind in ("constant", "signed", "zero-weight", "random"):
         ancilla = direct_oracle_single(n, profile_of(kind, n, rng))
@@ -567,6 +569,43 @@ def test_teleport_matches_the_shifted_input_route(n):
                     continue
                 assert abs(a.fidelity - b.fidelity) <= 1e-14
                 assert fidelity(a.output_state, b.output_state) >= 1 - 1e-13
+
+
+def test_teleport_prunes_an_outcome_on_its_whole_amplitude():
+    # The table prunes an outcome on |T(c)| |v_k|, the whole amplitude of
+    # its class, where the shifted-input route pruned each qubit-photon part
+    # T(c) v_k(b) on its own.  At n=1 with f = (e, 1) and the qubit (e, 1),
+    # class k=1 holds v_1 = (e, e): each part of its two outcomes is
+    # e/sqrt(2), below the tolerance, and together they reach e.  The
+    # package keeps both outcomes, of probability |T(c)|^2 |v_1|^2 = e^2;
+    # the reference drops them.  Every other outcome is the same.
+    e = 1.13e-12
+    assert e / math.sqrt(2) < PRUNE_TOLERANCE <= e
+    ancilla = direct_oracle_single(1, AmplitudeProfile.from_values([e, 1.0]))
+    qubit = InputQubit.of(e, 1.0)
+    got = teleport(qubit, ancilla, 1)
+    want = reference_teleport(qubit, ancilla, 1)
+    faint = [o for o in got if o.k == 1]
+    assert [o.counts for o in faint] == [(0, 1), (1, 0)]
+    for o in faint:
+        assert o.classification is Classification.SUCCESS
+        assert math.isclose(o.probability, e**2, rel_tol=1e-12)
+    rest = [o for o in got if o.k != 1]
+    assert [o.counts for o in rest] == [o.counts for o in want] == [(0, 2), (2, 0)]
+    for a, b in zip(rest, want):
+        assert abs(a.probability - b.probability) <= 1e-14
+
+
+def test_teleport_forms_no_residual_for_a_class_at_the_prune_floor():
+    # |0> through f = (PRUNE_TOLERANCE, 1): class k=0 holds the one part
+    # alpha f(0), whose mass is the floor at which ``normalized`` refuses a
+    # state.  The class gets no residual, and its one outcome, the vacuum,
+    # has that mass as its probability, which ``measure`` counts as zero.
+    weights = [PRUNE_TOLERANCE, 1.0]
+    ancilla = SparseState(2, {single_register_pattern(1, j): w for j, w in enumerate(weights)})
+    outcomes = teleport(InputQubit.zero(), ancilla, 1)
+    assert [(o.counts, o.k) for o in outcomes] == [((0, 1), 1), ((1, 0), 1)]
+    assert all(o.fidelity == 1.0 for o in outcomes)
 
 
 def closed_form_fidelity(qubit, f_k, f_km1):
@@ -757,7 +796,7 @@ def test_signed_profile_cz_like_its_moduli(values):
 
 # sha256 of every output of the sweep below: the totals, the smallest
 # fidelity, every branch in order and the output's terms in dict order.
-CZ_SWEEP_DIGEST = "919420793deb3817f5b740d78378723372abf2c7d528855c2a4952badf70c595"
+CZ_SWEEP_DIGEST = "282ef6205ef5006d122ff3f0386fb0465c59627ec1e166beaa19848e68c438b9"
 
 
 def test_cz_outputs_match_their_pinned_digest():
@@ -795,7 +834,8 @@ def test_cz_outputs_match_their_pinned_digest():
 
 def test_cz_through_an_empty_pair_keeps_no_branch():
     # n = 0: each side's one total k = 0 fails, so nothing is kept.  The
-    # failure total is summed per term, in output order, to 1 - 4 ulp.
+    # failure total is the product of the two sides' class masses,
+    # |alpha|^2 + |beta|^2 = 1 - 2 ulp each for |+>, so 1 - 4 ulp.
     result = cz_via_double_teleportation(
         InputQubit.plus(), InputQubit.plus(), SparseState(0, {(): 1.0}), 0
     )
@@ -803,6 +843,21 @@ def test_cz_through_an_empty_pair_keeps_no_branch():
     assert result.failure_probability == 0.9999999999999996
     assert result.min_fidelity is None and result.output_qubits is None
     assert result.branches == ()
+
+
+def test_cz_skips_a_branch_whose_pair_sits_at_the_prune_floor():
+    # n = 1, |0>|0>: the one success branch (1, 1) carries u = w(1, 1), here
+    # exactly PRUNE_TOLERANCE, so |u|^2 is the floor at which ``normalized``
+    # refuses a state.  Its joint terms, a a' |u| = |u|/2, fall below the
+    # tolerance, so the branch keeps no term and no residual is formed; the
+    # success total still counts its mass.
+    weights = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): PRUNE_TOLERANCE}
+    ancilla = SparseState(4, {pair_pattern(1, j, jp): w for (j, jp), w in weights.items()})
+    result = cz_via_double_teleportation(InputQubit.zero(), InputQubit.zero(), ancilla, 1)
+    assert result.branches == ()
+    assert result.min_fidelity is None and result.output_qubits is None
+    assert result.success_probability == PRUNE_TOLERANCE**2
+    assert result.failure_probability == 3.0
 
 
 def test_success_plus_failure_is_one():
@@ -946,7 +1001,7 @@ def pair_of(kind, n, rng):
 # full-state route multiplied w through both transforms, and the totals come
 # from the sides' masses per weight where the full-state route sums its
 # outcomes.  Over the cases below the largest gaps were 5.6e-17 per branch
-# probability, 1.3e-15 per fidelity, 4.4e-16 on a success or failure total
+# probability, 1.3e-15 per fidelity, 8.9e-16 on a success or failure total
 # and 4.4e-16 off a fidelity of 1 between the two outputs.
 BRANCH_PROBABILITY_GAP = 1e-15
 FIDELITY_GAP = 2e-15
@@ -962,16 +1017,14 @@ BASIS_PAIRS = [(a, b) for a in ("zero", "one") for b in ("zero", "one")]
     + [(4, "constant"), (4, "random")],
 )
 def test_cz_matches_the_joint_state_route(n, kind):
-    # Each case runs a random qubit pair and a basis pair, and below n=4 the
-    # pair |+>|+> too.  The package's output is the residual of its likeliest
-    # branch, compared with that branch's on the full-state route: on a
-    # near tie the two routes' likeliest branches may differ by an ulp.
+    # Each case runs the pair |+>|+>, a random qubit pair and a basis pair.
+    # The package's output is the residual of its likeliest branch, compared
+    # with that branch's on the full-state route: on a near tie the two
+    # routes' likeliest branches may differ by an ulp.
     rng = random.Random(1400 + 10 * n + len(kind))
     ancilla = pair_of(kind, n, rng)
-    pairs = [(random_qubit(rng), random_qubit(rng))]
+    pairs = [(InputQubit.plus(), InputQubit.plus()), (random_qubit(rng), random_qubit(rng))]
     pairs.append(tuple(qubit_of(b, rng) for b in rng.choice(BASIS_PAIRS)))
-    if n < 4:
-        pairs.append((InputQubit.plus(), InputQubit.plus()))
     for qa, qb in pairs:
         got = cz_via_double_teleportation(qa, qb, ancilla, n)
         likeliest = max(got.branches, key=lambda b: b.probability, default=None)
