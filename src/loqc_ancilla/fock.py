@@ -22,7 +22,10 @@ if it is not faint, so the exact zeros of Fourier interference are never
 stored; any other input sums its products and deletes the faint keys after
 the scan.  Two builds skip that amplitude scan and prune inline:
 
-* ``measure`` groups the terms by outcome into buckets, dicts it builds
+* ``measure``, when it lists every mode of the state (as ``teleport`` and
+  the CZ do), makes each term its own outcome: one sort by outcome, and
+  each residual the 0-mode state a/|a|, which needs no prune.  A measure
+  that keeps modes groups the terms by outcome into buckets, dicts it builds
   itself, each made with its first entry, whose equal residual keys are
   one shared tuple across all outcomes.  It scales each bucket in place
   into the residual; each amplitude a goes to a/sqrt(p) with |a|^2 <= p,
@@ -174,8 +177,10 @@ class SparseState:
 
         ``measure`` and ``apply_linear_transform`` write this prune inline,
         each on a dict it built itself: ``measure`` while it scales each
-        bucket in place, because a helper call per residual costs a teleport
-        about a tenth of its time, and the transform by never storing a
+        bucket in place (a helper call per residual cost a teleport about a
+        tenth of its time when it still measured through buckets; a measure
+        of every mode writes each residual's lone unit-modulus term, which
+        no prune drops), and the transform by never storing a
         faint product when every term is alone in its class and otherwise by
         deleting the faint keys after this finiteness check.
         What holds them to it: ``check_state`` in ``tests/invariants.py`` on
@@ -378,8 +383,30 @@ class SparseState:
         if len(mset) != len(mlist):
             raise ModeOutOfRange("measurement modes must be distinct")
         keep = [m for m in range(self.modes) if m not in mset]
-        outcome_of, residual_of = _picker(mlist), _picker(keep)
+        outcome_of = _picker(mlist)
+        results: list[MeasurementOutcome] = []
 
+        # Every mode measured: each term is its own outcome, distinct from
+        # every other, so one sort by outcome gives the buckets' order below,
+        # and the residual is the 0-mode state of a * (1/sqrt(|a|^2)), the
+        # bits a one-entry bucket gets.  That amplitude has modulus 1 to
+        # rounding, so no residual needs the prune.
+        if not keep:
+            pairs = zip(map(outcome_of, self.terms), self.terms.values())
+            for outcome, a in sorted(pairs, key=operator.itemgetter(0)):
+                try:  # a stored modulus is finite, so only its square can overflow
+                    prob = abs(a) ** 2
+                except OverflowError:
+                    raise InvalidState(
+                        f"outcome {outcome} has a norm^2 past the float range"
+                    ) from None
+                if prob <= _PRUNE_PROBABILITY:
+                    continue
+                row = (outcome, prob, _state(0, {(): a * (1.0 / math.sqrt(prob)) + 0j}))
+                results.append(tuple.__new__(MeasurementOutcome, row))
+            return results
+
+        residual_of = _picker(keep)
         # An occupation is its outcome plus its residual key, so each key
         # lands in its bucket once.  Equal residual keys share one tuple, so
         # the residuals hold each distinct key once, not once per outcome.
@@ -395,7 +422,6 @@ class SparseState:
             else:
                 bucket[rest] = a
 
-        results: list[MeasurementOutcome] = []
         for outcome in sorted(grouped):
             bucket = grouped[outcome]
             prob = 0.0  # summed left to right, as _sum_in_order does

@@ -74,8 +74,8 @@ from .fock import (
 from .pipeline import pair_pattern, single_register_pattern
 
 # Measurement outcomes one call may enumerate.  It admits the CZ up to n=5
-# (``czgate --n 5``, its four basis inputs in one process: about 4 s and
-# 0.15 GB peak RSS on a 2-vCPU Xeon VM, CPython 3.11) and teleport up to
+# (``czgate --n 5``, its four basis inputs in one process: about 3 s and
+# 0.16 GB peak RSS on a 2-vCPU Xeon VM, CPython 3.11) and teleport up to
 # n=10; the CZ at n=6 and teleport from n=11 would run for minutes to hours.
 OUTCOMES_GUARD = 1e6
 

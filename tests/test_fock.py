@@ -861,21 +861,35 @@ def test_measure_matches_reference(modes):
 
 
 @pytest.mark.parametrize(
-    "terms",
-    [{(0, 0): 1e200, (0, 1): 1.0}, {(0, 0): 1e154, (0, 1): 1e154, (1, 0): 1.0}],
-    ids=["square-overflows", "sum-overflows"],
+    "terms, modes, outcome",
+    [
+        ({(0, 0): 1e200, (0, 1): 1.0}, [0], r"\(0,\)"),
+        ({(0, 0): 1e154, (0, 1): 1e154, (1, 0): 1.0}, [0], r"\(0,\)"),
+        ({(0, 1): 1.0, (1, 0): 1e200}, [0, 1], r"\(1, 0\)"),
+        ({(0, 1): 1.0, (1, 0): 1e200}, [1, 0], r"\(0, 1\)"),
+    ],
+    ids=["square-overflows", "sum-overflows", "square-overflows-[0, 1]", "square-overflows-[1, 0]"],
 )
-def test_measure_refuses_an_outcome_past_the_float_range(terms):
-    # Every amplitude is finite, but outcome (0,) has norm^2 past the float
-    # range: 1e200 squared overflows, 1e154 squared twice sums to inf.
-    with pytest.raises(InvalidState, match=r"outcome \(0,\) has a norm\^2 past the float range"):
-        SparseState(2, terms).measure([0])
+def test_measure_refuses_an_outcome_past_the_float_range(terms, modes, outcome):
+    # Every amplitude is finite, but one outcome has norm^2 past the float
+    # range: 1e200 squared overflows, 1e154 squared twice sums to inf.  With
+    # every mode listed the lone 1e200 term is its own outcome, its counts
+    # read in the order of the listed modes.
+    with pytest.raises(InvalidState, match=rf"outcome {outcome} has a norm\^2 past the float range"):
+        SparseState(2, terms).measure(modes)
 
 
 def test_measure_keeps_outcomes_inside_the_float_range():
-    (low, high) = SparseState(2, {(0, 0): 1e153, (0, 1): 1e153, (1, 0): 1.0}).measure([0])
+    state = SparseState(2, {(0, 0): 1e153, (0, 1): 1e153, (1, 0): 1.0})
+    (low, high) = state.measure([0])
     assert low.probability == 2e306 and len(low.residual) == 2
     assert high.probability == 1.0
+    # Every mode listed: each term is its own outcome, its square 1e306.
+    outcomes = state.measure([1, 0])
+    assert [(o.counts, o.probability) for o in outcomes] == [
+        ((0, 0), 1e306), ((0, 1), 1.0), ((1, 0), 1e306)
+    ]
+    assert all(o.residual.terms == {(): 1.0 + 0j} for o in outcomes)
 
 
 def test_float_sums_add_left_to_right():
@@ -924,6 +938,7 @@ def test_measure_fast_path_is_bit_identical_to_reference():
     # An outcome of norm^2 exactly PRUNE_TOLERANCE^2 is dropped: no outcomes.
     faint = SparseState(2, {(0, 1): PRUNE_TOLERANCE})
     assert faint.measure([1]) == []
+    assert faint.measure([0, 1]) == []
     for state in states + [unnormalized, faint]:
         for size in range(1, state.modes + 1):
             modes = rng.sample(range(state.modes), size)
@@ -932,7 +947,8 @@ def test_measure_fast_path_is_bit_identical_to_reference():
 
 
 def test_measure_leaves_its_input_alone():
-    # Each residual is the bucket measure built for it, scaled in place: the
+    # Each residual holds a dict measure built for it: a bucket scaled in
+    # place, or the one-term dict of an outcome that lists every mode.  The
     # input keeps its dict and every amplitude bit, and no two residuals or
     # a residual and the input share a dict.
     rng, states = fast_path_inputs()

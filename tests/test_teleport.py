@@ -1088,10 +1088,12 @@ def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
 
 
 def test_measure_hands_out_one_tuple_per_residual_key(monkeypatch):
-    # Equal residual keys are one tuple across all of a measure's outcomes,
-    # on an n=4 teleport's Fourier state keyed c + (b,) and on an n=2 CZ's
-    # whole state, both from the reference routes (the package measures
-    # every mode it keeps).
+    # A measure that keeps modes hands out equal residual keys as one tuple
+    # across all of its outcomes: on an n=4 teleport's Fourier state keyed
+    # c + (b,) and on an n=2 CZ's whole state, both from the reference
+    # routes.  The package's measures list every mode and keep none (see
+    # test_every_measure_lists_all_of_its_states_modes), so only these
+    # routes reach the sharing.
     measures = []
     measure = SparseState.measure
 
@@ -1139,6 +1141,34 @@ def test_fourier_inputs_hold_one_term_per_class(n, monkeypatch):
         assert modes == list(range(n + 1))
         classes = {(sum(key[: n + 1]), key[n + 1 :]) for key in state.terms}
         assert n < len(classes) == len(state) <= n + 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_every_measure_lists_all_of_its_states_modes(n, monkeypatch):
+    # ``measure`` takes its bucket-free pass only when it lists every mode
+    # of its state, keeping no residual mode; teleport's and the CZ's
+    # measures must stay on it.  The CZ runs to n=4, the digests' reach.
+    measured = []
+    measure = SparseState.measure
+
+    def recorded(self, modes):
+        measured.append((self.modes, list(modes)))
+        return measure(self, modes)
+
+    monkeypatch.setattr(SparseState, "measure", recorded)
+    rng = random.Random(3400 + n)
+    calls = 0
+    for kind in ("constant", "signed", "zero-weight"):
+        profile = profile_of(kind, n, rng)
+        teleport(random_qubit(rng), direct_oracle_single(n, profile), n)
+        calls += 1
+        if n <= 4:
+            pair = direct_oracle_pair(n, profile)
+            cz_via_double_teleportation(random_qubit(rng), random_qubit(rng), pair, n)
+            calls += 1
+    assert len(measured) == calls
+    for modes, listed in measured:
+        assert sorted(listed) == list(range(modes))
 
 
 def test_cz_refuses_an_off_pattern_ancilla(monkeypatch):
