@@ -12,22 +12,25 @@ Keys and amplitudes are validated where data enters (the constructor,
 trusted ``_like``, which only prunes and refuses non-finite amplitudes.  So
 do the ``pipeline`` oracles, whose keys are joined register patterns and
 whose amplitudes are products of a validated profile's weights.
-``apply_linear_transform`` runs the same scan on its fresh output dict but
-prunes it without a rebuild through ``_like``, which would hash every kept
-key again (a tuple does not cache its hash).  On modes that lead in order
-each input term has a class, its photon total there and its other counts.
-When every term is alone in its class, as in every teleport and CZ Fourier
-input (one term per photon total), each product is written once and only
-if it is not faint, so the exact zeros of Fourier interference are never
-stored; any other input sums its products and deletes the faint keys after
-the scan.  Two builds skip that amplitude scan and prune inline:
+``apply_linear_transform`` prunes its fresh output dict without a rebuild
+through ``_like``, which would hash every kept key again (a tuple does not
+cache its hash).  On modes that lead in order each input term has a class,
+its photon total there and its other counts.  When every term is alone in
+its class, as in every teleport and CZ Fourier input (one term per photon
+total), each product is written once and only if it is not faint, so the
+exact zeros of Fourier interference are never stored, and the modulus that
+prune reads also refuses a non-finite product, so no separate scan runs.
+Any other input sums its products, runs ``_like``'s scan on the sums and
+deletes the faint keys after it.  Two more builds skip the scan and prune
+inline:
 
 * ``measure``, when it lists every mode of the state (as ``teleport`` and
   the CZ do), makes each term its own outcome: one sort by outcome, and
-  each residual the 0-mode state a/|a|, which needs no prune.  A measure
-  that keeps modes groups the terms by outcome into buckets, dicts it builds
-  itself, each made with its first entry, whose equal residual keys are
-  one shared tuple across all outcomes.  It scales each bucket in place
+  each residual the 0-mode state a/|a|, which needs no prune.  Listed in
+  order, each key is its outcome and the sort reads the terms as they
+  are.  A measure that keeps modes groups the terms by outcome into
+  buckets, dicts it builds itself, each made with its first entry, whose
+  equal residual keys are one shared tuple across all outcomes.  It scales each bucket in place
   into the residual; each amplitude a goes to a/sqrt(p) with |a|^2 <= p,
   so every one stays within 1.
 * the CZ's join of its two sides' Fourier tables, keyed by both sides'
@@ -88,6 +91,7 @@ Occupation = tuple[int, ...]
 
 PRUNE_TOLERANCE = 1e-12  # amplitudes with a smaller modulus are dropped
 _PRUNE_PROBABILITY = PRUNE_TOLERANCE**2  # outcomes and norms at most this are zero
+_NON_FINITE = "an operation produced a non-finite amplitude"
 
 # The last transform's matrix and its expansions by sub-occupation.  A call
 # with an equal matrix starts from a copy of the dict, and publishes its own
@@ -180,9 +184,11 @@ class SparseState:
         bucket in place (a helper call per residual cost a teleport about a
         tenth of its time when it still measured through buckets; a measure
         of every mode writes each residual's lone unit-modulus term, which
-        no prune drops), and the transform by never storing a
-        faint product when every term is alone in its class and otherwise by
-        deleting the faint keys after this finiteness check.
+        no prune drops, and listed in order takes each key as its outcome),
+        and the transform, when every term is alone in its class, by never
+        storing a faint product, refusing a non-finite one through the
+        modulus that prune reads, and otherwise by deleting the faint keys
+        after this finiteness check.
         What holds them to it: ``check_state`` in ``tests/invariants.py`` on
         every output, the pinned sha256 digests of their bits in dict order,
         and one reference each in ``test_fock``, the permanent formula for
@@ -310,8 +316,9 @@ class SparseState:
         # its tail.  The transform keeps the total, so only terms of one
         # class can write the same output key, and one term's products have
         # distinct keys.  When every term on leading modes is alone in its
-        # class, each product is written once, pruned as it is written, and
-        # no faint-key pass runs; any other input adds up from 0j.
+        # class, each product is written once, pruned and checked as it is
+        # written, and neither the finiteness scan nor a faint-key pass
+        # runs; any other input adds up from 0j.
         lone = False
         if leading:
             subs = list(map(sub_of, terms))
@@ -319,23 +326,28 @@ class SparseState:
             classes = list(zip(map(sum, subs), tails))
             lone = len(set(classes)) == len(classes)
         if lone:
-            for a, sub, rest in zip(terms.values(), subs, tails):
-                expansion = expansions.get(sub)
-                if expansion is None:
-                    expansion = expansions[sub] = _expand(sub, matrix)
-                    expanded = True
-                root_in, products = expansion
-                base = a / root_in
-                # NaN and inf fail the comparison and so reach the
-                # finiteness scan; ``+ 0j`` is the 0j a sum starts at.
-                try:
+            # The prune's modulus is the finiteness check too: NaN and inf
+            # fail ``size < tol`` and then ``size < inf``, and finite parts
+            # past the float range raise in ``abs``.  ``+ 0j`` is the 0j a
+            # sum starts at.
+            tol, inf = PRUNE_TOLERANCE, math.inf
+            try:
+                for a, sub, rest in zip(terms.values(), subs, tails):
+                    expansion = expansions.get(sub)
+                    if expansion is None:
+                        expansion = expansions[sub] = _expand(sub, matrix)
+                        expanded = True
+                    root_in, products = expansion
+                    base = a / root_in
                     for key, coeff, root_out in products:
                         v = base * coeff * root_out
-                        if not abs(v) < PRUNE_TOLERANCE:
+                        size = abs(v)
+                        if not size < tol:
+                            if not size < inf:
+                                raise InvalidState(_NON_FINITE)
                             out[key + rest] = v + 0j
-                except OverflowError:  # finite parts, modulus past the float range
-                    out[key + rest] = complex(math.inf)  # for the scan to refuse
-                    break
+            except OverflowError:
+                raise InvalidState(_NON_FINITE) from None
         else:
             for occ, a in terms.items():
                 sub = sub_of(occ)
@@ -357,8 +369,8 @@ class SparseState:
         # value is a sum started at 0j, or a lone product plus 0j, which no
         # addition turns into -0.0, so the ``+ 0j`` of ``_like`` would change
         # no bit.
-        _require_finite(out.values())
         if not lone:
+            _require_finite(out.values())
             faint = [full for full, a in out.items() if abs(a) < PRUNE_TOLERANCE]
             for full in faint:
                 del out[full]
@@ -390,20 +402,29 @@ class SparseState:
         # every other, so one sort by outcome gives the buckets' order below,
         # and the residual is the 0-mode state of a * (1/sqrt(|a|^2)), the
         # bits a one-entry bucket gets.  That amplitude has modulus 1 to
-        # rounding, so no residual needs the prune.
+        # rounding, so no residual needs the prune.  Listed in order, as
+        # ``teleport`` and the CZ list them, each key is its own outcome and
+        # needs no pick.
         if not keep:
-            pairs = zip(map(outcome_of, self.terms), self.terms.values())
-            for outcome, a in sorted(pairs, key=operator.itemgetter(0)):
-                try:  # a stored modulus is finite, so only its square can overflow
+            by_outcome = operator.itemgetter(0)
+            if mlist == list(range(self.modes)):
+                pairs = sorted(self.terms.items(), key=by_outcome)
+            else:
+                pairs = zip(map(outcome_of, self.terms), self.terms.values())
+                pairs = sorted(pairs, key=by_outcome)
+            append, new_row, new_state = results.append, tuple.__new__, object.__new__
+            row_type, floor, sqrt = MeasurementOutcome, _PRUNE_PROBABILITY, math.sqrt
+            try:  # a stored modulus is finite, so only its square can overflow
+                for outcome, a in pairs:
                     prob = abs(a) ** 2
-                except OverflowError:
-                    raise InvalidState(
-                        f"outcome {outcome} has a norm^2 past the float range"
-                    ) from None
-                if prob <= _PRUNE_PROBABILITY:
-                    continue
-                row = (outcome, prob, _state(0, {(): a * (1.0 / math.sqrt(prob)) + 0j}))
-                results.append(tuple.__new__(MeasurementOutcome, row))
+                    if prob <= floor:
+                        continue
+                    residual = new_state(SparseState)  # as ``_state`` builds one
+                    residual.modes = 0
+                    residual.terms = {(): a * (1.0 / sqrt(prob)) + 0j}
+                    append(new_row(row_type, (outcome, prob, residual)))
+            except OverflowError:
+                raise InvalidState(f"outcome {outcome} has a norm^2 past the float range") from None
             return results
 
         residual_of = _picker(keep)
@@ -623,7 +644,7 @@ def _require_finite(amplitudes: Iterable[complex]) -> None:
     except OverflowError:  # ``abs`` of finite parts past the float range
         total = math.inf
     if not math.isfinite(total):
-        raise InvalidState("an operation produced a non-finite amplitude")
+        raise InvalidState(_NON_FINITE)
 
 
 def _negated(state: SparseState, keys: Iterable[Occupation]) -> SparseState:
@@ -689,7 +710,27 @@ def _expand(
     Returns sqrt(prod sub!) and (output sub-occupation, coefficient,
     sqrt(prod out!)) per output key; the amplitude of a term with this
     sub-occupation then contributes a / root_in * coeff * root_out.
+
+    At most one photon needs no fold: the products are the photon's row,
+    its nonzero entries in mode order, with the bits the fold gives them.
     """
+    total = sum(sub)
+    if not total:
+        return 1.0, ((sub, 1.0 + 0j, 1.0),)
+    if total == 1:
+        l, width = sub.index(1), len(sub)
+        return 1.0, tuple(
+            ((0,) * m + (1,) + (0,) * (width - m - 1), 0j + (1.0 + 0j) * cm, 1.0)
+            for m, cm in enumerate(matrix[l])
+            if cm != 0
+        )
+    return _fold(sub, matrix)
+
+
+def _fold(
+    sub: Occupation, matrix: Sequence[Sequence[complex]]
+) -> tuple[float, tuple[tuple[Occupation, complex, float], ...]]:
+    """:func:`_expand` of any sub-occupation, one photon at a time."""
     # Fold photons in one at a time: poly maps sub-occupations of the
     # transformed modes, coded as integers in base total+1 (mode m is digit
     # m), to expansion coefficients.

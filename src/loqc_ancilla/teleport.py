@@ -56,6 +56,7 @@ import cmath
 import enum
 import functools
 import math
+import operator
 import sys
 from typing import NamedTuple
 
@@ -295,15 +296,16 @@ def teleport(qubit: InputQubit, ancilla: SparseState, n: int) -> list[TeleportOu
     # Each outcome is built by tuple.__new__, as ``_state`` builds a state by
     # object.__new__: the named tuple's own __new__ is a Python-level call.
     outcomes: list[TeleportOutcome] = []
+    append, new_row, score = outcomes.append, tuple.__new__, fidelity
+    success, failure = Classification.SUCCESS, Classification.FAILURE
     for counts, prob, _ in measured:
         k = sum(counts)
         if 1 <= k <= n:
             residual = residuals[k]
-            fid = fidelity(residual, ideal)
-            row = (counts, k, prob, Classification.SUCCESS, residual, fid)
+            row = (counts, k, prob, success, residual, score(residual, ideal))
         else:
-            row = (counts, k, prob, Classification.FAILURE, None, None)
-        outcomes.append(tuple.__new__(TeleportOutcome, row))
+            row = (counts, k, prob, failure, None, None)
+        append(new_row(TeleportOutcome, row))
     return outcomes
 
 
@@ -468,7 +470,8 @@ def cz_via_double_teleportation(
 
     (_, residuals1), (_, residuals2) = sides
     terms: dict[Occupation, complex] = {}
-    pair_residuals: dict[tuple[int, int], SparseState] = {}
+    # The residual of branch (k, k') at [k][k'], for totals 0..n+1.
+    pair_residuals: list[list[SparseState | None]] = [[None] * (n + 2) for _ in range(n + 2)]
     for k in range(1, n + 1):
         for kp in range(1, n + 1):
             # Negating w negates the product exactly, as -a would.
@@ -483,7 +486,7 @@ def cz_via_double_teleportation(
             mass = _sum_in_order(abs(x) ** 2 for x in u.values())
             if mass <= _PRUNE_PROBABILITY:
                 continue
-            pair_residuals[k, kp] = _state(2, u).normalized()
+            pair_residuals[k][kp] = _state(2, u).normalized()
             norm = math.sqrt(mass)
             for c1, a1 in groups[0][k]:
                 for c2, a2 in groups[1][kp]:
@@ -500,19 +503,21 @@ def cz_via_double_teleportation(
     ideal = _negated(ideal, [occ for occ in ideal.terms if occ == (1, 1)])
 
     branches: list[CzBranch] = []
-    best: tuple[float, SparseState] | None = None
+    append, new_row, score = branches.append, tuple.__new__, fidelity
+    side1, side2 = operator.itemgetter(slice(n + 1)), operator.itemgetter(slice(n + 1, None))
+    # Every kept probability is positive, so the first branch is taken.
+    best, best_prob = None, -1.0
     for counts, prob, _ in measured:
-        k, kp = sum(counts[: n + 1]), sum(counts[n + 1 :])
-        residual = pair_residuals[k, kp]
-        fid = fidelity(residual, ideal)
-        branches.append(tuple.__new__(CzBranch, (counts, k, kp, prob, fid)))
-        if best is None or prob > best[0]:
-            best = (prob, residual)
+        k, kp = sum(side1(counts)), sum(side2(counts))
+        residual = pair_residuals[k][kp]
+        append(new_row(CzBranch, (counts, k, kp, prob, score(residual, ideal))))
+        if prob > best_prob:
+            best, best_prob = residual, prob
 
     return CzGateResult(
         success_probability=total_success,
         failure_probability=total_failure,
         min_fidelity=min((b.fidelity for b in branches), default=None),
-        output_qubits=None if best is None else best[1],
+        output_qubits=best,
         branches=tuple(branches),
     )

@@ -435,16 +435,58 @@ def test_transform_of_lone_and_shared_classes_matches_the_permanent_formula():
         assert_matches_reference(state, [0, 1, 2], matrix)
 
 
+def counted_finiteness_scans(monkeypatch):
+    """List that grows by one entry per ``fock._require_finite`` call."""
+    calls = []
+    original = fock._require_finite
+
+    def counted(amplitudes):
+        calls.append(None)
+        return original(amplitudes)
+
+    monkeypatch.setattr(fock, "_require_finite", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, 1e308, complex(1.3e307, 1.3e307)],
+    ids=["nan", "inf", "1e308", "modulus-past-range"],
+)
+def test_transform_refuses_a_non_finite_product_of_a_lone_class(bad, monkeypatch):
+    # Every term is alone in its class on the leading modes, with a count
+    # left behind them or none, so the products are written as they are
+    # formed and the write loop's modulus is the finiteness check: no
+    # separate scan runs.  The diagonal matrix gives each term one product,
+    # so the bad one, NaN, inf, a part that overflows to inf or finite parts
+    # whose modulus passes the float range, is the first, middle or last
+    # product written.
+    scans = counted_finiteness_scans(monkeypatch)
+    good = [((1, 0, 0), 0.6), ((0, 1, 1), 0.08)]
+    for modes in ([0, 1], [0, 1, 2]):
+        matrix = [[10.0 if l == m == 1 else float(l == m) for m in modes] for l in modes]
+        for position in range(3):
+            state = SparseState(3)
+            state.terms = dict(good[:position] + [((0, 1, 2), complex(bad))] + good[position:])
+            assert len(set(leading_classes(state, len(modes)))) == 3
+            with pytest.raises(InvalidState, match="non-finite"):
+                state.apply_linear_transform(modes, matrix)
+        # Without the bad term both products are written.
+        assert len(SparseState(3, dict(good)).apply_linear_transform(modes, matrix)) == 2
+    assert not scans
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308], ids=["nan", "inf", "1e308"])
-def test_transform_refuses_a_non_finite_product_of_a_lone_class(bad):
-    # Every term is alone in its class on modes [0, 1], so the products are
-    # written as they are formed: NaN and inf pass the prune's comparison
-    # and reach the finiteness scan.
+def test_transform_scans_the_sums_of_a_shared_class(bad, monkeypatch):
+    # |1,0,0> and |0,1,0> share the class (1, (0,)), so their products are
+    # summed and the finished sums go through the finiteness scan.
     state = SparseState(3, {(1, 0, 0): 0.6, (0, 1, 0): 0.8})
     state.terms[(1, 1, 2)] = complex(bad)
     assert len(set(leading_classes(state, 2))) == 2
+    scans = counted_finiteness_scans(monkeypatch)
     with pytest.raises(InvalidState, match="non-finite"):
         state.apply_linear_transform([0, 1], [[10.0, 1.0], [1.0, 10.0]])
+    assert len(scans) == 1
 
 
 def moved_block_transform(state, modes, matrix, front):
@@ -634,6 +676,32 @@ def count_expansions(monkeypatch):
 
     monkeypatch.setattr(fock, "_expand", counted)
     return calls
+
+
+def test_expansion_of_at_most_one_photon_has_the_bits_of_the_fold(monkeypatch):
+    # A sub-occupation of no photon or one returns before the fold, with the
+    # products the fold would give: keys, their order, every coefficient bit
+    # and the roots.  The matrices mix random entries with zeros of every
+    # sign and type, which both routes skip, and parts of -0.0.
+    rng = random.Random(3500)
+    fold, folds = fock._fold, []
+    monkeypatch.setattr(fock, "_fold", lambda sub, matrix: folds.append(sub))
+    zeros = [0, 0.0, -0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    signed = [complex(-0.0, 0.7), complex(0.3, -0.0), -1.0, 1, 1j]
+    for _ in range(200):
+        size = rng.randint(1, 4)
+        matrix = tuple(
+            tuple(
+                rng.choice(zeros + signed + [complex(rng.gauss(0, 1), rng.gauss(0, 1))] * 4)
+                for _ in range(size)
+            )
+            for _ in range(size)
+        )
+        for sub in [(0,) * size] + [
+            tuple(int(m == l) for m in range(size)) for l in range(size)
+        ]:
+            assert repr(fock._expand(sub, matrix)) == repr(fold(sub, matrix))
+    assert not folds
 
 
 def test_memo_second_call_is_bit_identical(monkeypatch):
@@ -943,6 +1011,21 @@ def test_measure_fast_path_is_bit_identical_to_reference():
         for size in range(1, state.modes + 1):
             modes = rng.sample(range(state.modes), size)
             want = outcome_bits(reference_measure(state, modes))
+            assert outcome_bits(state.measure(modes)) == want
+
+
+def test_measure_of_every_mode_in_order_is_bit_identical_to_reference():
+    # Every mode listed in order takes each key as its outcome without a
+    # pick; a range and a list of it go that way, a permuted list of more
+    # than one mode mostly does not.  All three match the enumerating
+    # reference bit for bit.
+    rng, states = fast_path_inputs()
+    states.append(SparseState(2, {(0, 1): 1.0, (1, 0): PRUNE_TOLERANCE, (0, 0): 0.5j}))
+    for state in states:
+        every = range(state.modes)
+        permuted = rng.sample(every, state.modes)
+        for modes in (every, list(every), permuted):
+            want = outcome_bits(reference_measure(state, list(modes)))
             assert outcome_bits(state.measure(modes)) == want
 
 
