@@ -24,15 +24,11 @@ Any other input sums its products, runs ``_like``'s scan on the sums and
 deletes the faint keys after it.  Two more builds skip the scan and prune
 inline:
 
-* ``measure``, when it lists every mode of the state (as ``teleport`` and
-  the CZ do), makes each term its own outcome: one sort by outcome, and
-  each residual the 0-mode state a/|a|, which needs no prune.  Listed in
-  order, each key is its outcome and the sort reads the terms as they
-  are.  A measure that keeps modes groups the terms by outcome into
-  buckets, dicts it builds itself, each made with its first entry, whose
-  equal residual keys are one shared tuple across all outcomes.  It scales each bucket in place
-  into the residual; each amplitude a goes to a/sqrt(p) with |a|^2 <= p,
-  so every one stays within 1.
+* ``measure``, when it lists every mode of the state in order (as
+  ``teleport`` and the CZ do), makes each key its own outcome: one sort of
+  the terms, and each residual the 0-mode state a/|a|, which needs no
+  prune.  Any other modes group the terms by outcome, and each group's
+  residual goes through ``normalized``.
 * the CZ's join of its two sides' Fourier tables, keyed by both sides'
   counts (modes [c, c']): each term is the product of two table
   amplitudes and the norm of its branch's qubit pair, which is at most
@@ -56,8 +52,7 @@ or, as the transform does unless every class is lone, sums each amplitude
 from ``0j``, and no addition to +0.0 gives -0.0; a negation writes
 ``-a + 0j`` to keep it so.
 
-Float sums run strictly left to right, through ``_sum_in_order`` or, where
-a call per sum costs too much (``measure``'s outcome probabilities), an
+Float sums run strictly left to right, through ``_sum_in_order`` or an
 explicit loop from 0.0, so every printed digit is the same on every
 supported Python version.
 
@@ -180,15 +175,13 @@ class SparseState:
         ``+ 0j`` maps -0.0 to +0.0 as the public constructor's sum does.
 
         ``measure`` and ``apply_linear_transform`` write this prune inline,
-        each on a dict it built itself: ``measure`` while it scales each
-        bucket in place (a helper call per residual cost a teleport about a
-        tenth of its time when it still measured through buckets; a measure
-        of every mode writes each residual's lone unit-modulus term, which
-        no prune drops, and listed in order takes each key as its outcome),
-        and the transform, when every term is alone in its class, by never
-        storing a faint product, refusing a non-finite one through the
-        modulus that prune reads, and otherwise by deleting the faint keys
-        after this finiteness check.
+        each on a dict it built itself: ``measure`` when it lists every mode
+        in order, by writing each residual's lone unit-modulus term, which
+        no prune drops (a helper call per residual cost a teleport about a
+        tenth of its time), and the transform, when every term is alone in
+        its class, by never storing a faint product, refusing a non-finite
+        one through the modulus that prune reads, and otherwise by deleting
+        the faint keys after this finiteness check.
         What holds them to it: ``check_state`` in ``tests/invariants.py`` on
         every output, the pinned sha256 digests of their bits in dict order,
         and one reference each in ``test_fock``, the permanent formula for
@@ -394,24 +387,18 @@ class SparseState:
         mset = set(mlist)
         if len(mset) != len(mlist):
             raise ModeOutOfRange("measurement modes must be distinct")
-        keep = [m for m in range(self.modes) if m not in mset]
-        outcome_of = _picker(mlist)
         results: list[MeasurementOutcome] = []
 
-        # Every mode measured: each term is its own outcome, distinct from
-        # every other, so one sort by outcome gives the buckets' order below,
-        # and the residual is the 0-mode state of a * (1/sqrt(|a|^2)), the
-        # bits a one-entry bucket gets.  That amplitude has modulus 1 to
-        # rounding, so no residual needs the prune.  Listed in order, as
-        # ``teleport`` and the CZ list them, each key is its own outcome and
-        # needs no pick.
-        if not keep:
-            by_outcome = operator.itemgetter(0)
-            if mlist == list(range(self.modes)):
-                pairs = sorted(self.terms.items(), key=by_outcome)
-            else:
-                pairs = zip(map(outcome_of, self.terms), self.terms.values())
-                pairs = sorted(pairs, key=by_outcome)
+        # Every mode listed in order, as ``teleport`` and the CZ list them:
+        # each key is its own outcome, distinct from every other, so one
+        # sort of the terms gives the outcome order, and the residual is the
+        # 0-mode state of a * (1/sqrt(|a|^2)), the bits ``normalized`` gives
+        # a one-term state.  That amplitude has modulus 1 to rounding, so no
+        # residual needs the prune.  Rows and residuals are built by
+        # ``tuple.__new__`` and ``object.__new__``, skipping the Python-level
+        # constructors.
+        if mlist == list(range(self.modes)):
+            pairs = sorted(self.terms.items(), key=operator.itemgetter(0))
             append, new_row, new_state = results.append, tuple.__new__, object.__new__
             row_type, floor, sqrt = MeasurementOutcome, _PRUNE_PROBABILITY, math.sqrt
             try:  # a stored modulus is finite, so only its square can overflow
@@ -427,52 +414,21 @@ class SparseState:
                 raise InvalidState(f"outcome {outcome} has a norm^2 past the float range") from None
             return results
 
-        residual_of = _picker(keep)
-        # An occupation is its outcome plus its residual key, so each key
-        # lands in its bucket once.  Equal residual keys share one tuple, so
-        # the residuals hold each distinct key once, not once per outcome.
+        # Any other modes: an occupation is its outcome plus its residual
+        # key, so each term lands in its outcome's group once, and each group
+        # is a residual state that ``normalized`` scales and prunes.
+        keep = [m for m in range(self.modes) if m not in mset]
+        outcome_of, residual_of = _picker(mlist), _picker(keep)
         grouped: dict[Occupation, dict[Occupation, complex]] = {}
-        shared: dict[Occupation, Occupation] = {}
         for occ, a in self.terms.items():
-            outcome = outcome_of(occ)
-            rest = residual_of(occ)
-            rest = shared.setdefault(rest, rest)
-            bucket = grouped.get(outcome)
-            if bucket is None:
-                grouped[outcome] = {rest: a}
-            else:
-                bucket[rest] = a
-
+            grouped.setdefault(outcome_of(occ), {})[residual_of(occ)] = a
         for outcome in sorted(grouped):
-            bucket = grouped[outcome]
-            prob = 0.0  # summed left to right, as _sum_in_order does
-            try:
-                for a in bucket.values():
-                    prob += abs(a) ** 2
-            except OverflowError:  # a modulus squared past the float range
-                prob = math.inf
+            residual = _state(len(keep), grouped[outcome])
+            prob = residual.norm_squared()
             if prob == math.inf:
                 raise InvalidState(f"outcome {outcome} has a norm^2 past the float range")
-            if prob <= _PRUNE_PROBABILITY:
-                continue
-            # The bucket is this call's own dict, so it becomes the residual
-            # in place.  |a| * scale <= 1, so it needs no finiteness scan.
-            scale = 1.0 / math.sqrt(prob)
-            faint = None
-            for k, a in bucket.items():
-                b = a * scale
-                if abs(b) >= PRUNE_TOLERANCE:
-                    bucket[k] = b + 0j
-                elif faint is None:
-                    faint = [k]
-                else:
-                    faint.append(k)
-            if faint is not None:
-                for k in faint:
-                    del bucket[k]
-            # tuple.__new__ skips the named tuple's Python-level __new__.
-            row = (outcome, prob, _state(len(keep), bucket))
-            results.append(tuple.__new__(MeasurementOutcome, row))
+            if prob > _PRUNE_PROBABILITY:
+                results.append(MeasurementOutcome(outcome, prob, residual.normalized()))
         return results
 
     # ------------------------------------------------------------------

@@ -48,8 +48,12 @@ class TransferSetting(_Record):
     def __init__(self, t: float, r: float, phi: float = 0.0):
         if not 0.0 <= t <= 1.0:  # NaN fails the comparison
             raise OutOfRange(f"transmission {t} outside [0, 1]")
-        if not abs(r**2 + t**2 - 1.0) <= 1e-12:  # so does a NaN R
-            raise OutOfRange(f"R^2 + T^2 = {r**2 + t**2} != 1")
+        try:
+            norm = r**2 + t**2
+        except OverflowError:  # a square past the float range
+            norm = math.inf
+        if not abs(norm - 1.0) <= 1e-12:  # so does a NaN R
+            raise OutOfRange(f"R^2 + T^2 = {norm} != 1")
         if phi not in (0.0, math.pi):
             raise OutOfRange(f"phi must be exactly 0 or pi, got {phi}")
         object.__setattr__(self, "t", t)

@@ -87,7 +87,10 @@ class InputQubit(_Record):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: complex, beta: complex):
-        norm = abs(alpha) ** 2 + abs(beta) ** 2
+        try:
+            norm = abs(alpha) ** 2 + abs(beta) ** 2
+        except OverflowError:  # a modulus or its square past the float range
+            norm = math.inf
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails the comparison
             raise OutOfRange(f"|alpha|^2 + |beta|^2 = {norm}, expected 1")
         object.__setattr__(self, "alpha", alpha)

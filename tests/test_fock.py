@@ -1030,10 +1030,11 @@ def test_measure_of_every_mode_in_order_is_bit_identical_to_reference():
 
 
 def test_measure_leaves_its_input_alone():
-    # Each residual holds a dict measure built for it: a bucket scaled in
-    # place, or the one-term dict of an outcome that lists every mode.  The
-    # input keeps its dict and every amplitude bit, and no two residuals or
-    # a residual and the input share a dict.
+    # Each residual holds a dict measure built for it: the normalized copy
+    # of an outcome's group of terms, or the one-term dict of an outcome
+    # that lists every mode in order.  The input keeps its dict and every
+    # amplitude bit, and no two residuals or a residual and the input share
+    # a dict.
     rng, states = fast_path_inputs()
     for state in states:
         terms, before = state.terms, exact_terms(state)

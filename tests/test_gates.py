@@ -75,7 +75,14 @@ def test_setting_validation():
 
 @pytest.mark.parametrize(
     "t, r",
-    [(-0.6, 0.8), (1.5, math.nan), (math.nan, math.nan), (0.6, math.nan), (math.inf, 0.0)],
+    [
+        (-0.6, 0.8),
+        (1.5, math.nan),
+        (math.nan, math.nan),
+        (0.6, math.nan),
+        (math.inf, 0.0),
+        (0.6, 1e200),  # R^2 past the float range
+    ],
     ids=str,
 )
 def test_setting_refuses_t_outside_unit_interval_or_nan(t, r):

@@ -1,6 +1,7 @@
 """Teleportation outcome enumeration and the double-teleport sign gate."""
 
 import cmath
+import itertools
 import math
 import operator
 import random
@@ -55,8 +56,10 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def test_qubit_normalization_enforced():
-    with pytest.raises(OutOfRange):
-        InputQubit(1.0, 1.0)
+    # |alpha|^2 past the float range is refused too, not raised as overflow.
+    for alpha, beta in ((1.0, 1.0), (1e200 + 0j, 0j)):
+        with pytest.raises(OutOfRange):
+            InputQubit(alpha, beta)
     # The norm^2 must lie within 1e-12 of 1: 1.0000000016 and 1.000000000016
     # are both refused, the second past any bound of 1e-11 or looser.
     for beta in (0.8 + 1e-9, 0.8 + 1e-11):
@@ -191,6 +194,48 @@ def test_teleport_n1_plus_failure_half():
         InputQubit.plus(), direct_oracle_single(1, AmplitudeProfile.constant(1)), 1
     )
     assert failure_probability(outcomes) == pytest.approx(0.5, abs=1e-12)
+
+
+# The 12 patterns of total 6 that the suppression law allows at N = 6 and
+# the prune drops at n = 5: each Fourier product falls below the tolerance.
+SUPPRESSION_DROPPED_AT_N5 = {
+    (0, 1, 1, 2, 1, 1),
+    (0, 1, 2, 1, 0, 2),
+    (0, 2, 0, 1, 2, 1),
+    (1, 0, 1, 1, 2, 1),
+    (1, 0, 2, 0, 1, 2),
+    (1, 1, 0, 1, 1, 2),
+    (1, 1, 2, 1, 1, 0),
+    (1, 2, 1, 0, 2, 0),
+    (1, 2, 1, 1, 0, 1),
+    (2, 0, 1, 2, 1, 0),
+    (2, 1, 0, 2, 0, 1),
+    (2, 1, 1, 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_teleport_failures_of_total_n_plus_1_obey_the_suppression_law(n):
+    # Total n+1 puts one photon in each of the N = n+1 Fourier inputs, an
+    # input the cyclic shift leaves alone, so an output c can be nonzero only
+    # when sum_m m c_m = 0 (mod N) (Tichy et al., PRL 104, 220405 (2010)).
+    # |1> through the constant profile gives that class the mass 1/N.  The
+    # kept outcomes are exactly the allowed patterns, except at N = 6, where
+    # the prune drops 12 of the 80.
+    big = n + 1
+    outcomes = teleport(InputQubit.one(), direct_oracle_single(n, AmplitudeProfile.constant(n)), n)
+    top = [o for o in outcomes if o.k == big]
+    assert all(o.classification is Classification.FAILURE for o in top)
+    assert sum(o.probability for o in top) == pytest.approx(1 / big, abs=1e-12)
+    allowed = set()
+    for photons in itertools.combinations_with_replacement(range(big), big):
+        if sum(photons) % big == 0:
+            allowed.add(tuple(photons.count(m) for m in range(big)))
+    kept = {o.counts for o in top}
+    assert len(kept) == len(top)
+    dropped = SUPPRESSION_DROPPED_AT_N5 if n == 5 else set()
+    assert kept == allowed - dropped and dropped <= allowed
+    assert len(kept) == [2, 4, 10, 26, 68, 246, 810, 2704][n - 1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1087,33 +1132,6 @@ def test_cz_mixes_each_side_on_its_own_modes(n, monkeypatch):
     ]
 
 
-def test_measure_hands_out_one_tuple_per_residual_key(monkeypatch):
-    # A measure that keeps modes hands out equal residual keys as one tuple
-    # across all of its outcomes: on an n=4 teleport's Fourier state keyed
-    # c + (b,) and on an n=2 CZ's whole state, both from the reference
-    # routes.  The package's measures list every mode and keep none (see
-    # test_every_measure_lists_all_of_its_states_modes), so only these
-    # routes reach the sharing.
-    measures = []
-    measure = SparseState.measure
-
-    def recorded(self, modes):
-        outcomes = measure(self, modes)
-        measures.append(outcomes)
-        return outcomes
-
-    monkeypatch.setattr(SparseState, "measure", recorded)
-    rng = random.Random(2900)
-    reference_teleport(random_qubit(rng), direct_oracle_single(4, profile_of("signed", 4, rng)), 4)
-    pair = direct_oracle_pair(2, profile_of("signed", 2, rng))
-    reference_joint_state_cz(random_qubit(rng), random_qubit(rng), pair, 2)
-    assert len(measures) == 2
-    for outcomes in measures:
-        keys = [key for o in outcomes for key in o.residual.terms]
-        assert len(keys) > len(set(keys))  # the outcomes repeat their keys
-        assert len({id(key) for key in keys}) == len(set(keys))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_fourier_inputs_hold_one_term_per_class(n, monkeypatch):
     # The transform writes each product once, with no faint-key pass, only
@@ -1145,9 +1163,9 @@ def test_fourier_inputs_hold_one_term_per_class(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_every_measure_lists_all_of_its_states_modes(n, monkeypatch):
-    # ``measure`` takes its bucket-free pass only when it lists every mode
-    # of its state, keeping no residual mode; teleport's and the CZ's
-    # measures must stay on it.  The CZ runs to n=4, the digests' reach.
+    # ``measure`` takes its tuned pass only when it lists every mode of its
+    # state in order; teleport's and the CZ's measures must stay on it.  The
+    # CZ runs to n=4, the digests' reach.
     measured = []
     measure = SparseState.measure
 
@@ -1168,7 +1186,7 @@ def test_every_measure_lists_all_of_its_states_modes(n, monkeypatch):
             calls += 1
     assert len(measured) == calls
     for modes, listed in measured:
-        assert sorted(listed) == list(range(modes))
+        assert list(listed) == list(range(modes))
 
 
 def test_cz_refuses_an_off_pattern_ancilla(monkeypatch):
